@@ -14,12 +14,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from covnum.groups import PermGroup, format_group_file
+from covnum.groups import PermGroup, format_group_file, parse_group_file
 from covnum.perms import format_cycles, parse_permutation
 from covnum.subgroups import algebra, subgroup_from_ids, maximal_classes_from_file
 
+DATA = Path(__file__).resolve().parents[1] / "src" / "covnum" / "data"
 
-def main() -> None:
+
+def build() -> tuple[str, str]:
+    """The texts of ``m11.grp`` and ``m11.max``."""
     deg = 11
     gens = [parse_permutation("(1,2,3,4,5,6,7,8,9,10,11)", deg),
             parse_permutation("(3,7,11,8)(4,10,5,6)", deg)]
@@ -55,7 +58,7 @@ def main() -> None:
     assert syl3 is not None
     norm = frozenset(
         g for g in range(alg.n)
-        if frozenset(alg.mult(alg.mult(alg.inv[g], x), g) for x in syl3) == syl3)
+        if frozenset(alg.conjugate(x, g) for x in syl3) == syl3)
     assert len(norm) == 144, len(norm)
 
     # index 66: order 120, generated by a 5-element and one more element
@@ -78,16 +81,16 @@ def main() -> None:
         lines.append(f"length {len(orbit)}")
         lines += [format_cycles(g) for g in sub.generators]
         lines.append("")
-        print(f"class {i}: order {sub.order} index {sub.index} length {len(orbit)}")
-    text = "\n".join(lines)
+    return format_group_file(m11), "\n".join(lines)
 
-    data = Path(__file__).resolve().parents[1] / "src" / "covnum" / "data"
-    (data / "m11.grp").write_text(format_group_file(m11))
-    (data / "m11.max").write_text(text)
 
-    mx = maximal_classes_from_file(m11, text)
+def main() -> None:
+    group_text, maximals_text = build()
+    (DATA / "m11.grp").write_text(group_text)
+    (DATA / "m11.max").write_text(maximals_text)
+    mx = maximal_classes_from_file(parse_group_file(group_text, name="M11"), maximals_text)
     print("ingest verification passed:",
-          [(c.label, c.index, c.class_length) for c in mx])
+          [(c.label, c.rep.order, c.index, c.class_length) for c in mx])
 
 
 if __name__ == "__main__":

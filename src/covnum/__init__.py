@@ -29,12 +29,11 @@ from .errors import (
 )
 from .greedy import CertificateReport, CountingBound, GreedyTrace, \
     counting_lower_bound, covering_number_bounds, verify_minimal_cover
-from .groups import ConjClass, ConjClassTable, PermGroup, conjugacy_classes, \
-    enumerate_elements, format_group_file, group_from_generators, parse_group_file
+from .groups import ConjClass, ConjClassTable, PermGroup, format_group_file, \
+    parse_group_file
 from .incidence import IncidenceProfile, incidence_profile, parse_profile, \
     render_profile
-from .perms import Permutation, format_cycles, parse_permutation, perm_compose, \
-    perm_order
+from .perms import Permutation, format_cycles, parse_permutation
 from .registry import KnownEntry, SigmaElementaryReport, is_sigma_elementary, \
     lookup_known, sigma_formula, sigma_solvable
 from .subgroups import Limits, MaxClass, MaxClassSet, Subgroup, all_subgroups, \

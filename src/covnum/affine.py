@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import BudgetExceeded, OutOfRange
 from .groups import PermGroup
 from .perms import Permutation
-from .subgroups import Subgroup, algebra, subgroup_from_ids
+from .subgroups import Subgroup, algebra, prime_power, subgroup_from_ids
 
 # Reduction rules x^d = <poly in lower powers> for the non-prime sizes we
 # construct; coefficients listed for x^0, x^1, ...
@@ -31,33 +31,13 @@ _REDUCTIONS = {
 }
 
 
-def _factor_prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise OutOfRange(f"{q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q, 1
-    d = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        d += 1
-    if m != 1:
-        raise OutOfRange(f"{q} is not a prime power")
-    return p, d
-
-
 class GF:
     """Arithmetic in GF(q); elements are ints 0..q-1 encoding base-p digit
     vectors of polynomial coefficients."""
 
     def __init__(self, q: int):
         self.q = q
-        self.p, self.d = _factor_prime_power(q)
+        self.p, self.d = prime_power(q)
         if self.d > 1 and q not in _REDUCTIONS:
             raise OutOfRange(f"no reduction polynomial stored for GF({q})")
 

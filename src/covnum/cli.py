@@ -106,9 +106,9 @@ def _maximals_for(group: PermGroup, mx: MaxClassSet | None, args) -> MaxClassSet
 
 
 def cmd_bounds(args) -> int:
+    t0 = time.monotonic()
     group, mx = _load_group(args)
     mx = _maximals_for(group, mx, args)
-    t0 = time.monotonic()
     trace = covering_number_bounds(group, mx, args.mode)
     dt = time.monotonic() - t0
     sys.stdout.write(render_trace(trace))
@@ -120,10 +120,10 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_exact(args) -> int:
+    t0 = time.monotonic()
     group, mx = _load_group(args)
     mx = _maximals_for(group, mx, args)
     budget = SolveBudget(max_nodes=args.max_nodes, time_limit=args.time_limit)
-    t0 = time.monotonic()
     cls = group.conjugacy_classes(args.max_order)
     elts = args.classes or None
     subs = args.subgroup_classes or None
@@ -187,7 +187,7 @@ def cmd_table(args) -> int:
 def cmd_sigma_elementary(args) -> int:
     group, mx = _load_group(args)
     budget = SolveBudget(max_nodes=args.max_nodes, time_limit=args.time_limit)
-    report = is_sigma_elementary(group, budget, _limits(args))
+    report = is_sigma_elementary(group, budget, _limits(args), mx=mx)
     print(f"group: {group.name or '?'} (order {group.order}), sigma = {report.sigma}")
     for chk in report.checks:
         quotient = "infinite (cyclic quotient)" if chk.quotient_sigma is None \
@@ -208,11 +208,11 @@ def cmd_batch(args) -> int:
     failures = 0
     budget = SolveBudget(max_nodes=args.max_nodes, time_limit=args.time_limit)
     for key in keys:
+        t0 = time.monotonic()
         try:
             group = library.group(key)
             mx = library.maximals(key)
             trace = covering_number_bounds(group, mx)
-            t0 = time.monotonic()
             result = sigma_exact(group, budget, mx=mx,
                                  initial_upper_classes=trace.chosen_subgroup_classes())
             dt = time.monotonic() - t0

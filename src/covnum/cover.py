@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from math import ceil
 
-from .errors import CyclicGroup, Infeasible, ParseError
+from .errors import CovnumError, CyclicGroup, Infeasible, ParseError
 from .groups import ConjClassTable, PermGroup
 from .subgroups import DEFAULT_LIMITS, Limits, MaxClassSet, algebra, maximal_classes_computed
 
@@ -299,8 +299,10 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
     cov = 0
     for c in best:
         cov |= masks[c]
-    assert cov == full and len(best) == best_size
-    assert optimal == (lower == best_size)
+    if cov != full or len(best) != best_size:
+        raise CovnumError(f"incumbent of size {len(best)} is not a cover of size {best_size}")
+    if optimal != (lower == best_size):
+        raise CovnumError(f"optimal={optimal} disagrees with bracket [{lower}, {best_size}]")
     return CoverResult(
         lower=lower,
         upper=best_size,

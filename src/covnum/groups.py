@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CapExceeded, DegreeMismatch, ParseError
+from .errors import CapExceeded, CovnumError, DegreeMismatch, ParseError
 from .perms import Permutation, format_cycles, parse_permutation
 
 DEFAULT_ENUM_CAP = 10**6
@@ -152,7 +152,8 @@ class PermGroup:
                         out.append(y)
                         new.append(y)
             frontier = new
-        assert len(out) == self.order
+        if len(out) != self.order:
+            raise CovnumError(f"enumerated {len(out)} elements, chain order {self.order}")
         return out
 
     @cached_property
@@ -184,13 +185,6 @@ class PermGroup:
     def __repr__(self) -> str:
         label = self.name or f"degree {self.degree}"
         return f"PermGroup({label}, order={self.order})"
-
-
-def group_from_generators(gens, name: str | None = None) -> PermGroup:
-    gens = list(gens)
-    if not gens:
-        raise ValueError("need at least one generator")
-    return PermGroup(gens[0].degree, gens, name=name)
 
 
 @dataclass(frozen=True)
@@ -280,16 +274,9 @@ def _conjugacy_classes(group: PermGroup, cap: int) -> tuple[ConjClassTable, list
         for j in orbit:
             assignment[j] = pos
     total = sum(c.size for c in classes)
-    assert total == group.order - 1
+    if total != group.order - 1:
+        raise CovnumError(f"class sizes sum to {total}, expected {group.order - 1}")
     return ConjClassTable(classes=classes, total=total), assignment
-
-
-def conjugacy_classes(group: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> ConjClassTable:
-    return group.conjugacy_classes(cap)
-
-
-def enumerate_elements(group: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> list[Permutation]:
-    return group.elements(cap)
 
 
 def parse_group_file(text: str, name: str | None = None) -> PermGroup:

@@ -77,7 +77,6 @@ def incidence_profile(group: PermGroup, cls: ConjClassTable,
                       mx: MaxClassSet) -> IncidenceProfile:
     """Build the profile by classifying each subgroup class of one maximal
     representative into its parent class and summing the subgroup-class sizes."""
-    alg = algebra(group)
     assignment = group.class_assignment()
     columns = []
     for mcls in mx.classes:
@@ -118,7 +117,6 @@ def _subgroup_class_sizes(group: PermGroup, ids, gens):
     (representative id, class size) pairs; identity excluded."""
     alg = algebra(group)
     gen_ids = [alg.index[g.images] for g in gens if not g.is_identity()]
-    inv = alg.inv
     pending = set(ids) - {0}
     out = []
     while pending:
@@ -129,7 +127,7 @@ def _subgroup_class_sizes(group: PermGroup, ids, gens):
             new = []
             for x in frontier:
                 for g in gen_ids:
-                    y = alg.mult(alg.mult(inv[g], x), g)
+                    y = alg.conjugate(x, g)
                     if y not in orbit:
                         orbit.add(y)
                         new.append(y)

@@ -127,15 +127,6 @@ class Permutation:
         return f"Permutation({format_cycles(self)!r}, degree={self.degree})"
 
 
-def perm_compose(a: Permutation, b: Permutation) -> Permutation:
-    """Left-to-right product: apply a, then b."""
-    return a * b
-
-
-def perm_order(a: Permutation) -> int:
-    return a.order
-
-
 def format_cycles(p: Permutation) -> str:
     """1-based cycle notation, e.g. ``(1,2,3)(4,5)``; identity prints as ``()``."""
     cycles = p.cycles()

@@ -18,46 +18,20 @@ from .groups import PermGroup
 from .subgroups import (
     DEFAULT_LIMITS,
     Limits,
+    MaxClassSet,
     algebra,
     all_subgroups,
     coset_action,
     is_solvable,
     minimal_normal_subgroups,
+    prime_power,
+    smallest_prime_factor,
 )
 
 
 # ---------------------------------------------------------------------------
 # Closed-form families
 # ---------------------------------------------------------------------------
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _prime_power(q: int) -> tuple[int, int]:
-    if q >= 2:
-        p = 2
-        while p * p <= q:
-            if q % p == 0:
-                break
-            p += 1
-        else:
-            return q, 1
-        d = 0
-        while q % p == 0:
-            q //= p
-            d += 1
-        if q == 1:
-            return p, d
-    raise OutOfRange(f"{q} is not a prime power")
-
 
 def sigma_formula(family: str, *params: int) -> int:
     """Exact covering numbers from the closed-form families.
@@ -86,7 +60,7 @@ def sigma_formula(family: str, *params: int) -> int:
         raise OutOfRange(f"no closed form for A_{n}")
     if family in ("psl2", "pgl2"):
         (q,) = params
-        _prime_power(q)
+        prime_power(q)
         if q >= 8 and q % 2 == 0:
             return q * (q + 1) // 2
         if q > 9 and q % 2 == 1:
@@ -94,20 +68,20 @@ def sigma_formula(family: str, *params: int) -> int:
         raise OutOfRange(f"{family}({q}): formula holds for q >= 8 even or q > 9 odd")
     if family == "suzuki":
         (q,) = params
-        p, d = _prime_power(q)
+        p, d = prime_power(q)
         if p != 2 or d % 2 == 0 or q < 8:
             raise OutOfRange(f"Sz({q}) needs q = 2^(2m+1) > 2")
         return q * q * (q * q + 1) // 2
     if family in ("agl", "asl"):
         n, q = params
-        _prime_power(q)
+        prime_power(q)
         if n < 1 or n == 2:
             raise OutOfRange(
                 f"{family}({n},{q}): dimension 2 reduces to psl2 instead")
         return (q ** (n + 1) - 1) // (q - 1)
     if family == "solvable":
         p, d = params
-        if not _is_prime(p) or d < 1:
+        if p < 2 or smallest_prime_factor(p) != p or d < 1:
             raise OutOfRange("need a prime p and d >= 1")
         return p ** d + 1
     raise OutOfRange(f"unknown family {family!r}")
@@ -201,16 +175,18 @@ def is_sigma_elementary(group: PermGroup,
                         budget: SolveBudget = SolveBudget(),
                         limits: Limits = DEFAULT_LIMITS,
                         sigma: int | None = None,
-                        quotient_sigma=None) -> SigmaElementaryReport:
+                        quotient_sigma=None,
+                        mx: MaxClassSet | None = None) -> SigmaElementaryReport:
     """Whether sigma(G) < sigma(G/N) for every nontrivial normal N.
 
     Only minimal normal subgroups need checking: sigma of a quotient never
     drops along further quotient maps. ``quotient_sigma`` may supply a
     callable (image group -> exact sigma) to reuse cached values; the default
-    runs the exact solver on each quotient.
+    runs the exact solver on each quotient. ``mx`` gives the maximal classes
+    of G itself when sigma(G) is to be computed (default: from the lattice).
     """
     if sigma is None:
-        result = sigma_exact(group, budget, limits)
+        result = sigma_exact(group, budget, limits, mx=mx)
         if not result.optimal:
             raise Undecided("sigma(G) did not close within budget")
         sigma = result.upper

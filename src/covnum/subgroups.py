@@ -8,15 +8,16 @@ become set arithmetic. All orderings are deterministic.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import (
     BudgetExceeded,
+    CovnumError,
     IndexTooLarge,
     IngestInvalid,
     NoSupplement,
+    OutOfRange,
     ParseError,
 )
 from .groups import DEFAULT_ENUM_CAP, PermGroup
@@ -37,11 +38,23 @@ class Limits:
 DEFAULT_LIMITS = Limits()
 
 
+class _RightMultiple:
+    """The map x -> x*g on element ids, one product per lookup."""
+
+    __slots__ = ("elems", "index", "perm")
+
+    def __init__(self, alg: "_Algebra", g: int):
+        self.elems, self.index, self.perm = alg.elems, alg.index, alg.elems[g]
+
+    def __getitem__(self, x: int) -> int:
+        return self.index[(self.elems[x] * self.perm).images]
+
+
 class _Algebra:
     """Element-id arithmetic for one enumerated group."""
 
     def __init__(self, group: PermGroup, cap: int):
-        self.group = group
+        self.generators = group.generators
         self.elems = group.elements(cap)
         self.index = group.element_index
         self.n = len(self.elems)
@@ -54,8 +67,17 @@ class _Algebra:
     def mult(self, a: int, b: int) -> int:
         return self.index[(self.elems[a] * self.elems[b]).images]
 
-    def column(self, g: int) -> list[int]:
-        """The right-multiplication map x -> x*g as an id list (cached)."""
+    def conjugate(self, x: int, c: int) -> int:
+        """x^c = c^-1 * x * c."""
+        return self.mult(self.mult(self.inv[c], x), c)
+
+    def column(self, g: int):
+        """The right-multiplication map x -> x*g: a cached id list up to
+        2048 elements, where lattice work reuses it across many closures;
+        a per-lookup map above that, where n ints per generator cost more
+        to build than one closure saves."""
+        if self.n > 2048:
+            return _RightMultiple(self, g)
         col = self._columns.get(g)
         if col is None:
             pg = self.elems[g]
@@ -65,13 +87,13 @@ class _Algebra:
 
     @cached_property
     def gen_ids(self) -> list[int]:
-        return sorted({self.index[g.images] for g in self.group.generators} - {0})
+        return sorted({self.index[g.images] for g in self.generators} - {0})
 
     @cached_property
     def conj_maps(self) -> list[list[int]]:
         """For each generator g, the id-map x -> g^-1 x g."""
         maps = []
-        for g in self.group.generators:
+        for g in self.generators:
             maps.append([self.index[p.conjugated_by(g).images] for p in self.elems])
         return maps
 
@@ -80,31 +102,14 @@ class _Algebra:
 
         With bail_above set, returns None as soon as the closure exceeds that
         size (then the subgroup can only be the whole group)."""
-        gens = sorted(set(seed_ids) - {0})
+        cols = [self.column(g) for g in sorted(set(seed_ids) - {0})]
         out = {0}
         frontier = [0]
-        if self.n <= 2048:
-            # column maps amortize over the many closures of lattice work
-            cols = [self.column(g) for g in gens]
-            while frontier:
-                new = []
-                for x in frontier:
-                    for col in cols:
-                        y = col[x]
-                        if y not in out:
-                            out.add(y)
-                            new.append(y)
-                if bail_above is not None and len(out) > bail_above:
-                    return None
-                frontier = new
-            return frozenset(out)
-        gen_perms = [self.elems[g] for g in gens]
         while frontier:
             new = []
             for x in frontier:
-                px = self.elems[x]
-                for gp in gen_perms:
-                    y = self.index[(px * gp).images]
+                for col in cols:
+                    y = col[x]
                     if y not in out:
                         out.add(y)
                         new.append(y)
@@ -112,6 +117,27 @@ class _Algebra:
                 return None
             frontier = new
         return frozenset(out)
+
+    def conjugation_closure(self, seed_ids, conjugator_ids) -> frozenset[int]:
+        """Smallest subgroup containing seed_ids that the conjugator_ids
+        normalize.
+
+        A subgroup is normalized by c once c conjugates each of its
+        generators into it, so each round conjugates only the generators
+        added in the round before and re-closes from generators alone."""
+        gens = set(seed_ids) - {0}
+        current = self.closure(gens)
+        fresh = gens
+        while fresh:
+            fresh = {y for x in fresh for c in conjugator_ids
+                     if (y := self.conjugate(x, c)) not in current}
+            if fresh:
+                gens |= fresh
+                current = self.closure(gens)
+        return current
+
+    def normal_closure(self, seed_ids) -> frozenset[int]:
+        return self.conjugation_closure(seed_ids, self.gen_ids)
 
     def generating_ids(self, ids: frozenset[int]) -> list[int]:
         """A small deterministic generating set for the subgroup ``ids``."""
@@ -136,7 +162,7 @@ class _Algebra:
         while frontier:
             new = []
             for s in frontier:
-                for gi in range(len(self.group.generators)):
+                for gi in range(len(self.generators)):
                     t = self.conjugate_set(s, gi)
                     if t not in seen:
                         seen[t] = None
@@ -144,30 +170,35 @@ class _Algebra:
             frontier = new
         return sorted(seen, key=sorted)
 
-    def normal_closure(self, seed_ids) -> frozenset[int]:
-        gens = sorted(set(seed_ids) - {0})
-        current = self.closure(gens)
-        while True:
-            extra = []
-            for x in self.generating_ids(current):
-                for cmap in self.conj_maps:
-                    y = cmap[x]
-                    if y not in current:
-                        extra.append(y)
-            if not extra:
-                return current
-            current = self.closure(list(current) + extra)
-
-
-_ALGEBRA_CACHE: "weakref.WeakKeyDictionary[PermGroup, _Algebra]" = weakref.WeakKeyDictionary()
-
 
 def algebra(group: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> _Algebra:
-    alg = _ALGEBRA_CACHE.get(group)
+    """The group's element-id arithmetic, built once and kept on the group."""
+    alg = getattr(group, "_algebra", None)
     if alg is None:
-        alg = _Algebra(group, cap)
-        _ALGEBRA_CACHE[group] = alg
+        alg = group._algebra = _Algebra(group, cap)
     return alg
+
+
+def smallest_prime_factor(n: int) -> int:
+    """The least prime dividing n >= 2 (n itself when n is prime)."""
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return d
+        d += 1
+    return n
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, d) with q = p^d and p prime; OutOfRange when there is none."""
+    if q >= 2:
+        p, d, m = smallest_prime_factor(q), 0, q
+        while m % p == 0:
+            m //= p
+            d += 1
+        if m == 1:
+            return p, d
+    raise OutOfRange(f"{q} is not a prime power")
 
 
 @dataclass(frozen=True)
@@ -242,30 +273,14 @@ def _atoms(alg: _Algebra) -> list[tuple[frozenset[int], int]]:
     for x in range(1, alg.n):
         p = alg.elems[x]
         k = p.order
-        if not _is_prime_power(k):
+        try:
+            prime_power(k)
+        except OutOfRange:
             continue
         ids = frozenset(alg.index[(p ** e).images] for e in range(k))
         if ids not in seen:
             seen[ids] = x
     return sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-
-
-def _is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    p = _smallest_prime_factor(n)
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
-def _smallest_prime_factor(n: int) -> int:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
 
 
 def _lattice_sets(group: PermGroup, limits: Limits) -> dict[frozenset[int], int]:
@@ -295,7 +310,7 @@ def _lattice_sets(group: PermGroup, limits: Limits) -> dict[frozenset[int], int]
     admit(frozenset({0}), [])
     for ids, gen in atoms:
         admit(ids, [gen])
-    proper_cap = alg.n // _smallest_prime_factor(alg.n) if alg.n > 1 else 1
+    proper_cap = alg.n // smallest_prime_factor(alg.n) if alg.n > 1 else 1
     cursor = 0
     while cursor < len(reps):
         rep_ids, rep_gens = reps[cursor]
@@ -603,28 +618,19 @@ def minimal_normal_subgroups(group: PermGroup,
 
 
 def derived_subgroup_ids(group: PermGroup, ids: frozenset[int] | None = None) -> frozenset[int]:
-    """Derived subgroup of the subgroup with the given ids (whole group if None)."""
+    """Derived subgroup of the subgroup with the given ids (whole group if None):
+    the commutators of its generators, closed under conjugation by them."""
     alg = algebra(group)
-    source = sorted(ids) if ids is not None else list(range(alg.n))
-    gens = alg.generating_ids(frozenset(source)) if ids is not None else alg.gen_ids
-    comms = set()
-    base = ids if ids is not None else frozenset(range(alg.n))
-    for a in gens or [0]:
-        for b in gens or [0]:
-            comms.add(alg.mult(alg.mult(alg.inv[a], alg.inv[b]), alg.mult(a, b)))
-    current = alg.closure(comms)
-    # close under conjugation by the source subgroup
-    while True:
-        extra = []
-        for x in alg.generating_ids(current):
-            for g in gens:
-                y = alg.mult(alg.mult(alg.inv[g], x), g)
-                if y not in current:
-                    extra.append(y)
-        if not extra:
-            break
-        current = alg.closure(list(current) + extra)
-    assert current <= base
+    if ids is None:
+        base, gens = frozenset(range(alg.n)), alg.gen_ids
+    else:
+        base, gens = ids, alg.generating_ids(ids)
+    gens = gens or [0]
+    comms = [alg.mult(alg.mult(alg.inv[a], alg.inv[b]), alg.mult(a, b))
+             for a in gens for b in gens]
+    current = alg.conjugation_closure(comms, gens)
+    if not current <= base:
+        raise CovnumError("derived subgroup escaped its subgroup")
     return current
 
 

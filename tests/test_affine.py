@@ -4,6 +4,7 @@ from covnum.affine import GF, AffineSpace, affine_group, agl_cover
 from covnum.cover import sigma_exact
 from covnum.errors import BudgetExceeded, OutOfRange
 from covnum.registry import sigma_formula
+from covnum.subgroups import prime_power
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -37,10 +38,17 @@ def test_primitive_element_generates():
 
 
 def test_not_a_prime_power():
-    with pytest.raises(OutOfRange):
-        GF(6)
-    with pytest.raises(OutOfRange):
-        GF(1)
+    for q in (6, 1, 12, 100):
+        with pytest.raises(OutOfRange):
+            GF(q)
+        with pytest.raises(OutOfRange, match=f"^{q} is not a prime power$"):
+            prime_power(q)
+
+
+def test_prime_power():
+    for p in (2, 3, 5, 7, 11, 13, 101):
+        for d in range(1, 6):
+            assert prime_power(p ** d) == (p, d)
 
 
 @pytest.mark.parametrize("n,q,order", [

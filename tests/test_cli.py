@@ -1,3 +1,9 @@
+import re
+import time
+
+import pytest
+
+from covnum import cli
 from covnum.cli import main
 from covnum.groups import format_group_file
 from covnum.subgroups import format_maximal_file, maximal_classes_computed
@@ -168,3 +174,25 @@ def test_group_source_required(capsys):
     code, _, err = run(capsys, "bounds")
     assert code == 1
     assert "exactly one" in err
+
+
+def test_sigma_elementary_m11(capsys):
+    code, out, _ = run(capsys, "sigma-elementary", "--library", "M11")
+    assert code == 0
+    assert "sigma = 23" in out
+    assert "sigma-elementary: true" in out
+
+
+@pytest.mark.parametrize("command", ["bounds", "exact"])
+def test_records_time_includes_maximal_classes(command, capsys, monkeypatch):
+    computed = cli.maximal_classes_computed
+
+    def slow_maximals(*args, **kwargs):
+        time.sleep(0.3)
+        return computed(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "maximal_classes_computed", slow_maximals)
+    code, out, _ = run(capsys, command, "--library", "A5", "--format", "records")
+    assert code == 0
+    seconds = float(re.search(r"time=([0-9.]+)s", out).group(1))
+    assert seconds >= 0.30

@@ -51,6 +51,10 @@ def test_formula_out_of_range():
         ("psl2", (7,)),       # small q has its own exceptional values
         ("psl2", (9,)),
         ("psl2", (6,)),       # not a prime power
+        ("psl2", (12,)),
+        ("pgl2", (100,)),
+        ("agl", (3, 1)),
+        ("asl", (1, 6)),
         ("pgl2", (4,)),
         ("agl", (2, 5)),      # dimension 2 reduces to psl2
         ("suzuki", (4,)),

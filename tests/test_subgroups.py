@@ -1,16 +1,19 @@
+import gc
 import random
+import weakref
 
 import pytest
 
 from covnum import library
 from covnum.errors import BudgetExceeded, IngestInvalid, NoSupplement, ParseError
-from covnum.groups import PermGroup
-from covnum.perms import format_cycles, parse_permutation
+from covnum.groups import PermGroup, format_group_file, parse_group_file
+from covnum.perms import Permutation, format_cycles, parse_permutation
 from covnum.subgroups import (
     Limits,
     algebra,
     all_subgroups,
     coset_action,
+    derived_subgroup_ids,
     format_maximal_file,
     is_primitive_monolithic,
     is_solvable,
@@ -245,3 +248,71 @@ def test_min_supplement_index():
     c2 = _subgroup(c4, "(1,3)(2,4)")
     with pytest.raises(NoSupplement):
         min_supplement_index(c4, c2, maximal_classes_computed(c4))
+
+
+def test_dropped_group_is_collected():
+    group = parse_group_file(format_group_file(library.group("S4")))
+    assert len(all_subgroups(group)) == 30
+    assert [s.order for s in minimal_normal_subgroups(group)] == [4]
+    ref = weakref.ref(group)
+    del group
+    gc.collect()
+    assert ref() is None
+
+
+def _is_normal_by_conjugation(group, images):
+    return all(Permutation(x).conjugated_by(g).images in images
+               for g in group.generators for x in images)
+
+
+@pytest.mark.parametrize("key", [k for k in library.names()
+                                 if library.group(k).order <= 720])
+def test_normal_closure_is_least_normal_overgroup(key):
+    """The normal closure of each class representative equals the
+    intersection of all normal subgroups of the lattice that contain it;
+    normality is checked here by conjugating permutations."""
+    group = library.group(key)
+    elems = group.elements()
+    normals = []
+    for sub in all_subgroups(group):
+        images = frozenset(elems[i].images for i in sub.elements)
+        if _is_normal_by_conjugation(group, images):
+            normals.append(images)
+    alg = algebra(group)
+    for cls in group.conjugacy_classes():
+        expected = frozenset.intersection(
+            *(n for n in normals if cls.rep.images in n))
+        closure = alg.normal_closure([group.element_index[cls.rep.images]])
+        assert frozenset(elems[i].images for i in closure) == expected, cls.label
+
+
+def _generated(perms, degree):
+    """Brute-force closure of a set of permutations under products."""
+    identity = Permutation.identity(degree)
+    seen = {identity.images}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in perms:
+                y = x * g
+                if y.images not in seen:
+                    seen.add(y.images)
+                    new.append(y)
+        frontier = new
+    return seen
+
+
+@pytest.mark.parametrize("key", ["S4", "A5"])
+def test_derived_subgroup_is_generated_by_all_commutators(key):
+    group = library.group(key)
+    elems = group.elements()
+    for sub in all_subgroups(group):
+        members = [elems[i] for i in sub.elements]
+        commutators = {a.inverse() * b.inverse() * a * b
+                       for a in members for b in members}
+        derived = derived_subgroup_ids(group, sub.elements)
+        assert {elems[i].images for i in derived} == \
+            _generated(commutators, group.degree), sub
+    assert derived_subgroup_ids(group) == derived_subgroup_ids(
+        group, frozenset(range(group.order)))
