@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, OutOfRange
+from .errors import BudgetExceeded, CovnumError, OutOfRange
 from .groups import PermGroup
 from .perms import Permutation
 from .subgroups import Subgroup, algebra, prime_power, subgroup_from_ids
@@ -155,12 +155,13 @@ class AffineSpace:
             first = next(c for c in v if c)
             if first == 1:
                 reps.append(v)
-        assert len(reps) == (self.size - 1) // (self.q - 1)
+        if len(reps) != (self.size - 1) // (self.q - 1):
+            raise CovnumError(f"found {len(reps)} lines in GF({self.q})^{self.n}")
         return reps
 
 
 def affine_group(n: int, q: int, max_order: int | None = None) -> tuple[PermGroup, AffineSpace]:
-    """AGL(n, q) acting on the q^n vectors; order is asserted against the
+    """AGL(n, q) acting on the q^n vectors; order is checked against the
     closed formula, so a generator bug cannot slip through."""
     space = AffineSpace(n, q)
     f = space.field
@@ -183,7 +184,8 @@ def affine_group(n: int, q: int, max_order: int | None = None) -> tuple[PermGrou
         t_rows += [space.basis(i) for i in range(1, n)]
         gens.append(space.linear(t_rows))
     group = PermGroup(space.size, gens, name=f"AGL({n},{q})")
-    assert group.order == expected, (group.order, expected)
+    if group.order != expected:
+        raise CovnumError(f"AGL({n},{q}) generated order {group.order}, expected {expected}")
     return group, space
 
 
@@ -227,10 +229,11 @@ def agl_cover(n: int, q: int, max_order: int = 100_000) -> AffineCover:
     covered = set()
     for sub in cover.subgroups():
         if sub.order >= group.order:
-            raise AssertionError("cover member is not proper")
+            raise CovnumError("cover member is not proper")
         covered |= sub.elements
     if len(covered) != group.order:
-        raise AssertionError("cover misses elements")
+        raise CovnumError("cover misses elements")
     expected = (q ** (n + 1) - 1) // (q - 1)
-    assert cover.total == expected, (cover.total, expected)
+    if cover.total != expected:
+        raise CovnumError(f"cover has {cover.total} members, expected {expected}")
     return cover

@@ -3,7 +3,8 @@
 Commands: bounds, exact, verify, table, sigma-elementary, batch, known.
 Groups come from the built-in library (--library) or from a group file
 (--file, optionally with --maximals for ingested maximal subgroups). Every
-printed value carries its provenance: computed here, or registry(citation).
+printed value carries its provenance: computed here, ingested (from maximal
+subgroups read from a file), or registry(citation).
 """
 
 from __future__ import annotations
@@ -114,7 +115,8 @@ def cmd_bounds(args) -> int:
     sys.stdout.write(render_trace(trace))
     report = RunReport(
         group_name=group.name or "?", order=group.order, method="greedy",
-        result=(trace.lower, trace.upper), certified=trace.certified, wall_time=dt)
+        result=(trace.lower, trace.upper), certified=trace.certified, wall_time=dt,
+        provenance=mx.provenance)
     sys.stdout.write(_render_reports([report], args.format))
     return 0
 
@@ -148,7 +150,7 @@ def cmd_exact(args) -> int:
     report = RunReport(
         group_name=group.name or "?", order=group.order, method="exact",
         result=result.upper if result.optimal else (result.lower, result.upper),
-        certified=result.optimal, wall_time=dt, note=note)
+        certified=result.optimal, wall_time=dt, provenance=mx.provenance, note=note)
     sys.stdout.write(_render_reports([report], args.format))
     return 0
 

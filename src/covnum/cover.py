@@ -26,9 +26,7 @@ class CoverInstance:
     column_masks: tuple[int, ...]
     column_class: tuple[int, ...]      # class index per column
     class_labels: tuple[str, ...]
-    element_labels: tuple[str, ...] = ()  # per universe position, optional
     symmetric: bool = True             # columns within a class interchangeable
-    group_order: int = 0
 
     def full_mask(self) -> int:
         return (1 << self.universe_size) - 1
@@ -112,9 +110,7 @@ def build_instance(group: PermGroup, cls: ConjClassTable, mx: MaxClassSet,
         column_masks=tuple(masks),
         column_class=tuple(col_class),
         class_labels=tuple(labels),
-        element_labels=tuple(cls.classes[assignment[x]].label for x in universe),
         symmetric=not cross_collision,
-        group_order=group.order,
     )
 
 

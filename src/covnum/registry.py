@@ -13,13 +13,12 @@ from importlib import resources
 from math import comb
 
 from .cover import SolveBudget, sigma_exact
-from .errors import CyclicGroup, OutOfRange, Undecided, Unknown
+from .errors import CovnumError, CyclicGroup, OutOfRange, Undecided, Unknown
 from .groups import PermGroup
 from .subgroups import (
     DEFAULT_LIMITS,
     Limits,
     MaxClassSet,
-    algebra,
     all_subgroups,
     coset_action,
     is_solvable,
@@ -111,12 +110,9 @@ def sigma_solvable(group: PermGroup, limits: Limits = DEFAULT_LIMITS,
         raise CyclicGroup("covering number of a cyclic group is infinite")
     if not is_solvable(group):
         raise OutOfRange("group is not solvable")
-    subs = [s.elements for s in all_subgroups(group, limits)]
-    alg = algebra(group)
-    normals = [s for s in subs
-               if all(alg.conjugate_set(s, gi) == s
-                      for gi in range(len(group.generators)))]
-    normals.sort(key=lambda s: (len(s), sorted(s)))
+    lattice = all_subgroups(group, limits)
+    subs = [s.elements for s in lattice]
+    normals = [s.elements for s in lattice if s.is_normal()]
     order = group.order
     # chief series: repeatedly take the smallest normal subgroup properly
     # above the current one with nothing normal strictly between
@@ -129,7 +125,8 @@ def sigma_solvable(group: PermGroup, limits: Limits = DEFAULT_LIMITS,
             if not any(current < other < cand for other in above):
                 nxt = cand
                 break
-        assert nxt is not None
+        if nxt is None:
+            raise CovnumError(f"chief series stops at order {len(current)}")
         series.append(nxt)
     factors: list[ChiefFactorInfo] = []
     for below, above in zip(series, series[1:]):
@@ -144,7 +141,8 @@ def sigma_solvable(group: PermGroup, limits: Limits = DEFAULT_LIMITS,
             complement_count=count,
         ))
     multi = [f for f in factors if f.complement_count > 1]
-    assert multi, "noncyclic solvable group must have a multi-complement chief factor"
+    if not multi:
+        raise CovnumError("noncyclic solvable group has no multi-complement chief factor")
     best = min(multi, key=lambda f: f.factor_order)
     value = best.factor_order + 1
     if details:

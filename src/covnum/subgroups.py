@@ -31,8 +31,6 @@ class Limits:
     enum_cap: int = DEFAULT_ENUM_CAP
     lattice_max_order: int = 5000
     coset_degree_max: int = 20000
-    maximality_exhaustive_index: int = 400
-    maximality_sample: int = 60
 
 
 DEFAULT_LIMITS = Limits()
@@ -427,9 +425,7 @@ def maximal_classes_from_file(group: PermGroup, text: str,
 
     Each listed subgroup is checked to be a genuine subgroup, its index and
     class length are recomputed, and maximality is verified by the local
-    check: adjoining any coset representative must generate the whole group
-    (exhaustive up to ``limits.maximality_exhaustive_index``, a deterministic
-    sample of ``limits.maximality_sample`` representatives beyond that).
+    check: adjoining any coset representative must generate the whole group.
     """
     alg = algebra(group, limits.enum_cap)
     entries = _parse_maximal_file(text, group.degree)
@@ -448,7 +444,7 @@ def maximal_classes_from_file(group: PermGroup, text: str,
         if sub.elements in seen_sets:
             raise IngestInvalid("two listed subgroups are conjugate")
         seen_sets.update(orbit)
-        note = _verify_maximal(group, sub, limits)
+        note = _verify_maximal(group, sub)
         orbits.append(orbit)
         notes[min(orbit, key=sorted)] = note
     return _package_max_classes(group, orbits, "ingested", notes)
@@ -473,32 +469,33 @@ def _coset_decomposition(group: PermGroup, sub: Subgroup) -> tuple[list[int], di
                         coset_of[alg.mult(h, x)] = c
                     new.append(x)
         frontier = new
-    assert len(rep_ids) == sub.index
+    if len(rep_ids) != sub.index:
+        raise CovnumError(f"found {len(rep_ids)} cosets, index is {sub.index}")
     return rep_ids, coset_of
 
 
-def _coset_reps(group: PermGroup, sub: Subgroup) -> list[Permutation]:
-    alg = algebra(group)
-    rep_ids, _ = _coset_decomposition(group, sub)
-    return [alg.elems[i] for i in rep_ids]
-
-
-def _verify_maximal(group: PermGroup, sub: Subgroup, limits: Limits) -> str:
+def _verify_maximal(group: PermGroup, sub: Subgroup) -> str:
     """Local maximality check: adjoining any coset representative must
-    generate the whole group. Returns a note saying how thorough it was."""
-    reps = _coset_reps(group, sub)[1:]
-    if sub.index > limits.maximality_exhaustive_index:
-        note = f"sampled({min(limits.maximality_sample, len(reps))} of {len(reps)})"
-        reps = reps[:limits.maximality_sample]
-    else:
-        note = f"exhaustive({len(reps)})"
-    for r in reps:
-        probe = PermGroup(group.degree, list(sub.generators) + [r])
+    generate the whole group. Since <H, r> = <H, h r h'> for h, h' in H, one
+    representative per double coset H r H decides all of its cosets
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
+    Returns a note saying how many representatives were decided."""
+    if sub.index == 1:
+        raise IngestInvalid("not maximal: the listed subgroup is the whole group")
+    alg = algebra(group)
+    rep_ids, coset_of = _coset_decomposition(group, sub)
+    decided = {0}
+    for c, r in enumerate(rep_ids):
+        if c in decided:
+            continue
+        decided.update(coset_of[alg.mult(r, h)] for h in sub.elements)
+        rep = alg.elems[r]
+        probe = PermGroup(group.degree, list(sub.generators) + [rep])
         if probe.order != group.order:
             raise IngestInvalid(
-                f"not maximal: adjoining {format_cycles(r)} gives a proper "
+                f"not maximal: adjoining {format_cycles(rep)} gives a proper "
                 f"subgroup of order {probe.order}")
-    return note
+    return f"exhaustive({len(rep_ids) - 1})"
 
 
 def _parse_maximal_file(text: str, degree: int) -> list[tuple[int, int, list[Permutation]]]:
@@ -594,7 +591,9 @@ def coset_action(group: PermGroup, sub: Subgroup,
         x for x in range(alg.n)
         if all(coset_of[alg.mult(r, x)] == c for c, r in enumerate(rep_ids)))
     kernel = subgroup_from_ids(group, kernel_ids)
-    assert image.order * kernel.order == group.order
+    if image.order * kernel.order != group.order:
+        raise CovnumError(f"coset image order {image.order} times kernel order "
+                          f"{kernel.order} is not {group.order}")
     return image, kernel
 
 

@@ -1,11 +1,17 @@
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import covnum
 from covnum import cli
 from covnum.cli import main
 from covnum.groups import format_group_file
+from covnum.perms import format_cycles
 from covnum.subgroups import format_maximal_file, maximal_classes_computed
 from covnum import library
 
@@ -33,6 +39,7 @@ def test_exact_psl27(capsys):
     code, out, _ = run(capsys, "exact", "--library", "PSL27", "--format", "records")
     assert code == 0
     assert "sigma=15" in out and "certified=true" in out
+    assert "provenance=computed" in out
 
 
 def test_exact_cyclic_errors(capsys):
@@ -148,6 +155,7 @@ def test_bounds_m11_from_files(capsys, data_dir):
                        "--format", "records")
     assert code == 0
     assert "sigma=12..23" in out and "certified=true" in out
+    assert "provenance=ingested" in out
 
 
 def test_group_and_maximal_files(tmp_path, capsys):
@@ -159,7 +167,36 @@ def test_group_and_maximal_files(tmp_path, capsys):
     code, out, _ = run(capsys, "exact", "--file", str(gfile),
                        "--maximals", str(mfile), "--format", "records")
     assert code == 0
-    assert "sigma=10" in out
+    assert "sigma=10" in out and "provenance=ingested" in out
+
+
+def _whole_group_maximals(tmp_path):
+    group = library.group("A5")
+    gens = "\n".join(format_cycles(g) for g in group.generators)
+    path = tmp_path / "whole.max"
+    path.write_text(f"[class 1]\nindex 1\nlength 1\n{gens}\n")
+    return path
+
+
+def test_whole_group_is_not_a_maximal_class(tmp_path, capsys):
+    code, out, err = run(capsys, "exact", "--library", "A5",
+                         "--maximals", str(_whole_group_maximals(tmp_path)),
+                         "--format", "records")
+    assert code == 1 and out == ""
+    assert "IngestInvalid" in err
+
+
+def test_whole_group_rejected_without_asserts(tmp_path):
+    """The index-1 check is explicit, so python -O does not strip it."""
+    src = str(Path(covnum.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "covnum.cli", "exact", "--library", "A5",
+         "--maximals", str(_whole_group_maximals(tmp_path))],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert "IngestInvalid" in proc.stderr
 
 
 def test_parse_error_reports_line(tmp_path, capsys):

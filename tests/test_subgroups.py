@@ -4,12 +4,11 @@ import weakref
 
 import pytest
 
-from covnum import library
+from covnum import library, subgroups
 from covnum.errors import BudgetExceeded, IngestInvalid, NoSupplement, ParseError
 from covnum.groups import PermGroup, format_group_file, parse_group_file
 from covnum.perms import Permutation, format_cycles, parse_permutation
 from covnum.subgroups import (
-    Limits,
     algebra,
     all_subgroups,
     coset_action,
@@ -78,18 +77,10 @@ def test_m11_ingestion():
     assert [c.index for c in mx] == [11, 12, 55, 66, 165]
     assert [c.class_length for c in mx] == [11, 12, 55, 66, 165]
     assert mx.subgroup_count() == 309
-    # the local maximality check records how thorough it was
-    assert all(c.verification.startswith(("exhaustive(", "sampled("))
-               for c in mx.classes)
-
-
-def test_ingest_sampled_verification_note():
-    group = library.group("M11")
-    tight = Limits(maximality_exhaustive_index=50, maximality_sample=20)
-    mx = maximal_classes_from_file(group, library.m11_maximals_text(), tight)
-    notes = {c.index: c.verification for c in mx.classes}
-    assert notes[11] == "exhaustive(10)"
-    assert notes[165] == "sampled(20 of 164)"
+    # the local maximality check decides every coset representative
+    assert [c.verification for c in mx.classes] == [
+        "exhaustive(10)", "exhaustive(11)", "exhaustive(54)", "exhaustive(65)",
+        "exhaustive(164)"]
 
 
 def test_maximal_classes_dispatch():
@@ -123,6 +114,65 @@ def test_ingest_rejects_wrong_declarations():
         maximal_classes_from_file(group, f"[class 1]\nindex 5\nlength 6\n{gens}\n")
     with pytest.raises(ParseError):
         maximal_classes_from_file(group, "[class 1]\nindex 5\n")
+
+
+SMALL_GROUPS = [k for k in library.names() if library.group(k).order <= 720]
+
+
+def _one_class_file(group, sub):
+    length = len(algebra(group).set_orbit(sub.elements))
+    gens = "\n".join(format_cycles(g) for g in sub.generators)
+    return f"[class 1]\nindex {sub.index}\nlength {length}\n{gens}\n"
+
+
+@pytest.mark.parametrize("key", SMALL_GROUPS)
+def test_ingest_maximality_check_matches_lattice(key):
+    """The ingest check accepts a proper subgroup class representative
+    exactly when no subgroup of the lattice lies strictly between it and
+    the group."""
+    group = library.group(key)
+    subs = all_subgroups(group)
+    full = subs[-1].elements
+    seen = set()
+    for sub in subs[:-1]:
+        if sub.elements in seen:
+            continue
+        seen.update(algebra(group).set_orbit(sub.elements))
+        text = _one_class_file(group, sub)
+        if any(sub.elements < s.elements < full for s in subs):
+            with pytest.raises(IngestInvalid, match="not maximal"):
+                maximal_classes_from_file(group, text)
+        else:
+            (cls,) = maximal_classes_from_file(group, text).classes
+            assert cls.verification == f"exhaustive({sub.index - 1})"
+
+
+def _class_key(cls):
+    return (cls.label, cls.class_length, cls.index, cls.members, cls.rep.generators)
+
+
+@pytest.mark.parametrize("key", SMALL_GROUPS)
+def test_ingest_of_formatted_maximals_round_trips(key):
+    group = library.group(key)
+    mx = library.maximals(key)
+    again = maximal_classes_from_file(group, format_maximal_file(mx))
+    assert [_class_key(c) for c in again] == [_class_key(c) for c in mx]
+
+
+def test_maximality_check_probes_once_per_double_coset(monkeypatch):
+    """M11's maximal classes have 2, 2, 3, 4 and 8 double cosets (the ranks
+    of its actions on 11, 12, 55, 66 and 165 points), so the ingest builds
+    one probe group per nontrivial double coset: 1 + 1 + 2 + 3 + 7, against
+    one per coset (304) if each coset were probed."""
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(None)
+        return PermGroup(*args, **kwargs)
+
+    monkeypatch.setattr(subgroups, "PermGroup", counting)
+    maximal_classes_from_file(library.group("M11"), library.m11_maximals_text())
+    assert len(built) == 14
 
 
 def _subgroup(group, *gen_texts):
