@@ -37,9 +37,9 @@ from .perms import Permutation, format_cycles, parse_permutation
 from .registry import KnownEntry, SigmaElementaryReport, is_sigma_elementary, \
     lookup_known, sigma_formula, sigma_solvable
 from .subgroups import Limits, MaxClass, MaxClassSet, Subgroup, all_subgroups, \
-    coset_action, is_primitive_monolithic, is_solvable, maximal_classes, \
-    maximal_classes_computed, maximal_classes_from_file, min_supplement_index, \
-    minimal_normal_subgroups, normal_core
+    coset_action, is_primitive_monolithic, is_solvable, maximal_classes_computed, \
+    maximal_classes_from_file, min_supplement_index, minimal_normal_subgroups, \
+    normal_core
 from .affine import AffineCover, GF, affine_group, agl_cover
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import library
 from .cover import SolveBudget, build_instance, format_instance, format_lp, sigma_exact
-from .errors import CovnumError, CyclicGroup
+from .errors import CapExceeded, CovnumError
 from .greedy import covering_number_bounds, render_trace, verify_minimal_cover
 from .groups import PermGroup, parse_group_file
 from .incidence import incidence_profile, parse_profile, render_profile
@@ -83,20 +83,18 @@ def _limits(args) -> Limits:
 def _load_group(args) -> tuple[PermGroup, MaxClassSet | None]:
     if bool(args.library) == bool(args.file):
         raise CovnumError("give exactly one of --library or --file")
-    limits = _limits(args)
     if args.library:
         group = library.group(args.library)
-        if args.maximals:
-            mx = maximal_classes_from_file(group, Path(args.maximals).read_text(), limits)
-        elif library.entry(args.library).maximals_file:
-            mx = library.maximals(args.library)
-        else:
-            mx = None
-        return group, mx
-    group = parse_group_file(Path(args.file).read_text(), name=Path(args.file).stem)
-    mx = None
+    else:
+        group = parse_group_file(Path(args.file).read_text(), name=Path(args.file).stem)
+    if group.order > args.max_order:
+        raise CapExceeded(f"group order {group.order} exceeds --max-order {args.max_order}")
     if args.maximals:
-        mx = maximal_classes_from_file(group, Path(args.maximals).read_text(), limits)
+        mx = maximal_classes_from_file(group, Path(args.maximals).read_text(), _limits(args))
+    elif args.library and library.entry(args.library).maximals_file:
+        mx = library.maximals(args.library)
+    else:
+        mx = None
     return group, mx
 
 
@@ -126,17 +124,12 @@ def cmd_exact(args) -> int:
     group, mx = _load_group(args)
     mx = _maximals_for(group, mx, args)
     budget = SolveBudget(max_nodes=args.max_nodes, time_limit=args.time_limit)
-    cls = group.conjugacy_classes(args.max_order)
     elts = args.classes or None
     subs = args.subgroup_classes or None
     if elts is None and subs is None:
-        if group.is_cyclic(args.max_order):
-            raise CyclicGroup("cyclic groups have infinite covering number")
-        trace = covering_number_bounds(group, mx)
-        result = sigma_exact(group, budget, _limits(args), mx=mx,
-                             initial_upper_classes=trace.chosen_subgroup_classes())
+        result = sigma_exact(group, budget, _limits(args), mx=mx)
     else:
-        instance = build_instance(group, cls, mx, elts=elts, subs=subs)
+        instance = build_instance(group, group.conjugacy_classes(), mx, elts=elts, subs=subs)
         if args.write_lp:
             Path(args.write_lp).write_text(format_lp(instance, group.name or "G"))
         if args.write_instance:
@@ -162,7 +155,7 @@ def cmd_verify(args) -> int:
     else:
         group, mx = _load_group(args)
         mx = _maximals_for(group, mx, args)
-        profile = incidence_profile(group, group.conjugacy_classes(args.max_order), mx)
+        profile = incidence_profile(group, group.conjugacy_classes(), mx)
         name = group.name or "?"
     report = verify_minimal_cover(profile, args.pi, args.cover)
     print(f"group/profile: {name}")
@@ -181,7 +174,7 @@ def cmd_table(args) -> int:
     else:
         group, mx = _load_group(args)
         mx = _maximals_for(group, mx, args)
-        profile = incidence_profile(group, group.conjugacy_classes(args.max_order), mx)
+        profile = incidence_profile(group, group.conjugacy_classes(), mx)
     sys.stdout.write(render_profile(profile))
     return 0
 
@@ -214,9 +207,7 @@ def cmd_batch(args) -> int:
         try:
             group = library.group(key)
             mx = library.maximals(key)
-            trace = covering_number_bounds(group, mx)
-            result = sigma_exact(group, budget, mx=mx,
-                                 initial_upper_classes=trace.chosen_subgroup_classes())
+            result = sigma_exact(group, budget, mx=mx)
             dt = time.monotonic() - t0
             entry = library.entry(key)
             if entry.registry_name:

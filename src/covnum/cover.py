@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from math import ceil
 
 from .errors import CovnumError, CyclicGroup, Infeasible, ParseError
+from .greedy import covering_number_bounds
 from .groups import ConjClassTable, PermGroup
 from .subgroups import DEFAULT_LIMITS, Limits, MaxClassSet, algebra, maximal_classes_computed
 
@@ -311,21 +312,19 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
 
 def sigma_exact(group: PermGroup, budget: SolveBudget = SolveBudget(),
                 limits: Limits = DEFAULT_LIMITS,
-                mx: MaxClassSet | None = None,
-                initial_upper_classes=None) -> CoverResult:
+                mx: MaxClassSet | None = None) -> CoverResult:
     """Exact covering number via set cover over all nonidentity classes and
-    all maximal subgroup classes (minimal covers can always be taken there)."""
+    all maximal subgroup classes (minimal covers can always be taken there).
+    The search starts from the greedy cover as its incumbent."""
     if group.is_cyclic(limits.enum_cap):
         raise CyclicGroup("cyclic groups have infinite covering number")
     if mx is None:
         mx = maximal_classes_computed(group, limits)
     cls = group.conjugacy_classes(limits.enum_cap)
     instance = build_instance(group, cls, mx)
-    initial = None
-    if initial_upper_classes is not None:
-        wanted = {mx.by_label(lbl) for lbl in initial_upper_classes}
-        initial = [c for c in range(len(instance.column_masks))
-                   if instance.column_class[c] in wanted]
+    seed = covering_number_bounds(group, mx).chosen_subgroup_classes()
+    wanted = {mx.by_label(lbl) for lbl in seed}
+    initial = [c for c, k in enumerate(instance.column_class) if k in wanted]
     return solve(instance, budget, initial_cover=initial)
 
 

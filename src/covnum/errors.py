@@ -66,7 +66,8 @@ class OutOfRange(CovnumError):
 
 
 class Unknown(CovnumError):
-    """The registry has no entry under the requested name."""
+    """A name or label is unknown: a registry entry, or an element or
+    subgroup class label."""
 
 
 class Undecided(CovnumError):

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .errors import NotACover, Unbounded
-from .groups import PermGroup
+from .errors import CyclicGroup, NotACover, Unbounded
+from .groups import PermGroup, orbit
 from .incidence import IncidenceProfile, incidence_profile
 from .subgroups import MaxClassSet
 
@@ -63,6 +63,8 @@ def covering_number_bounds(group: PermGroup, mx: MaxClassSet,
     """
     if mode not in ("faithful", "corrected"):
         raise ValueError(f"unknown mode {mode!r}")
+    if group.is_cyclic():
+        raise CyclicGroup("cyclic groups have infinite covering number")
     if profile is None:
         profile = incidence_profile(group, group.conjugacy_classes(), mx)
     return greedy_from_profile(profile, mode)
@@ -143,10 +145,10 @@ def verify_minimal_cover(profile: IncidenceProfile, pi, cover) -> CertificateRep
     cover_idx = [profile.subgroup_index(lbl) if isinstance(lbl, str) else lbl
                  for lbl in cover]
     if len(set(cover_idx)) != len(cover_idx):
-        raise ValueError("repeated cover class")
+        raise NotACover("repeated cover class")
     for i in cover_idx:
         if all(profile.n(j, i) == 0 for j in pi_idx):
-            raise ValueError(
+            raise NotACover(
                 f"cover class {profile.subgroup_classes[i].label} contains no "
                 f"elements of pi")
     assigned: dict[int, int] = {}
@@ -233,16 +235,9 @@ def counting_lower_bound(profile: IncidenceProfile,
     groups: list[tuple[str, ...]] = []
     total = 0
     while unvisited:
-        seed = min(unvisited)
-        component = {seed}
-        changed = True
-        while changed:
-            changed = False
-            for j in list(unvisited - component):
-                if any(supports[j] & supports[m] for m in component):
-                    component.add(j)
-                    changed = True
-        unvisited -= component
+        component = orbit(min(unvisited),
+                          lambda j: [m for m in supports if supports[j] & supports[m]])
+        unvisited.difference_update(component)
         labels = tuple(profile.element_classes[j].label for j in sorted(component))
         groups.append(labels)
         total += max(per_class[lbl] for lbl in labels)

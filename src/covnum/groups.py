@@ -11,10 +11,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CapExceeded, CovnumError, DegreeMismatch, ParseError
+from .errors import CapExceeded, CovnumError, DegreeMismatch, ParseError, Unknown
 from .perms import Permutation, format_cycles, parse_permutation
 
 DEFAULT_ENUM_CAP = 10**6
+
+
+def orbit(start, step) -> dict:
+    """Breadth-first orbit of ``start``, where ``step(x)`` yields the points
+    one move away from x. The keys of the returned dict are the orbit in
+    discovery order (the values are unused)."""
+    seen = {start: None}
+    queue = [start]
+    for x in queue:
+        for y in step(x):
+            if y not in seen:
+                seen[y] = None
+                queue.append(y)
+    return seen
+
+
+def label_index(labels: list[str], label: str, kind: str) -> int:
+    """Position of ``label`` in ``labels``; Unknown names the known labels."""
+    try:
+        return labels.index(label)
+    except ValueError:
+        raise Unknown(f"no {kind} {label!r} (known: {', '.join(labels)})") from None
 
 
 class _ChainLevel:
@@ -117,10 +139,6 @@ class PermGroup:
             n *= len(level.transversal)
         return n
 
-    @property
-    def base(self) -> tuple[int, ...]:
-        return tuple(level.base for level in self._levels)
-
     def __contains__(self, g: Permutation) -> bool:
         if not isinstance(g, Permutation) or g.degree != self.degree:
             return False
@@ -138,20 +156,7 @@ class PermGroup:
 
     @cached_property
     def _element_list(self) -> list[Permutation]:
-        identity = self.identity()
-        seen = {identity.images}
-        out = [identity]
-        frontier = [identity]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in self.generators:
-                    y = x * g
-                    if y.images not in seen:
-                        seen.add(y.images)
-                        out.append(y)
-                        new.append(y)
-            frontier = new
+        out = list(orbit(self.identity(), lambda x: [x * g for g in self.generators]))
         if len(out) != self.order:
             raise CovnumError(f"enumerated {len(out)} elements, chain order {self.order}")
         return out
@@ -159,6 +164,13 @@ class PermGroup:
     @cached_property
     def element_index(self) -> dict[tuple[int, ...], int]:
         return {p.images: i for i, p in enumerate(self._element_list)}
+
+    @cached_property
+    def conjugation_maps(self) -> list[list[int]]:
+        """For each generator g, the element-id map x -> g^-1 x g."""
+        index = self.element_index
+        return [[index[p.conjugated_by(g).images] for p in self._element_list]
+                for g in self.generators]
 
     def is_cyclic(self, cap: int = DEFAULT_ENUM_CAP) -> bool:
         if self.order == 1:
@@ -209,16 +221,7 @@ class ConjClassTable:
         return iter(self.classes)
 
     def by_label(self, label: str) -> int:
-        for i, c in enumerate(self.classes):
-            if c.label == label:
-                return i
-        raise KeyError(label)
-
-    def order_multiset(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for c in self.classes:
-            out[c.element_order] = out.get(c.element_order, 0) + c.size
-        return out
+        return label_index([c.label for c in self.classes], label, "element class")
 
 
 def class_labels(pairs: list[tuple[int, int]]) -> list[str]:
@@ -240,29 +243,19 @@ def class_labels(pairs: list[tuple[int, int]]) -> list[str]:
 
 def _conjugacy_classes(group: PermGroup, cap: int) -> tuple[ConjClassTable, list[int]]:
     elems = group.elements(cap)
-    index = group.element_index
+    maps = group.conjugation_maps
     n = len(elems)
     assigned = [False] * n
     assigned[0] = True  # identity excluded
-    raw: list[tuple[Permutation, int, int, set[int]]] = []
+    raw: list[tuple[Permutation, int, int, dict[int, None]]] = []
     for i in range(1, n):
         if assigned[i]:
             continue
-        orbit = {i}
-        frontier = [i]
-        while frontier:
-            new = []
-            for j in frontier:
-                for g in group.generators:
-                    k = index[elems[j].conjugated_by(g).images]
-                    if k not in orbit:
-                        orbit.add(k)
-                        new.append(k)
-            frontier = new
-        for j in orbit:
+        cls = orbit(i, lambda x: [m[x] for m in maps])
+        for j in cls:
             assigned[j] = True
-        rep = elems[min(orbit)]
-        raw.append((rep, len(orbit), rep.order, orbit))
+        rep = elems[min(cls)]
+        raw.append((rep, len(cls), rep.order, cls))
     raw.sort(key=lambda t: (-t[2], -t[1], t[0].images))
     labels = class_labels([(order, size) for _, size, order, _ in raw])
     classes = tuple(
@@ -270,8 +263,8 @@ def _conjugacy_classes(group: PermGroup, cap: int) -> tuple[ConjClassTable, list
         for (rep, size, order, _), label in zip(raw, labels)
     )
     assignment = [-1] * n
-    for pos, (_, _, _, orbit) in enumerate(raw):
-        for j in orbit:
+    for pos, (_, _, _, cls) in enumerate(raw):
+        for j in cls:
             assignment[j] = pos
     total = sum(c.size for c in classes)
     if total != group.order - 1:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .groups import ConjClassTable, PermGroup
+from .groups import ConjClassTable, PermGroup, label_index, orbit
 from .subgroups import MaxClassSet, algebra
 
 
@@ -41,8 +41,6 @@ class IncidenceProfile:
     element_classes: tuple[ElementClassInfo, ...]
     subgroup_classes: tuple[SubgroupClassInfo, ...]
     entries: tuple[tuple[tuple[int, int], ...], ...]  # [element][subgroup] -> (n, k)
-    source_classes: ConjClassTable | None = None
-    source_maximals: MaxClassSet | None = None
 
     def __post_init__(self):
         for row, ec in zip(self.entries, self.element_classes):
@@ -57,20 +55,13 @@ class IncidenceProfile:
     def n(self, j: int, i: int) -> int:
         return self.entries[j][i][0]
 
-    def k(self, j: int, i: int) -> int:
-        return self.entries[j][i][1]
-
     def element_index(self, label: str) -> int:
-        for j, ec in enumerate(self.element_classes):
-            if ec.label == label:
-                return j
-        raise KeyError(label)
+        return label_index([ec.label for ec in self.element_classes], label,
+                           "element class")
 
     def subgroup_index(self, label: str) -> int:
-        for i, sc in enumerate(self.subgroup_classes):
-            if sc.label == label:
-                return i
-        raise KeyError(label)
+        return label_index([sc.label for sc in self.subgroup_classes], label,
+                           "subgroup class")
 
 
 def incidence_profile(group: PermGroup, cls: ConjClassTable,
@@ -107,8 +98,6 @@ def incidence_profile(group: PermGroup, cls: ConjClassTable,
         subgroup_classes=tuple(
             SubgroupClassInfo(m.label, m.class_length, m.index) for m in mx.classes),
         entries=tuple(entries),
-        source_classes=cls,
-        source_maximals=mx,
     )
 
 
@@ -121,19 +110,9 @@ def _subgroup_class_sizes(group: PermGroup, ids, gens):
     out = []
     while pending:
         start = min(pending)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in gen_ids:
-                    y = alg.conjugate(x, g)
-                    if y not in orbit:
-                        orbit.add(y)
-                        new.append(y)
-            frontier = new
-        pending -= orbit
-        out.append((start, len(orbit)))
+        cls = orbit(start, lambda x: [alg.conjugate(x, g) for g in gen_ids])
+        pending.difference_update(cls)
+        out.append((start, len(cls)))
     return out
 
 

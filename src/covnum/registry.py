@@ -9,6 +9,7 @@ smallest primitivity degree where meaningful, and a citation string.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from math import comb
 
@@ -229,7 +230,8 @@ class KnownEntry:
         return lo <= value and (hi is None or value <= hi)
 
 
-def _load_registry() -> dict[str, KnownEntry]:
+@cache
+def registry() -> dict[str, KnownEntry]:
     text = resources.files("covnum.data").joinpath("registry.tsv").read_text()
     entries: dict[str, KnownEntry] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -257,16 +259,6 @@ def _load_registry() -> dict[str, KnownEntry]:
             citation=citation,
         )
     return entries
-
-
-_REGISTRY: dict[str, KnownEntry] | None = None
-
-
-def registry() -> dict[str, KnownEntry]:
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _load_registry()
-    return _REGISTRY
 
 
 def lookup_known(name: str) -> KnownEntry:

@@ -20,7 +20,7 @@ from .errors import (
     OutOfRange,
     ParseError,
 )
-from .groups import DEFAULT_ENUM_CAP, PermGroup
+from .groups import DEFAULT_ENUM_CAP, PermGroup, label_index, orbit
 from .perms import Permutation, format_cycles, parse_permutation
 
 
@@ -56,6 +56,7 @@ class _Algebra:
         self.elems = group.elements(cap)
         self.index = group.element_index
         self.n = len(self.elems)
+        self.conjugation_maps = group.conjugation_maps
         self._columns: dict[int, list[int]] = {}
 
     @cached_property
@@ -86,14 +87,6 @@ class _Algebra:
     @cached_property
     def gen_ids(self) -> list[int]:
         return sorted({self.index[g.images] for g in self.generators} - {0})
-
-    @cached_property
-    def conj_maps(self) -> list[list[int]]:
-        """For each generator g, the id-map x -> g^-1 x g."""
-        maps = []
-        for g in self.generators:
-            maps.append([self.index[p.conjugated_by(g).images] for p in self.elems])
-        return maps
 
     def closure(self, seed_ids, bail_above: int | None = None) -> frozenset[int] | None:
         """Subgroup generated by the given element ids.
@@ -150,23 +143,14 @@ class _Algebra:
         return gens
 
     def conjugate_set(self, ids: frozenset[int], gen_index: int) -> frozenset[int]:
-        cmap = self.conj_maps[gen_index]
+        cmap = self.conjugation_maps[gen_index]
         return frozenset(cmap[x] for x in ids)
 
     def set_orbit(self, ids: frozenset[int]) -> list[frozenset[int]]:
         """Conjugation orbit of a subgroup under the whole group."""
-        seen = {ids: None}
-        frontier = [ids]
-        while frontier:
-            new = []
-            for s in frontier:
-                for gi in range(len(self.generators)):
-                    t = self.conjugate_set(s, gi)
-                    if t not in seen:
-                        seen[t] = None
-                        new.append(t)
-            frontier = new
-        return sorted(seen, key=sorted)
+        gens = range(len(self.conjugation_maps))
+        return sorted(orbit(ids, lambda s: [self.conjugate_set(s, gi) for gi in gens]),
+                      key=sorted)
 
 
 def algebra(group: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> _Algebra:
@@ -212,14 +196,6 @@ class Subgroup:
     def index(self) -> int:
         return self.parent.order // self.order
 
-    def contains(self, p: Permutation) -> bool:
-        return p.images in self.parent.element_index and \
-            self.parent.element_index[p.images] in self.elements
-
-    def perms(self) -> list[Permutation]:
-        alg = algebra(self.parent)
-        return [alg.elems[i] for i in sorted(self.elements)]
-
     def is_normal(self) -> bool:
         alg = algebra(self.parent)
         return all(alg.conjugate_set(self.elements, gi) == self.elements
@@ -249,16 +225,6 @@ def subgroup_from_gens(group: PermGroup, gens, cap: int = DEFAULT_ENUM_CAP) -> S
         seed.append(alg.index[g.images])
     ids = alg.closure(seed)
     return Subgroup(parent=group, generators=tuple(gens), order=len(ids), elements=ids)
-
-
-def trivial_subgroup(group: PermGroup) -> Subgroup:
-    return Subgroup(group, (group.identity(),), 1, frozenset({0}))
-
-
-def full_subgroup(group: PermGroup) -> Subgroup:
-    alg = algebra(group)
-    return Subgroup(group, tuple(group.generators), group.order,
-                    frozenset(range(alg.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +327,7 @@ class MaxClassSet:
         return iter(self.classes)
 
     def by_label(self, label: str) -> int:
-        for i, c in enumerate(self.classes):
-            if c.label == label:
-                return i
-        raise KeyError(label)
+        return label_index([c.label for c in self.classes], label, "maximal class")
 
     def subgroup_count(self) -> int:
         return sum(c.class_length for c in self.classes)
@@ -548,14 +511,6 @@ def format_maximal_file(mx: MaxClassSet) -> str:
     return "\n".join(lines)
 
 
-def maximal_classes(group: PermGroup, source: str | None = None,
-                    limits: Limits = DEFAULT_LIMITS) -> MaxClassSet:
-    """Maximal classes, computed from the lattice or ingested from a file."""
-    if source is None:
-        return maximal_classes_computed(group, limits)
-    return maximal_classes_from_file(group, source, limits)
-
-
 # ---------------------------------------------------------------------------
 # Cores, coset actions, normal structure
 # ---------------------------------------------------------------------------
@@ -574,7 +529,8 @@ def normal_core(group: PermGroup, sub: Subgroup) -> Subgroup:
 
 def coset_action(group: PermGroup, sub: Subgroup,
                  limits: Limits = DEFAULT_LIMITS) -> tuple[PermGroup, Subgroup]:
-    """Action on right cosets of sub; returns (image group, kernel)."""
+    """Action on right cosets of sub; returns (image group, kernel). The
+    kernel is the core of sub."""
     index = sub.index
     if index > limits.coset_degree_max:
         raise IndexTooLarge(f"index {index} exceeds {limits.coset_degree_max}")
@@ -587,10 +543,7 @@ def coset_action(group: PermGroup, sub: Subgroup,
             tuple(coset_of[alg.mult(r, gid)] for r in rep_ids)))
     image = PermGroup(index, image_gens,
                       name=f"{group.name or 'G'}/cosets({sub.order})")
-    kernel_ids = frozenset(
-        x for x in range(alg.n)
-        if all(coset_of[alg.mult(r, x)] == c for c, r in enumerate(rep_ids)))
-    kernel = subgroup_from_ids(group, kernel_ids)
+    kernel = normal_core(group, sub)
     if image.order * kernel.order != group.order:
         raise CovnumError(f"coset image order {image.order} times kernel order "
                           f"{kernel.order} is not {group.order}")

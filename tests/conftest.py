@@ -9,7 +9,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from covnum import library
 from covnum.cover import SolveBudget, sigma_exact
-from covnum.greedy import covering_number_bounds
 
 
 class SigmaCache:
@@ -21,10 +20,7 @@ class SigmaCache:
     def __call__(self, key: str, budget: SolveBudget = SolveBudget()) -> int:
         if key not in self._values:
             group = library.group(key)
-            mx = library.maximals(key)
-            trace = covering_number_bounds(group, mx)
-            result = sigma_exact(group, budget, mx=mx,
-                                 initial_upper_classes=trace.chosen_subgroup_classes())
+            result = sigma_exact(group, budget, mx=library.maximals(key))
             assert result.optimal, f"sigma({key}) did not close"
             self._values[key] = result.upper
         return self._values[key]

@@ -42,9 +42,7 @@ def test_criterion_01_golden_exact_values():
         t0 = time.monotonic()
         group = library.group(key)
         mx = library.maximals(key)
-        trace = covering_number_bounds(group, mx)
-        result = sigma_exact(group, mx=mx,
-                             initial_upper_classes=trace.chosen_subgroup_classes())
+        result = sigma_exact(group, mx=mx)
         dt = time.monotonic() - t0
         assert result.optimal, f"{key} did not close"
         assert result.upper == expected, f"sigma({key}) = {result.upper} != {expected}"
@@ -58,8 +56,7 @@ def test_criterion_02_m11():
     mx = library.maximals("M11")
     trace = covering_number_bounds(group, mx)
     assert trace.lower <= 23 <= trace.upper, (trace.lower, trace.upper)
-    result = sigma_exact(group, TEN_MINUTES, mx=mx,
-                         initial_upper_classes=trace.chosen_subgroup_classes())
+    result = sigma_exact(group, TEN_MINUTES, mx=mx)
     if result.optimal:
         assert result.upper == 23, f"wrong exact value {result.upper}"
         closing = f"closed at {result.upper} in {result.nodes_explored} nodes"

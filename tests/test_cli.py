@@ -233,3 +233,23 @@ def test_records_time_includes_maximal_classes(command, capsys, monkeypatch):
     assert code == 0
     seconds = float(re.search(r"time=([0-9.]+)s", out).group(1))
     assert seconds >= 0.30
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["bounds", "--library", "C5"], "CyclicGroup"),
+    (["bounds", "--library", "C6"], "CyclicGroup"),
+    (["exact", "--library", "A5", "--classes", "cl_9"], "Unknown"),
+    (["exact", "--library", "A5", "--subgroup-classes", "M9"], "Unknown"),
+    (["verify", "--library", "A5", "--pi", "cl_9", "--cover", "M1"], "Unknown"),
+    (["verify", "--library", "A5", "--pi", "cl_3", "--cover", "M9"], "Unknown"),
+    (["verify", "--library", "A5", "--pi", "cl_3", "--cover", "M1", "M1"], "NotACover"),
+    (["verify", "--library", "A5", "--pi", "cl_5,1", "--cover", "M2", "M1"], "NotACover"),
+    (["bounds", "--library", "M11", "--max-order", "100"], "CapExceeded"),
+    (["table", "--library", "A6", "--max-order", "359"], "CapExceeded"),
+])
+def test_bad_input_exits_with_error_line(argv, error, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    name = re.fullmatch(r"error: (\w+): .*\n", err).group(1)
+    assert name == error and issubclass(getattr(covnum, name), covnum.CovnumError)
+    assert "Traceback" not in err

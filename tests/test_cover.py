@@ -88,12 +88,18 @@ def test_exhausted_budget_is_flagged_not_wrong():
 
 
 def test_greedy_incumbent_feeds_solver():
-    group = library.group("S6")
-    mx = library.maximals("S6")
-    trace = covering_number_bounds(group, mx)
-    result = sigma_exact(group, mx=mx,
-                         initial_upper_classes=trace.chosen_subgroup_classes())
-    assert result.optimal and result.upper == 13
+    # sigma_exact starts from the columns of the greedy cover's classes, so
+    # it searches exactly as a solve seeded with them by hand
+    for key, budget in [("S6", SolveBudget()), ("A6", SolveBudget(max_nodes=2000))]:
+        group = library.group(key)
+        mx = library.maximals(key)
+        inst = _instance(key)
+        trace = covering_number_bounds(group, mx)
+        wanted = {mx.by_label(lbl) for lbl in trace.chosen_subgroup_classes()}
+        seed = [c for c, k in enumerate(inst.column_class) if k in wanted]
+        result = sigma_exact(group, budget, mx=mx)
+        assert result == solve(inst, budget, initial_cover=seed)
+        assert result.upper <= trace.upper
 
 
 def test_instance_text_round_trip():

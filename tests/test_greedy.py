@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from covnum import library
-from covnum.errors import NotACover, Unbounded
+from covnum.errors import CyclicGroup, NotACover, Unbounded
 from covnum.greedy import counting_lower_bound, covering_number_bounds, \
     greedy_from_profile, render_trace, verify_minimal_cover
 from covnum.incidence import IncidenceProfile, ElementClassInfo, SubgroupClassInfo, \
@@ -74,8 +74,12 @@ def test_trace_internal_consistency():
 def test_greedy_unbounded_on_cyclic():
     group = library.group("C6")
     mx = library.maximals("C6")
-    with pytest.raises(Unbounded):
+    with pytest.raises(CyclicGroup):
         covering_number_bounds(group, mx)
+    # from the profile alone, the generators' class meets no maximal class
+    profile = incidence_profile(group, group.conjugacy_classes(), mx)
+    with pytest.raises(Unbounded):
+        greedy_from_profile(profile)
 
 
 def test_certificate_a5_order5():
@@ -112,8 +116,10 @@ def test_certificate_not_a_cover():
 
 
 def test_certificate_rejects_useless_cover_class():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotACover, match="contains no elements of pi"):
         verify_minimal_cover(_profile("A5"), ["cl_5,1"], ["M2", "M1"])
+    with pytest.raises(NotACover, match="repeated cover class"):
+        verify_minimal_cover(_profile("A5"), ["cl_5,1"], ["M2", "M2"])
 
 
 def test_certificate_boundary_c_equal_one_is_minimal_not_unique():
@@ -193,8 +199,7 @@ def test_certified_upper_equals_exact_sigma():
         mx = library.maximals(key)
         trace = covering_number_bounds(group, mx, "corrected")
         if trace.certified:
-            result = sigma_exact(group, mx=mx,
-                                 initial_upper_classes=trace.chosen_subgroup_classes())
+            result = sigma_exact(group, mx=mx)
             assert result.optimal and result.upper == trace.upper, key
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from covnum import library
 from covnum.errors import CapExceeded, ParseError
-from covnum.groups import PermGroup, format_group_file, parse_group_file
+from covnum.groups import PermGroup, format_group_file, orbit, parse_group_file
 from covnum.perms import Permutation, parse_permutation
 
 
@@ -95,6 +95,31 @@ def test_class_sizes_partition_group(key):
     table = group.conjugacy_classes()
     assert table.total == group.order - 1
     assert all(group.order % c.size == 0 for c in table)
+
+
+@pytest.mark.parametrize("key", [k for k in library.names()
+                                 if library.group(k).order <= 360])
+def test_class_assignment_is_conjugacy(key):
+    # reference: the conjugates g^-1 x g of one member x of each class, over
+    # every g in G; the classes partition G, so x and y share a class exactly
+    # when y is a conjugate of x
+    group = library.group(key)
+    elems = group.elements()
+    assignment = group.class_assignment()
+    members: dict[int, set[int]] = {}
+    for i, c in enumerate(assignment):
+        members.setdefault(c, set()).add(i)
+    assert members[-1] == {0}
+    for ids in members.values():
+        x = elems[min(ids)]
+        conjugates = {group.element_index[x.conjugated_by(g).images] for g in elems}
+        assert conjugates == ids
+
+
+def test_orbit_keeps_discovery_order():
+    assert list(orbit(0, lambda x: [(x + 1) % 5, 2 * x % 5])) == [0, 1, 2, 3, 4]
+    assert list(orbit(3, lambda x: [3 * x % 7])) == [3, 2, 6, 4, 5, 1]
+    assert list(orbit("a", lambda x: [])) == ["a"]
 
 
 def test_classes_conjugation_invariant():
