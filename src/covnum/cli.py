@@ -12,14 +12,14 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import library
 from .cover import SolveBudget, build_instance, format_instance, format_lp, sigma_exact
 from .errors import CapExceeded, CovnumError
 from .greedy import covering_number_bounds, render_trace, verify_minimal_cover
-from .groups import PermGroup, parse_group_file
+from .groups import ENUM_CAP, PermGroup, parse_group_file
 from .incidence import incidence_profile, parse_profile, render_profile
 from .registry import is_sigma_elementary, lookup_known
 from .subgroups import Limits, MaxClassSet, maximal_classes_computed, \
@@ -34,7 +34,6 @@ class RunReport:
     result: int | tuple[int, int]    # exact sigma, or (lo, hi)
     certified: bool = False
     wall_time: float = 0.0
-    citations: list[str] = field(default_factory=list)
     provenance: str = "computed"
     note: str = ""
 
@@ -70,14 +69,15 @@ def _add_group_args(p: argparse.ArgumentParser) -> None:
                    f"({', '.join(library.names())})")
     p.add_argument("--file", help="group file: 'degree n' then cycle-notation generators")
     p.add_argument("--maximals", help="maximal-subgroup ingestion file")
-    p.add_argument("--max-order", type=int, default=10**6,
-                   help="element enumeration cap (default 1e6)")
+    p.add_argument("--max-order", type=int, default=ENUM_CAP,
+                   help="largest group order, checked when the group is loaded; "
+                        "it can lower the 1e6 enumeration cap but not raise it")
     p.add_argument("--max-lattice", type=int, default=5000,
                    help="largest order for full lattice enumeration (default 5000)")
 
 
 def _limits(args) -> Limits:
-    return Limits(enum_cap=args.max_order, lattice_max_order=args.max_lattice)
+    return Limits(lattice_max_order=args.max_lattice)
 
 
 def _load_group(args) -> tuple[PermGroup, MaxClassSet | None]:
@@ -90,7 +90,7 @@ def _load_group(args) -> tuple[PermGroup, MaxClassSet | None]:
     if group.order > args.max_order:
         raise CapExceeded(f"group order {group.order} exceeds --max-order {args.max_order}")
     if args.maximals:
-        mx = maximal_classes_from_file(group, Path(args.maximals).read_text(), _limits(args))
+        mx = maximal_classes_from_file(group, Path(args.maximals).read_text())
     elif args.library and library.entry(args.library).maximals_file:
         mx = library.maximals(args.library)
     else:

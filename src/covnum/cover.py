@@ -136,7 +136,6 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
     """Branch-and-bound minimum cover. Budget exhaustion degrades ``optimal``
     to False but the returned (lower, upper) bracket stays sound."""
     masks = list(instance.column_masks)
-    ncols = len(masks)
     full = instance.full_mask()
     U = instance.universe_size
     if U == 0:
@@ -199,77 +198,51 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
             return time.monotonic() - start > budget.time_limit
         return False
 
-    def dfs(cov: int, banned: int, chosen: list[int]) -> None:
+    def dfs(cov: int, banned: int, chosen: tuple[int, ...]) -> None:
         nonlocal best, best_size, nodes, exhausted
         nodes += 1
         if exhausted or out_of_budget():
             exhausted = True
             return
         # unit propagation: elements with one remaining column are forced
-        taken_here = 0
         while True:
             if cov == full:
                 if len(chosen) < best_size:
-                    best = list(chosen)
-                    best_size = len(chosen)
-                for _ in range(taken_here):
-                    chosen.pop()
+                    best, best_size = list(chosen), len(chosen)
                 return
-            forced = None
-            dead = False
-            branch_elem = None
-            branch_avail: list[int] | None = None
-            rem_mask = full & ~cov
-            e = rem_mask
+            # the first element with at most one available column, else the
+            # one with the fewest (stopping early at two)
+            branch = None
+            e = full & ~cov
             while e:
                 low = e & -e
-                pos = low.bit_length() - 1
                 e ^= low
-                avail = [c for c in elem_cols[pos]
+                avail = [c for c in elem_cols[low.bit_length() - 1]
                          if not (banned >> c & 1) and masks[c] & ~cov]
-                if not avail:
-                    dead = True
-                    break
-                if len(avail) == 1:
-                    forced = avail[0]
-                    break
-                if branch_avail is None or len(avail) < len(branch_avail):
-                    branch_elem, branch_avail = pos, avail
-                    if len(avail) == 2:
+                if branch is None or len(avail) < len(branch):
+                    branch = avail
+                    if len(avail) <= 2:
                         break
-            if dead:
-                for _ in range(taken_here):
-                    chosen.pop()
+            if not branch:
+                return  # some element can no longer be covered
+            if len(branch) > 1:
+                break
+            if len(chosen) + 1 >= best_size:
                 return
-            if forced is not None:
-                if len(chosen) + 1 >= best_size:
-                    for _ in range(taken_here):
-                        chosen.pop()
-                    return
-                chosen.append(forced)
-                taken_here += 1
-                cov |= masks[forced]
-                continue
-            break
+            chosen += (branch[0],)
+            cov |= masks[branch[0]]
         lb = len(chosen) + max(independent_bound(cov), ceil_bound(cov))
         if lb >= best_size:
-            for _ in range(taken_here):
-                chosen.pop()
             return
-        assert branch_avail is not None
-        branch_avail.sort(key=lambda c: (-(masks[c] & ~cov).bit_count(), c))
+        branch.sort(key=lambda c: (-(masks[c] & ~cov).bit_count(), c))
         extra_ban = 0
-        for c in branch_avail:
+        for c in branch:
             if len(chosen) + 1 >= best_size:
                 break
-            chosen.append(c)
-            dfs(cov | masks[c], banned | extra_ban, chosen)
-            chosen.pop()
+            dfs(cov | masks[c], banned | extra_ban, chosen + (c,))
             if exhausted:
                 break
             extra_ban |= 1 << c
-        for _ in range(taken_here):
-            chosen.pop()
 
     if instance.symmetric and instance.class_labels:
         # Any cover uses some class first (in class order); conjugacy makes the
@@ -283,11 +256,11 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
                 continue
             first = cols_k[0]
             if not exhausted:
-                dfs(masks[first], banned, [first])
+                dfs(masks[first], banned, (first,))
             for c in cols_k:
                 banned |= 1 << c
     else:
-        dfs(0, 0, [])
+        dfs(0, 0, ())
 
     # a root dual bound meeting the incumbent proves optimality even if the
     # search itself was cut short
@@ -316,11 +289,11 @@ def sigma_exact(group: PermGroup, budget: SolveBudget = SolveBudget(),
     """Exact covering number via set cover over all nonidentity classes and
     all maximal subgroup classes (minimal covers can always be taken there).
     The search starts from the greedy cover as its incumbent."""
-    if group.is_cyclic(limits.enum_cap):
+    if group.is_cyclic():
         raise CyclicGroup("cyclic groups have infinite covering number")
     if mx is None:
         mx = maximal_classes_computed(group, limits)
-    cls = group.conjugacy_classes(limits.enum_cap)
+    cls = group.conjugacy_classes()
     instance = build_instance(group, cls, mx)
     seed = covering_number_bounds(group, mx).chosen_subgroup_classes()
     wanted = {mx.by_label(lbl) for lbl in seed}

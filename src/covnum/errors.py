@@ -22,7 +22,7 @@ class ParseError(CovnumError):
 
 
 class CapExceeded(CovnumError):
-    """Element enumeration was requested beyond the configured cap."""
+    """Element enumeration was requested beyond the enumeration cap."""
 
 
 class BudgetExceeded(CovnumError):

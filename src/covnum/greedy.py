@@ -52,8 +52,7 @@ class CertificateReport:
 
 
 def covering_number_bounds(group: PermGroup, mx: MaxClassSet,
-                           mode: str = "corrected",
-                           profile: IncidenceProfile | None = None) -> GreedyTrace:
+                           mode: str = "corrected") -> GreedyTrace:
     """Greedy bracket (lower, upper, certified) for the covering number.
 
     In faithful mode the upper bound grows by the chosen subgroup's index,
@@ -65,8 +64,7 @@ def covering_number_bounds(group: PermGroup, mx: MaxClassSet,
         raise ValueError(f"unknown mode {mode!r}")
     if group.is_cyclic():
         raise CyclicGroup("cyclic groups have infinite covering number")
-    if profile is None:
-        profile = incidence_profile(group, group.conjugacy_classes(), mx)
+    profile = incidence_profile(group, group.conjugacy_classes(), mx)
     return greedy_from_profile(profile, mode)
 
 
@@ -144,6 +142,8 @@ def verify_minimal_cover(profile: IncidenceProfile, pi, cover) -> CertificateRep
     pi_idx = [profile.element_index(lbl) if isinstance(lbl, str) else lbl for lbl in pi]
     cover_idx = [profile.subgroup_index(lbl) if isinstance(lbl, str) else lbl
                  for lbl in cover]
+    if len(set(pi_idx)) != len(pi_idx):
+        raise NotACover("repeated pi class")
     if len(set(cover_idx)) != len(cover_idx):
         raise NotACover("repeated cover class")
     for i in cover_idx:

@@ -14,7 +14,7 @@ from functools import cached_property
 from .errors import CapExceeded, CovnumError, DegreeMismatch, ParseError, Unknown
 from .perms import Permutation, format_cycles, parse_permutation
 
-DEFAULT_ENUM_CAP = 10**6
+ENUM_CAP = 10**6  # largest group whose elements are ever listed
 
 
 def orbit(start, step) -> dict:
@@ -148,14 +148,14 @@ class PermGroup:
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
 
-    def elements(self, cap: int = DEFAULT_ENUM_CAP) -> list[Permutation]:
+    def elements(self) -> list[Permutation]:
         """All elements, identity first, in a deterministic closure order."""
-        if self.order > cap:
-            raise CapExceeded(f"group order {self.order} exceeds cap {cap}")
         return self._element_list
 
     @cached_property
     def _element_list(self) -> list[Permutation]:
+        if self.order > ENUM_CAP:
+            raise CapExceeded(f"group order {self.order} exceeds cap {ENUM_CAP}")
         out = list(orbit(self.identity(), lambda x: [x * g for g in self.generators]))
         if len(out) != self.order:
             raise CovnumError(f"enumerated {len(out)} elements, chain order {self.order}")
@@ -172,27 +172,24 @@ class PermGroup:
         return [[index[p.conjugated_by(g).images] for p in self._element_list]
                 for g in self.generators]
 
-    def is_cyclic(self, cap: int = DEFAULT_ENUM_CAP) -> bool:
+    def is_cyclic(self) -> bool:
         if self.order == 1:
             return True
-        return any(p.order == self.order for p in self.elements(cap))
+        return any(p.order == self.order for p in self.elements())
 
     def is_abelian(self) -> bool:
         return all(a * b == b * a for a in self.generators for b in self.generators)
 
-    def conjugacy_classes(self, cap: int = DEFAULT_ENUM_CAP) -> "ConjClassTable":
-        return self._classes_and_assignment(cap)[0]
+    def conjugacy_classes(self) -> "ConjClassTable":
+        return self._classes_and_assignment[0]
 
-    def class_assignment(self, cap: int = DEFAULT_ENUM_CAP) -> list[int]:
+    def class_assignment(self) -> list[int]:
         """Class index per element id (identity maps to -1)."""
-        return self._classes_and_assignment(cap)[1]
+        return self._classes_and_assignment[1]
 
-    def _classes_and_assignment(self, cap: int):
-        cached = getattr(self, "_class_cache", None)
-        if cached is None:
-            cached = _conjugacy_classes(self, cap)
-            self._class_cache = cached
-        return cached
+    @cached_property
+    def _classes_and_assignment(self) -> tuple["ConjClassTable", list[int]]:
+        return _conjugacy_classes(self)
 
     def __repr__(self) -> str:
         label = self.name or f"degree {self.degree}"
@@ -241,8 +238,8 @@ def class_labels(pairs: list[tuple[int, int]]) -> list[str]:
     return labels
 
 
-def _conjugacy_classes(group: PermGroup, cap: int) -> tuple[ConjClassTable, list[int]]:
-    elems = group.elements(cap)
+def _conjugacy_classes(group: PermGroup) -> tuple[ConjClassTable, list[int]]:
+    elems = group.elements()
     maps = group.conjugation_maps
     n = len(elems)
     assigned = [False] * n

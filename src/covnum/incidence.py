@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .groups import ConjClassTable, PermGroup, label_index, orbit
-from .subgroups import MaxClassSet, algebra
+from .groups import ConjClassTable, PermGroup, label_index
+from .subgroups import MaxClassSet
 
 
 @dataclass(frozen=True)
@@ -66,17 +66,16 @@ class IncidenceProfile:
 
 def incidence_profile(group: PermGroup, cls: ConjClassTable,
                       mx: MaxClassSet) -> IncidenceProfile:
-    """Build the profile by classifying each subgroup class of one maximal
-    representative into its parent class and summing the subgroup-class sizes."""
+    """Build the profile by counting, for one representative H of each maximal
+    class, the elements of H in each element class: n(j, i) = |H ∩ C_j|."""
     assignment = group.class_assignment()
     columns = []
     for mcls in mx.classes:
         counts = [0] * len(cls.classes)
-        for rep_id, size in _subgroup_class_sizes(group, mcls.rep.elements,
-                                                  mcls.rep.generators):
-            j = assignment[rep_id]
+        for x in mcls.rep.elements:
+            j = assignment[x]
             if j >= 0:
-                counts[j] += size
+                counts[j] += 1
         columns.append(counts)
     entries = []
     for j, ec in enumerate(cls.classes):
@@ -101,21 +100,6 @@ def incidence_profile(group: PermGroup, cls: ConjClassTable,
     )
 
 
-def _subgroup_class_sizes(group: PermGroup, ids, gens):
-    """Conjugacy classes of the subgroup with the given element ids, as
-    (representative id, class size) pairs; identity excluded."""
-    alg = algebra(group)
-    gen_ids = [alg.index[g.images] for g in gens if not g.is_identity()]
-    pending = set(ids) - {0}
-    out = []
-    while pending:
-        start = min(pending)
-        cls = orbit(start, lambda x: [alg.conjugate(x, g) for g in gen_ids])
-        pending.difference_update(cls)
-        out.append((start, len(cls)))
-    return out
-
-
 def render_profile(profile: IncidenceProfile) -> str:
     """Render per the table grammar in the module docstring."""
     header = [""] + [f"{sc.label}({sc.class_length})" for sc in profile.subgroup_classes]
@@ -134,45 +118,61 @@ def render_profile(profile: IncidenceProfile) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _positive(text: str, lineno: int, what: str) -> int:
+    """A table number that must be a positive integer; ``what`` names it in
+    the ParseError otherwise."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ParseError(f"bad {what}", lineno)
+    return value
+
+
 def parse_profile(text: str) -> IncidenceProfile:
     """Load a profile from its rendered table form.
 
     Element-class sizes are reconstructed from the counting identity
     (size = n * class_length / k) and cross-checked over every nonzero entry.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip()]
     if not lines:
         raise ParseError("empty profile table")
-    header = lines[0].split("\t")
+    header_line, header_text = lines[0]
+    header = header_text.split("\t")
     if header[0].strip():
-        raise ParseError("header must start with an empty cell")
+        raise ParseError("header must start with an empty cell", header_line)
     sub_classes = []
     for cell in header[1:]:
         cell = cell.strip()
         if not cell.endswith(")") or "(" not in cell:
-            raise ParseError(f"bad subgroup-class header {cell!r}")
+            raise ParseError(f"bad subgroup-class header {cell!r}", header_line)
         label, paren = cell[:-1].split("(", 1)
-        sub_classes.append(SubgroupClassInfo(label=label, class_length=int(paren)))
+        length = _positive(paren, header_line, f"class length in {cell!r}")
+        sub_classes.append(SubgroupClassInfo(label=label, class_length=length))
     elem_classes = []
     entries = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = line.split("\t")
         if len(cells) != len(sub_classes) + 1:
             raise ParseError("wrong number of cells", lineno)
         label = cells[0].strip()
         if not label.startswith("cl_"):
             raise ParseError(f"bad element-class label {label!r}", lineno)
-        order = int(label[3:].split(",")[0])
+        order = _positive(label[3:].split(",")[0], lineno, f"element order in {label!r}")
         row_nk = []
         for cell in cells[1:]:
             cell = cell.strip()
             if cell == "0":
                 row_nk.append((0, 0))
             elif cell.endswith(",P"):
-                row_nk.append((int(cell[:-2]), 1))
+                row_nk.append((_positive(cell[:-2], lineno, f"entry {cell!r}"), 1))
             elif "_" in cell:
                 n, k = cell.split("_", 1)
-                row_nk.append((int(n), int(k)))
+                row_nk.append((_positive(n, lineno, f"entry {cell!r}"),
+                               _positive(k, lineno, f"entry {cell!r}")))
             else:
                 raise ParseError(f"bad entry {cell!r}", lineno)
         size = None

@@ -11,8 +11,7 @@ from .affine import affine_group
 from .errors import Unknown
 from .groups import PermGroup, parse_group_file
 from .perms import Permutation, parse_permutation
-from .subgroups import DEFAULT_LIMITS, Limits, MaxClassSet, maximal_classes_computed, \
-    maximal_classes_from_file
+from .subgroups import MaxClassSet, maximal_classes_computed, maximal_classes_from_file
 
 
 def _perm(degree: int, text: str) -> Permutation:
@@ -188,13 +187,13 @@ def group(key: str) -> PermGroup:
 
 
 @cache
-def maximals(key: str, limits: Limits = DEFAULT_LIMITS) -> MaxClassSet:
+def maximals(key: str) -> MaxClassSet:
     e = entry(key)
     g = group(key)
     if e.maximals_file is not None:
         text = resources.files("covnum.data").joinpath(e.maximals_file).read_text()
-        return maximal_classes_from_file(g, text, limits)
-    return maximal_classes_computed(g, limits)
+        return maximal_classes_from_file(g, text)
+    return maximal_classes_computed(g)
 
 
 def solvable_suite() -> list[PermGroup]:

@@ -107,7 +107,7 @@ def sigma_solvable(group: PermGroup, limits: Limits = DEFAULT_LIMITS,
     Complements are counted by exhaustive scan over the subgroup lattice:
     C complements H/K when C meets H exactly in K and CH = G.
     """
-    if group.is_cyclic(limits.enum_cap):
+    if group.is_cyclic():
         raise CyclicGroup("covering number of a cyclic group is infinite")
     if not is_solvable(group):
         raise OutOfRange("group is not solvable")
@@ -191,9 +191,9 @@ def is_sigma_elementary(group: PermGroup,
         sigma = result.upper
     checks = []
     value = True
-    for n_sub in minimal_normal_subgroups(group, limits):
-        image, _ = coset_action(group, n_sub, limits)
-        if image.is_cyclic(limits.enum_cap):
+    for n_sub in minimal_normal_subgroups(group):
+        image, _ = coset_action(group, n_sub)
+        if image.is_cyclic():
             checks.append(QuotientCheck(n_sub.order, image.order, None, "cyclic"))
             continue
         if quotient_sigma is not None:

@@ -20,20 +20,19 @@ from .errors import (
     OutOfRange,
     ParseError,
 )
-from .groups import DEFAULT_ENUM_CAP, PermGroup, label_index, orbit
+from .groups import PermGroup, label_index, orbit
 from .perms import Permutation, format_cycles, parse_permutation
 
 
 @dataclass(frozen=True)
 class Limits:
-    """Budgets for the operations that can blow up; every overrun raises."""
+    """The subgroup-lattice budget; an overrun raises BudgetExceeded."""
 
-    enum_cap: int = DEFAULT_ENUM_CAP
     lattice_max_order: int = 5000
-    coset_degree_max: int = 20000
 
 
 DEFAULT_LIMITS = Limits()
+COSET_DEGREE_MAX = 20000  # largest coset action that coset_action builds
 
 
 class _RightMultiple:
@@ -51,9 +50,9 @@ class _RightMultiple:
 class _Algebra:
     """Element-id arithmetic for one enumerated group."""
 
-    def __init__(self, group: PermGroup, cap: int):
+    def __init__(self, group: PermGroup):
         self.generators = group.generators
-        self.elems = group.elements(cap)
+        self.elems = group.elements()
         self.index = group.element_index
         self.n = len(self.elems)
         self.conjugation_maps = group.conjugation_maps
@@ -153,11 +152,11 @@ class _Algebra:
                       key=sorted)
 
 
-def algebra(group: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> _Algebra:
+def algebra(group: PermGroup) -> _Algebra:
     """The group's element-id arithmetic, built once and kept on the group."""
     alg = getattr(group, "_algebra", None)
     if alg is None:
-        alg = group._algebra = _Algebra(group, cap)
+        alg = group._algebra = _Algebra(group)
     return alg
 
 
@@ -216,8 +215,8 @@ def subgroup_from_ids(group: PermGroup, ids: frozenset[int]) -> Subgroup:
     )
 
 
-def subgroup_from_gens(group: PermGroup, gens, cap: int = DEFAULT_ENUM_CAP) -> Subgroup:
-    alg = algebra(group, cap)
+def subgroup_from_gens(group: PermGroup, gens) -> Subgroup:
+    alg = algebra(group)
     seed = []
     for g in gens:
         if g.images not in alg.index:
@@ -257,7 +256,7 @@ def _lattice_sets(group: PermGroup, limits: Limits) -> dict[frozenset[int], int]
     if group.order > limits.lattice_max_order:
         raise BudgetExceeded(
             f"lattice budget: order {group.order} > {limits.lattice_max_order}")
-    alg = algebra(group, limits.enum_cap)
+    alg = algebra(group)
     atoms = _atoms(alg)
     sets: dict[frozenset[int], int] = {}
     reps: list[tuple[frozenset[int], list[int]]] = []
@@ -382,21 +381,20 @@ def _is_maximal_in(h: frozenset[int], all_sets: list[frozenset[int]], order: int
     return True
 
 
-def maximal_classes_from_file(group: PermGroup, text: str,
-                              limits: Limits = DEFAULT_LIMITS) -> MaxClassSet:
+def maximal_classes_from_file(group: PermGroup, text: str) -> MaxClassSet:
     """Ingest maximal subgroup classes and verify them.
 
     Each listed subgroup is checked to be a genuine subgroup, its index and
     class length are recomputed, and maximality is verified by the local
     check: adjoining any coset representative must generate the whole group.
     """
-    alg = algebra(group, limits.enum_cap)
+    alg = algebra(group)
     entries = _parse_maximal_file(text, group.degree)
     orbits = []
     notes: dict[frozenset[int], str] = {}
     seen_sets: set[frozenset[int]] = set()
     for claim_index, claim_length, gens in entries:
-        sub = subgroup_from_gens(group, gens, cap=limits.enum_cap)
+        sub = subgroup_from_gens(group, gens)
         if sub.index != claim_index:
             raise IngestInvalid(
                 f"declared index {claim_index}, computed {sub.index}")
@@ -465,13 +463,13 @@ def _parse_maximal_file(text: str, degree: int) -> list[tuple[int, int, list[Per
     entries: list[tuple[int | None, int | None, list[Permutation]]] = []
     current: dict | None = None
 
-    def flush(lineno: int) -> None:
+    def flush() -> None:
         if current is None:
             return
         if current["index"] is None or current["length"] is None:
-            raise ParseError("class section missing index or length", lineno)
+            raise ParseError("class section missing index or length", current["line"])
         if not current["gens"]:
-            raise ParseError("class section has no generators", lineno)
+            raise ParseError("class section has no generators", current["line"])
         entries.append((current["index"], current["length"], current["gens"]))
 
     for lineno, rawline in enumerate(text.splitlines(), start=1):
@@ -479,22 +477,24 @@ def _parse_maximal_file(text: str, degree: int) -> list[tuple[int, int, list[Per
         if not line:
             continue
         if line.startswith("["):
-            flush(lineno)
+            flush()
             if not line.startswith("[class"):
                 raise ParseError(f"unexpected section {line!r}", lineno)
-            current = {"index": None, "length": None, "gens": []}
+            current = {"index": None, "length": None, "gens": [], "line": lineno}
         elif current is None:
             raise ParseError("content before first [class] section", lineno)
-        elif line.startswith("index "):
-            current["index"] = int(line.split()[1])
-        elif line.startswith("length "):
-            current["length"] = int(line.split()[1])
+        elif line.startswith(("index ", "length ")):
+            key, value = line.split(None, 1)
+            try:
+                current[key] = int(value)
+            except ValueError:
+                raise ParseError(f"bad {key} {value!r}", lineno) from None
         else:
             try:
                 current["gens"].append(parse_permutation(line, degree))
             except ParseError as exc:
                 raise ParseError(str(exc), lineno) from None
-    flush(0)
+    flush()
     if not entries:
         raise ParseError("no [class] sections found")
     return entries
@@ -527,13 +527,12 @@ def normal_core(group: PermGroup, sub: Subgroup) -> Subgroup:
     return subgroup_from_ids(group, frozenset(core))
 
 
-def coset_action(group: PermGroup, sub: Subgroup,
-                 limits: Limits = DEFAULT_LIMITS) -> tuple[PermGroup, Subgroup]:
+def coset_action(group: PermGroup, sub: Subgroup) -> tuple[PermGroup, Subgroup]:
     """Action on right cosets of sub; returns (image group, kernel). The
     kernel is the core of sub."""
     index = sub.index
-    if index > limits.coset_degree_max:
-        raise IndexTooLarge(f"index {index} exceeds {limits.coset_degree_max}")
+    if index > COSET_DEGREE_MAX:
+        raise IndexTooLarge(f"index {index} exceeds {COSET_DEGREE_MAX}")
     alg = algebra(group)
     rep_ids, coset_of = _coset_decomposition(group, sub)
     image_gens = []
@@ -550,15 +549,14 @@ def coset_action(group: PermGroup, sub: Subgroup,
     return image, kernel
 
 
-def minimal_normal_subgroups(group: PermGroup,
-                             limits: Limits = DEFAULT_LIMITS) -> list[Subgroup]:
+def minimal_normal_subgroups(group: PermGroup) -> list[Subgroup]:
     """All minimal normal subgroups, via normal closures of class
     representatives (no lattice needed)."""
     if group.order == 1:
         return []
-    alg = algebra(group, limits.enum_cap)
+    alg = algebra(group)
     closures: dict[frozenset[int], None] = {}
-    for cls in group.conjugacy_classes(limits.enum_cap):
+    for cls in group.conjugacy_classes():
         ids = alg.normal_closure([alg.index[cls.rep.images]])
         closures.setdefault(ids, None)
     minimal = []
@@ -599,8 +597,7 @@ def is_solvable(group: PermGroup) -> bool:
         current = nxt
 
 
-def is_primitive_monolithic(group: PermGroup, mx: MaxClassSet,
-                            limits: Limits = DEFAULT_LIMITS):
+def is_primitive_monolithic(group: PermGroup, mx: MaxClassSet):
     """(primitive, monolithic, min primitivity degree or None)."""
     degrees = []
     for cls in mx.classes:
@@ -608,7 +605,7 @@ def is_primitive_monolithic(group: PermGroup, mx: MaxClassSet,
         if core.order == 1:
             degrees.append(cls.index)
     primitive = bool(degrees)
-    monolithic = len(minimal_normal_subgroups(group, limits)) == 1
+    monolithic = len(minimal_normal_subgroups(group)) == 1
     return primitive, monolithic, (min(degrees) if degrees else None)
 
 

@@ -235,6 +235,19 @@ def test_records_time_includes_maximal_classes(command, capsys, monkeypatch):
     assert seconds >= 0.30
 
 
+# malformed numbers in profile tables and maximal-subgroup files
+BAD_FILES = {
+    "header.tsv": "\tM1(2)\tM2(x)\ncl_2\t1,P\t1,P\n",
+    "label.tsv": "\tM1(2)\ncl_x\t1,P\n",
+    "cell_p.tsv": "\tM1(2)\ncl_2\tx,P\n",
+    "cell_k.tsv": "\tM1(2)\ncl_2\t1_x\n",
+    "zero_p.tsv": "\tM1(2)\tM2(2)\ncl_2\t1,P\t0,P\n",
+    "zero_n.tsv": "\tM1(2)\tM2(2)\ncl_2\t1,P\t0_3\n",
+    "index.max": "[class 1]\nindex x\nlength 5\n(1,2,3)\n",
+    "length.max": "[class 1]\nlength x\nindex 5\n(1,2,3)\n",
+}
+
+
 @pytest.mark.parametrize("argv, error", [
     (["bounds", "--library", "C5"], "CyclicGroup"),
     (["bounds", "--library", "C6"], "CyclicGroup"),
@@ -246,10 +259,23 @@ def test_records_time_includes_maximal_classes(command, capsys, monkeypatch):
     (["verify", "--library", "A5", "--pi", "cl_5,1", "--cover", "M2", "M1"], "NotACover"),
     (["bounds", "--library", "M11", "--max-order", "100"], "CapExceeded"),
     (["table", "--library", "A6", "--max-order", "359"], "CapExceeded"),
+    (["verify", "--library", "A5", "--pi", "cl_2", "cl_2", "--cover", "M1"], "NotACover"),
+    (["table", "--profile", "{tmp}/header.tsv"], "ParseError"),
+    (["table", "--profile", "{tmp}/label.tsv"], "ParseError"),
+    (["table", "--profile", "{tmp}/cell_p.tsv"], "ParseError"),
+    (["table", "--profile", "{tmp}/cell_k.tsv"], "ParseError"),
+    (["table", "--profile", "{tmp}/zero_p.tsv"], "ParseError"),
+    (["table", "--profile", "{tmp}/zero_n.tsv"], "ParseError"),
+    (["exact", "--library", "A5", "--maximals", "{tmp}/index.max"], "ParseError"),
+    (["exact", "--library", "A5", "--maximals", "{tmp}/length.max"], "ParseError"),
 ])
-def test_bad_input_exits_with_error_line(argv, error, capsys):
-    code, out, err = run(capsys, *argv)
+def test_bad_input_exits_with_error_line(argv, error, capsys, tmp_path):
+    for name, text in BAD_FILES.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 1 and out == ""
     name = re.fullmatch(r"error: (\w+): .*\n", err).group(1)
     assert name == error and issubclass(getattr(covnum, name), covnum.CovnumError)
     assert "Traceback" not in err
+    if error == "ParseError":
+        assert re.match(r"error: ParseError: line \d+: ", err)

@@ -34,18 +34,20 @@ def test_counting_identity_everywhere(key):
 
 @pytest.mark.parametrize("key", ["S4", "A5", "D12"])
 def test_counts_match_direct_membership(key):
-    """Independent check of the class-sum computation: count |M ∩ class|
-    and the per-element multiplicity directly from element sets."""
+    """Independent check of the profile: count |M ∩ class| with class
+    membership found by brute-force conjugation, and the per-element
+    multiplicity directly from element sets."""
     group = library.group(key)
     mx = library.maximals(key)
     prof = _profile(key)
     alg = algebra(group)
     assignment = group.class_assignment()
+    elems = group.elements()
+    brute_classes = [{x.conjugated_by(g).images for g in elems}
+                     for x in (c.rep for c in group.conjugacy_classes())]
     for i, mcls in enumerate(mx.classes):
-        direct = [0] * len(prof.element_classes)
-        for x in mcls.rep.elements:
-            if assignment[x] >= 0:
-                direct[assignment[x]] += 1
+        direct = [sum(1 for x in mcls.rep.elements if elems[x].images in members)
+                  for members in brute_classes]
         for j in range(len(prof.element_classes)):
             assert prof.entries[j][i][0] == direct[j]
         # multiplicity of one element of each class across all class members
@@ -79,6 +81,8 @@ def test_parse_profile_errors():
         parse_profile("\tM1(2)\ncl_2\t0\n")  # all-zero row: size underivable
     with pytest.raises(ParseError):
         parse_profile("\tM1(2)\tM2(3)\ncl_2\t1,P\t1,P\n")  # inconsistent sizes
+    with pytest.raises(ParseError, match="line 3"):
+        parse_profile("\tM1(2)\n\ncl_2\tx,P\n")  # blank lines count
 
 
 def test_profile_rejects_non_integral_multiplicity():

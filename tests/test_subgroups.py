@@ -105,8 +105,15 @@ def test_ingest_rejects_wrong_declarations():
         maximal_classes_from_file(group, f"[class 1]\nindex 6\nlength 5\n{gens}\n")
     with pytest.raises(IngestInvalid, match="length"):
         maximal_classes_from_file(group, f"[class 1]\nindex 5\nlength 6\n{gens}\n")
-    with pytest.raises(ParseError):
+    # a section error names the line of the section's own header
+    with pytest.raises(ParseError, match="line 1:"):
         maximal_classes_from_file(group, "[class 1]\nindex 5\n")
+    with pytest.raises(ParseError, match="line 1:"):
+        maximal_classes_from_file(group, f"[class 1]\nindex 5\n[class 2]\n{gens}\n")
+    second = 4 + len(a4.rep.generators)
+    with pytest.raises(ParseError, match=f"line {second}:"):
+        maximal_classes_from_file(
+            group, f"[class 1]\nindex 5\nlength 5\n{gens}\n[class 2]\nindex 5\n")
 
 
 SMALL_GROUPS = [k for k in library.names() if library.group(k).order <= 720]
