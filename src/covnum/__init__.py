@@ -39,7 +39,7 @@ from .registry import KnownEntry, SigmaElementaryReport, is_sigma_elementary, \
 from .subgroups import Limits, MaxClass, MaxClassSet, Subgroup, all_subgroups, \
     coset_action, is_primitive_monolithic, is_solvable, maximal_classes_computed, \
     maximal_classes_from_file, min_supplement_index, minimal_normal_subgroups, \
-    normal_core
+    normal_core, normal_subgroups
 from .affine import AffineCover, GF, affine_group, agl_cover
 
 __version__ = "0.1.0"

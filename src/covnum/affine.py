@@ -91,7 +91,7 @@ class GF:
                 order += 1
             if order == self.q - 1:
                 return a
-        raise AssertionError("no primitive element found")
+        raise CovnumError(f"GF({self.q}) has no primitive element")
 
 
 def _gl_order(n: int, q: int) -> int:

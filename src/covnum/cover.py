@@ -319,22 +319,30 @@ def format_instance(instance: CoverInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _count(token: str, what: str, lineno: int) -> int:
+    """A nonnegative integer token of instance text."""
+    if not (token.isascii() and token.isdigit()):
+        raise ParseError(f"bad {what} {token!r}", lineno)
+    return int(token)
+
+
 def parse_instance(text: str) -> CoverInstance:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2 or not lines[0].startswith("universe ") \
-            or not lines[1].startswith("columns "):
+    lines = [(lineno, ln.split()) for lineno, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip()]
+    if len(lines) < 2 or lines[0][1][0] != "universe" or lines[1][1][0] != "columns" \
+            or len(lines[0][1]) != 2 or len(lines[1][1]) != 2:
         raise ParseError("expected 'universe N' and 'columns M' headers")
-    universe = int(lines[0].split()[1])
-    ncols = int(lines[1].split()[1])
+    universe = _count(lines[0][1][1], "universe", lines[0][0])
+    ncols = _count(lines[1][1][1], "columns", lines[1][0])
     if len(lines) != 2 + ncols:
         raise ParseError(f"expected {ncols} column lines, found {len(lines) - 2}")
     masks = []
-    for ln in lines[2:]:
+    for lineno, tokens in lines[2:]:
         mask = 0
-        for tok in ln.split():
-            p = int(tok)
-            if not 0 <= p < universe:
-                raise ParseError(f"element {p} out of range")
+        for tok in tokens:
+            p = _count(tok, "element", lineno)
+            if p >= universe:
+                raise ParseError(f"element {p} out of range", lineno)
             mask |= 1 << p
         masks.append(mask)
     return CoverInstance(

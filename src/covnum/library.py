@@ -1,5 +1,5 @@
 """Built-in library of named groups used by the CLI, the batch suites and
-the test corpus. Constructions are deterministic; orders are asserted."""
+the test corpus. Constructions are deterministic; orders are checked."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from functools import cache
 from importlib import resources
 
 from .affine import affine_group
-from .errors import Unknown
+from .errors import CovnumError, Unknown
 from .groups import PermGroup, parse_group_file
 from .perms import Permutation, parse_permutation
 from .subgroups import MaxClassSet, maximal_classes_computed, maximal_classes_from_file
@@ -16,6 +16,13 @@ from .subgroups import MaxClassSet, maximal_classes_computed, maximal_classes_fr
 
 def _perm(degree: int, text: str) -> Permutation:
     return parse_permutation(text, degree)
+
+
+def _checked(g: PermGroup, order: int) -> PermGroup:
+    """The group, after checking that its construction has the given order."""
+    if g.order != order:
+        raise CovnumError(f"{g.name} has order {g.order}, expected {order}")
+    return g
 
 
 def cyclic(n: int) -> PermGroup:
@@ -29,9 +36,7 @@ def dihedral(order: int) -> PermGroup:
     n = order // 2
     rot = Permutation(tuple(range(1, n)) + (0,))
     ref = Permutation(tuple((n - i) % n for i in range(n)))
-    g = PermGroup(n, [rot, ref], name=f"D{order}")
-    assert g.order == order
-    return g
+    return _checked(PermGroup(n, [rot, ref], name=f"D{order}"), order)
 
 
 def symmetric(n: int) -> PermGroup:
@@ -64,9 +69,7 @@ def elementary_abelian(p: int, k: int) -> PermGroup:
             images[a] = b
         gens.append(Permutation(images))
     name = f"C{p}^{k}" if k > 1 else f"C{p}"
-    g = PermGroup(p * k, gens, name=name)
-    assert g.order == p ** k
-    return g
+    return _checked(PermGroup(p * k, gens, name=name), p ** k)
 
 
 def direct_product(a: PermGroup, b: PermGroup, name: str | None = None) -> PermGroup:
@@ -77,46 +80,39 @@ def direct_product(a: PermGroup, b: PermGroup, name: str | None = None) -> PermG
         gens.append(Permutation(g.images + tuple(range(da, da + db))))
     for g in b.generators:
         gens.append(Permutation(tuple(range(da)) + tuple(x + da for x in g.images)))
-    prod = PermGroup(da + db, gens, name=name or f"{a.name}x{b.name}")
-    assert prod.order == a.order * b.order
-    return prod
+    return _checked(PermGroup(da + db, gens, name=name or f"{a.name}x{b.name}"),
+                    a.order * b.order)
 
 
 def quaternion8() -> PermGroup:
     # regular representation on 1, i, j, k, -1, -i, -j, -k
-    g = PermGroup(8, [_perm(8, "(1,2,5,6)(3,8,7,4)"), _perm(8, "(1,3,5,7)(2,4,6,8)")],
-                  name="Q8")
-    assert g.order == 8 and not g.is_abelian()
+    g = _checked(PermGroup(8, [_perm(8, "(1,2,5,6)(3,8,7,4)"),
+                               _perm(8, "(1,3,5,7)(2,4,6,8)")], name="Q8"), 8)
+    if g.is_abelian():
+        raise CovnumError("Q8 construction is abelian")
     return g
 
 
 def frobenius21() -> PermGroup:
-    g = PermGroup(7, [_perm(7, "(1,2,3,4,5,6,7)"), _perm(7, "(2,3,5)(4,7,6)")],
-                  name="F21")
-    assert g.order == 21
-    return g
+    return _checked(PermGroup(7, [_perm(7, "(1,2,3,4,5,6,7)"), _perm(7, "(2,3,5)(4,7,6)")],
+                              name="F21"), 21)
 
 
 def psl27() -> PermGroup:
     # on the projective line over GF(7): points 1..7 are 0..6, point 8 is infinity
-    g = PermGroup(8, [_perm(8, "(1,2,3,4,5,6,7)"), _perm(8, "(1,8)(2,7)(3,4)(5,6)")],
-                  name="PSL(2,7)")
-    assert g.order == 168
-    return g
+    return _checked(PermGroup(8, [_perm(8, "(1,2,3,4,5,6,7)"),
+                                  _perm(8, "(1,8)(2,7)(3,4)(5,6)")], name="PSL(2,7)"), 168)
 
 
 def pgl27() -> PermGroup:
-    g = PermGroup(8, [_perm(8, "(1,2,3,4,5,6,7)"), _perm(8, "(1,8)(2,7)(3,4)(5,6)"),
-                      _perm(8, "(2,4,3,7,5,6)")], name="PGL(2,7)")
-    assert g.order == 336
-    return g
+    return _checked(PermGroup(8, [_perm(8, "(1,2,3,4,5,6,7)"),
+                                  _perm(8, "(1,8)(2,7)(3,4)(5,6)"),
+                                  _perm(8, "(2,4,3,7,5,6)")], name="PGL(2,7)"), 336)
 
 
 def m11() -> PermGroup:
     text = resources.files("covnum.data").joinpath("m11.grp").read_text()
-    g = parse_group_file(text, name="M11")
-    assert g.order == 7920
-    return g
+    return _checked(parse_group_file(text, name="M11"), 7920)
 
 
 def m11_maximals_text() -> str:
@@ -220,8 +216,8 @@ def solvable_suite() -> list[PermGroup]:
     ]
     for q in (3, 4, 5, 7, 8, 9):
         groups.append(affine_group(1, q)[0])
-    assert len(groups) >= 30
-    assert all(g.order <= 500 for g in groups)
+    if len(groups) < 30 or any(g.order > 500 for g in groups):
+        raise CovnumError("solvable suite needs at least 30 groups of order <= 500")
     return groups
 
 

@@ -20,10 +20,12 @@ from .subgroups import (
     DEFAULT_LIMITS,
     Limits,
     MaxClassSet,
-    all_subgroups,
+    all_subgroups,  # not called here: perfbench/workloads.py patches registry.all_subgroups
     coset_action,
     is_solvable,
+    maximal_classes_computed,
     minimal_normal_subgroups,
+    normal_subgroups,
     prime_power,
     smallest_prime_factor,
 )
@@ -104,35 +106,35 @@ def sigma_solvable(group: PermGroup, limits: Limits = DEFAULT_LIMITS,
     """Covering number of a noncyclic solvable group: |H/K| + 1 for the
     smallest chief factor H/K with more than one complement.
 
-    Complements are counted by exhaustive scan over the subgroup lattice:
-    C complements H/K when C meets H exactly in K and CH = G.
+    C complements H/K when C meets H exactly in K and CH = G. The chief
+    factors of a solvable group are abelian, and a complement of an abelian
+    chief factor is maximal: for C <= M < G, Dedekind's law gives
+    M = C(M meet H); (M meet H)/K is normalized by M and, as H/K is abelian,
+    by H, so it is normal in G/K; M < G rules out M meet H = H, so the
+    minimality of H/K leaves M meet H = K and M = C. Complements are
+    therefore counted among the members of the maximal classes
+    (Tomkinson, Math. Scand. 81, 1997).
     """
     if group.is_cyclic():
         raise CyclicGroup("covering number of a cyclic group is infinite")
     if not is_solvable(group):
         raise OutOfRange("group is not solvable")
-    lattice = all_subgroups(group, limits)
-    subs = [s.elements for s in lattice]
-    normals = [s.elements for s in lattice if s.is_normal()]
+    normals = [s.elements for s in normal_subgroups(group)]
     order = group.order
-    # chief series: repeatedly take the smallest normal subgroup properly
-    # above the current one with nothing normal strictly between
+    # chief series: the smallest normal subgroup properly above the current
+    # one has nothing normal strictly between
     series = [frozenset({0})]
     while len(series[-1]) < order:
         current = series[-1]
-        above = [s for s in normals if current < s]
-        nxt = None
-        for cand in above:
-            if not any(current < other < cand for other in above):
-                nxt = cand
-                break
+        nxt = next((s for s in normals if current < s), None)
         if nxt is None:
             raise CovnumError(f"chief series stops at order {len(current)}")
         series.append(nxt)
+    maximals = [m for cls in maximal_classes_computed(group, limits) for m in cls.members]
     factors: list[ChiefFactorInfo] = []
     for below, above in zip(series, series[1:]):
         count = 0
-        for c in subs:
+        for c in maximals:
             if (c & above) == below and len(c) * len(above) == order * len(below):
                 count += 1
         factors.append(ChiefFactorInfo(

@@ -195,11 +195,6 @@ class Subgroup:
     def index(self) -> int:
         return self.parent.order // self.order
 
-    def is_normal(self) -> bool:
-        alg = algebra(self.parent)
-        return all(alg.conjugate_set(self.elements, gi) == self.elements
-                   for gi in range(len(self.parent.generators)))
-
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, index={self.index})"
 
@@ -246,54 +241,55 @@ def _atoms(alg: _Algebra) -> list[tuple[frozenset[int], int]]:
     return sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
 
 
-def _lattice_sets(group: PermGroup, limits: Limits) -> dict[frozenset[int], int]:
-    """All subgroups as element-id sets, mapped to a conjugacy-class id.
+def _lattice_classes(group: PermGroup,
+                     limits: Limits) -> list[tuple[list[frozenset[int]], bool]]:
+    """Every conjugacy class of subgroups as (orbit, maximal).
 
-    Breadth-first join closure: start from the cyclic prime-power subgroups,
-    join class representatives with every atom, and close each new subgroup
-    under conjugation. Conjugation-closure makes rep-only joins complete.
+    Breadth-first join closure: start from the cyclic prime-power subgroups
+    (the atoms), join the conjugate each class was admitted with to every
+    atom outside it, and close each new subgroup under conjugation, which
+    makes joins with one conjugate per class complete. A proper class is
+    maximal exactly when every such join is the whole group: an element of
+    a larger proper subgroup that lies outside H has a prime-power part
+    outside H, and that part generates an atom whose join with H stays
+    proper.
     """
     if group.order > limits.lattice_max_order:
         raise BudgetExceeded(
             f"lattice budget: order {group.order} > {limits.lattice_max_order}")
     alg = algebra(group)
     atoms = _atoms(alg)
-    sets: dict[frozenset[int], int] = {}
-    reps: list[tuple[frozenset[int], list[int]]] = []
+    seen: set[frozenset[int]] = set()
+    classes: list[list] = []  # [ids, generator ids, orbit, maximal]
 
     def admit(ids: frozenset[int], gen_ids: list[int]) -> None:
-        if ids in sets:
-            return
-        class_id = len(reps)
-        orbit = alg.set_orbit(ids)
-        for member in orbit:
-            sets[member] = class_id
-        reps.append((min(orbit, key=sorted), gen_ids))
+        if ids not in seen:
+            orbit = alg.set_orbit(ids)
+            seen.update(orbit)
+            classes.append([ids, gen_ids, orbit, len(ids) < alg.n])
 
     admit(frozenset({0}), [])
     for ids, gen in atoms:
         admit(ids, [gen])
     proper_cap = alg.n // smallest_prime_factor(alg.n) if alg.n > 1 else 1
-    cursor = 0
-    while cursor < len(reps):
-        rep_ids, rep_gens = reps[cursor]
-        cursor += 1
-        if len(rep_ids) == alg.n:
-            continue
+    for cls in classes:  # grows as joins admit new classes
+        ids, gens = cls[0], cls[1]
         for atom_ids, atom_gen in atoms:
-            if atom_ids <= rep_ids:
+            if atom_ids <= ids:
                 continue
-            joined = alg.closure(rep_gens + [atom_gen], bail_above=proper_cap)
-            if joined is None or joined in sets:
+            joined = alg.closure(gens + [atom_gen], bail_above=proper_cap)
+            if joined is None:
                 continue
-            admit(joined, alg.generating_ids(joined))
+            cls[3] = False
+            if joined not in seen:
+                admit(joined, alg.generating_ids(joined))
     admit(frozenset(range(alg.n)), alg.gen_ids)
-    return sets
+    return [(orbit, maximal) for _, _, orbit, maximal in classes]
 
 
 def all_subgroups(group: PermGroup, limits: Limits = DEFAULT_LIMITS) -> list[Subgroup]:
     """Every subgroup of the group, including the trivial and full ones."""
-    sets = _lattice_sets(group, limits)
+    sets = [ids for orbit, _ in _lattice_classes(group, limits) for ids in orbit]
     return [subgroup_from_ids(group, ids) for ids in sorted(sets, key=lambda s: (len(s), sorted(s)))]
 
 
@@ -357,28 +353,9 @@ def _package_max_classes(group: PermGroup, orbits: list[list[frozenset[int]]],
 
 def maximal_classes_computed(group: PermGroup,
                              limits: Limits = DEFAULT_LIMITS) -> MaxClassSet:
-    """Maximal subgroup classes read off the full subgroup lattice."""
-    sets = _lattice_sets(group, limits)
-    n = group.order
-    by_class: dict[int, list[frozenset[int]]] = {}
-    for ids, cid in sets.items():
-        by_class.setdefault(cid, []).append(ids)
-    all_sets = list(sets)
-    orbits = []
-    for orbit in by_class.values():
-        if len(orbit[0]) < n and _is_maximal_in(orbit[0], all_sets, n):
-            orbits.append(orbit)
+    """Maximal subgroup classes, as the subgroup lattice walk flags them."""
+    orbits = [orbit for orbit, maximal in _lattice_classes(group, limits) if maximal]
     return _package_max_classes(group, orbits, "computed")
-
-
-def _is_maximal_in(h: frozenset[int], all_sets: list[frozenset[int]], order: int) -> bool:
-    size = len(h)
-    if size == order:
-        return False
-    for s in all_sets:
-        if size < len(s) < order and len(s) % size == 0 and h < s:
-            return False
-    return True
 
 
 def maximal_classes_from_file(group: PermGroup, text: str) -> MaxClassSet:
@@ -549,22 +526,37 @@ def coset_action(group: PermGroup, sub: Subgroup) -> tuple[PermGroup, Subgroup]:
     return image, kernel
 
 
-def minimal_normal_subgroups(group: PermGroup) -> list[Subgroup]:
-    """All minimal normal subgroups, via normal closures of class
-    representatives (no lattice needed)."""
-    if group.order == 1:
-        return []
+def normal_subgroups(group: PermGroup) -> list[Subgroup]:
+    """Every normal subgroup, sorted by order and then by element ids.
+
+    A normal subgroup is the join of the normal closures of the class
+    representatives it contains, so closing those closures under joins finds
+    them all (no lattice needed). Representatives with the same closure give
+    the same joins, so one is kept per closure. The join of N with the
+    closure of x is the normal closure of x and the representatives N was
+    built from."""
     alg = algebra(group)
-    closures: dict[frozenset[int], None] = {}
+    singles: dict[frozenset[int], int] = {}
     for cls in group.conjugacy_classes():
-        ids = alg.normal_closure([alg.index[cls.rep.images]])
-        closures.setdefault(ids, None)
-    minimal = []
-    for ids in closures:
-        if not any(other < ids for other in closures):
-            minimal.append(ids)
-    minimal.sort(key=lambda s: (len(s), sorted(s)))
-    return [subgroup_from_ids(group, ids) for ids in minimal]
+        x = alg.index[cls.rep.images]
+        singles.setdefault(alg.normal_closure([x]), x)
+    found = [(ids, [x]) for ids, x in singles.items()]
+    seen = {frozenset({0}), *singles}
+    for ids, gens in found:  # grows as joins find new normal subgroups
+        for x in singles.values():
+            if x not in ids:
+                joined = alg.normal_closure(gens + [x])
+                if joined not in seen:
+                    seen.add(joined)
+                    found.append((joined, gens + [x]))
+    return [subgroup_from_ids(group, ids) for ids in sorted(seen, key=lambda s: (len(s), sorted(s)))]
+
+
+def minimal_normal_subgroups(group: PermGroup) -> list[Subgroup]:
+    """The nontrivial normal subgroups with no nontrivial normal subgroup
+    strictly inside."""
+    nontrivial = normal_subgroups(group)[1:]
+    return [n for n in nontrivial if not any(m.elements < n.elements for m in nontrivial)]
 
 
 def derived_subgroup_ids(group: PermGroup, ids: frozenset[int] | None = None) -> frozenset[int]:

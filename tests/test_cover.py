@@ -5,9 +5,9 @@ from oracle import exhaustive_sigma
 from covnum import library
 from covnum.cover import SolveBudget, build_instance, format_instance, format_lp, \
     parse_instance, sigma_exact, solve
-from covnum.errors import CyclicGroup, Infeasible
+from covnum.errors import CyclicGroup, Infeasible, ParseError
 from covnum.greedy import covering_number_bounds
-from covnum.subgroups import all_subgroups, coset_action
+from covnum.subgroups import all_subgroups, coset_action, normal_subgroups
 
 
 def _instance(key, elts=None, subs=None):
@@ -112,6 +112,19 @@ def test_instance_text_round_trip():
     assert solve(again).upper == 10
 
 
+@pytest.mark.parametrize("text,line,message", [
+    ("universe x\ncolumns 1\n0\n", 1, "bad universe 'x'"),
+    ("universe 3\ncolumns 1.5\n0\n", 2, "bad columns '1.5'"),
+    ("universe -2\ncolumns 0\n", 1, "bad universe '-2'"),
+    ("universe 3\ncolumns 2\n0 1\n\n1 a\n", 5, "bad element 'a'"),
+    ("universe 3\ncolumns 1\n0 -1\n", 3, "bad element '-1'"),
+    ("universe 3\ncolumns 2\n0\n1 3\n", 4, "element 3 out of range"),
+])
+def test_instance_text_errors_name_their_line(text, line, message):
+    with pytest.raises(ParseError, match=f"^line {line}: {message}$"):
+        parse_instance(text)
+
+
 def test_lp_emitter_shape():
     inst = _instance("V4")
     text = format_lp(inst, "V4")
@@ -147,8 +160,8 @@ def test_quotient_monotonicity(sigma_of):
     for key in ["V4", "S3", "D8", "Q8", "S4", "D12", "A4", "A5xC2", "AGL18", "AGL32"]:
         group = library.group(key)
         sigma = sigma_of(key)
-        for sub in all_subgroups(group):
-            if sub.order in (1, group.order) or not sub.is_normal():
+        for sub in normal_subgroups(group):
+            if sub.order in (1, group.order):
                 continue
             image, _ = coset_action(group, sub)
             if image.is_cyclic():

@@ -1,6 +1,7 @@
-"""Differential tests on generated groups: the solver and the greedy route
-against the brute-force oracle, on subgroups of S_n (n <= 6) generated by
-two or three random permutations."""
+"""Differential tests on generated groups: the solver, the greedy route and
+the solvable formula against the brute-force oracle, and the normal and
+maximal subgroups against the whole lattice, on subgroups of S_n (n <= 6)
+generated by two or three random permutations."""
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from oracle import exhaustive_sigma
@@ -9,7 +10,9 @@ from covnum.cover import SolveBudget, build_instance, sigma_exact, solve
 from covnum.greedy import covering_number_bounds
 from covnum.groups import PermGroup
 from covnum.perms import Permutation
-from covnum.subgroups import maximal_classes_computed
+from covnum.registry import sigma_solvable
+from covnum.subgroups import all_subgroups, is_solvable, maximal_classes_computed, \
+    normal_subgroups
 
 
 @st.composite
@@ -21,8 +24,11 @@ def small_groups(draw) -> PermGroup:
     return group
 
 
-@settings(max_examples=40, derandomize=True, deadline=None,
-          suppress_health_check=[HealthCheck.filter_too_much])
+GENERATED = settings(max_examples=40, derandomize=True, deadline=None,
+                     suppress_health_check=[HealthCheck.filter_too_much])
+
+
+@GENERATED
 @given(small_groups())
 def test_generated_group_agrees_with_oracle(group):
     mx = maximal_classes_computed(group)
@@ -40,3 +46,28 @@ def test_generated_group_agrees_with_oracle(group):
                 SolveBudget(max_nodes=3))
     assert cut.lower <= sigma <= cut.upper
     assert not cut.optimal or cut.upper == sigma
+
+    if is_solvable(group):
+        assert sigma_solvable(group) == sigma
+
+
+@GENERATED
+@given(small_groups())
+def test_generated_group_structure_matches_lattice(group):
+    """normal_subgroups lists the lattice subgroups that conjugation by each
+    generator maps onto themselves, in lattice order; the computed maximal
+    classes hold exactly the proper subgroups with nothing strictly between
+    them and the group."""
+    subs = all_subgroups(group)
+    elems = group.elements()
+    normal = []
+    for sub in subs:
+        images = {elems[i].images for i in sub.elements}
+        if all(elems[i].conjugated_by(g).images in images
+               for g in group.generators for i in sub.elements):
+            normal.append(sub.elements)
+    assert [sub.elements for sub in normal_subgroups(group)] == normal
+    full = subs[-1].elements
+    maximal = {sub.elements for sub in subs[:-1]
+               if not any(sub.elements < s.elements < full for s in subs)}
+    assert {m for cls in maximal_classes_computed(group) for m in cls.members} == maximal

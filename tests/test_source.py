@@ -1,0 +1,21 @@
+"""Source checks: the package states its invariants as explicit errors."""
+
+import ast
+from pathlib import Path
+
+import covnum
+
+SOURCES = sorted(Path(covnum.__file__).parent.glob("*.py"))
+
+
+def test_package_has_no_asserts():
+    """Checks must survive ``python -O``: no ``assert`` statement and no
+    ``AssertionError``, only CovnumError subclasses."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert) or \
+                    isinstance(node, ast.Name) and node.id == "AssertionError":
+                found.append(f"{path.name}:{node.lineno}")
+    assert len(SOURCES) > 10
+    assert found == []

@@ -21,6 +21,7 @@ from covnum.subgroups import (
     min_supplement_index,
     minimal_normal_subgroups,
     normal_core,
+    normal_subgroups,
     subgroup_from_gens,
 )
 
@@ -129,17 +130,21 @@ def _one_class_file(group, sub):
 def test_ingest_maximality_check_matches_lattice(key):
     """The ingest check accepts a proper subgroup class representative
     exactly when no subgroup of the lattice lies strictly between it and
-    the group."""
+    the group, and those are exactly the members of the computed maximal
+    classes."""
     group = library.group(key)
     subs = all_subgroups(group)
     full = subs[-1].elements
+    maximal = {sub.elements for sub in subs[:-1]
+               if not any(sub.elements < s.elements < full for s in subs)}
+    assert {m for cls in library.maximals(key) for m in cls.members} == maximal
     seen = set()
     for sub in subs[:-1]:
         if sub.elements in seen:
             continue
         seen.update(algebra(group).set_orbit(sub.elements))
         text = _one_class_file(group, sub)
-        if any(sub.elements < s.elements < full for s in subs):
+        if sub.elements not in maximal:
             with pytest.raises(IngestInvalid, match="not maximal"):
                 maximal_classes_from_file(group, text)
         else:
@@ -188,7 +193,7 @@ def test_normal_core_examples():
     d8 = _subgroup(s4, "(1,2,3,4)", "(1,3)")
     assert d8.order == 8
     core = normal_core(s4, d8)
-    assert core.order == 4 and core.is_normal()
+    assert core.order == 4
     v4 = _subgroup(s4, "(1,2)(3,4)", "(1,3)(2,4)")
     assert normal_core(s4, v4).elements == v4.elements  # normal subgroup is its own core
 
@@ -274,6 +279,7 @@ def test_minimal_normal_subgroups():
     assert [s.order for s in minimal_normal_subgroups(library.group("A5"))] == [60]
     assert [s.order for s in minimal_normal_subgroups(library.group("V4"))] == [2, 2, 2]
     assert [s.order for s in minimal_normal_subgroups(library.group("A5xC2"))] == [2, 60]
+    assert [s.order for s in normal_subgroups(library.group("M11"))] == [1, 7920]
 
 
 def test_is_primitive_monolithic():
@@ -324,9 +330,10 @@ def _is_normal_by_conjugation(group, images):
 @pytest.mark.parametrize("key", [k for k in library.names()
                                  if library.group(k).order <= 720])
 def test_normal_closure_is_least_normal_overgroup(key):
-    """The normal closure of each class representative equals the
-    intersection of all normal subgroups of the lattice that contain it;
-    normality is checked here by conjugating permutations."""
+    """normal_subgroups lists the normal subgroups of the lattice in its
+    order, and the normal closure of each class representative equals the
+    intersection of those that contain it; normality is checked here by
+    conjugating permutations."""
     group = library.group(key)
     elems = group.elements()
     normals = []
@@ -334,6 +341,8 @@ def test_normal_closure_is_least_normal_overgroup(key):
         images = frozenset(elems[i].images for i in sub.elements)
         if _is_normal_by_conjugation(group, images):
             normals.append(images)
+    assert [frozenset(elems[i].images for i in sub.elements)
+            for sub in normal_subgroups(group)] == normals
     alg = algebra(group)
     for cls in group.conjugacy_classes():
         expected = frozenset.intersection(
