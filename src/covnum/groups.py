@@ -18,15 +18,17 @@ ENUM_CAP = 10**6  # largest group whose elements are ever listed
 
 
 def orbit(start, step) -> dict:
-    """Breadth-first orbit of ``start``, where ``step(x)`` yields the points
+    """Breadth-first orbit of ``start``, where ``step(x)`` lists the points
     one move away from x. The keys of the returned dict are the orbit in
-    discovery order (the values are unused)."""
+    discovery order; the values form a Schreier tree: each point maps to
+    ``(x, k)`` when it was first reached as ``step(x)[k]``, and ``start``
+    maps to None."""
     seen = {start: None}
     queue = [start]
     for x in queue:
-        for y in step(x):
+        for k, y in enumerate(step(x)):
             if y not in seen:
-                seen[y] = None
+                seen[y] = (x, k)
                 queue.append(y)
     return seen
 

@@ -28,6 +28,15 @@ class Permutation:
             raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images!r}")
         self.images = images
 
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap an image tuple already known to be a permutation (a product,
+        inverse or conjugate of permutations), skipping the check in
+        __init__."""
+        p = cls.__new__(cls)
+        p.images = images
+        return p
+
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -52,10 +61,10 @@ class Permutation:
         return cls(images)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.degree != other.degree:
-            raise DegreeMismatch(f"degree {self.degree} vs {other.degree}")
-        o = other.images
-        return Permutation(tuple(o[x] for x in self.images))
+        a, b = self.images, other.images
+        if len(a) != len(b):
+            raise DegreeMismatch(f"degree {len(a)} vs {len(b)}")
+        return Permutation._trusted(tuple(map(b.__getitem__, a)))
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
@@ -73,7 +82,7 @@ class Permutation:
         inv = [0] * self.degree
         for x, y in enumerate(self.images):
             inv[y] = x
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def __call__(self, point: int) -> int:
         return self.images[point]
@@ -82,7 +91,7 @@ class Permutation:
         """Return g^-1 * self * g (left-to-right convention)."""
         gi = g.images
         inv = g.inverse().images
-        return Permutation(tuple(gi[self.images[inv[x]]] for x in range(self.degree)))
+        return Permutation._trusted(tuple(gi[self.images[inv[x]]] for x in range(self.degree)))
 
     def is_identity(self) -> bool:
         return all(i == x for x, i in enumerate(self.images))

@@ -38,13 +38,14 @@ COSET_DEGREE_MAX = 20000  # largest coset action that coset_action builds
 class _RightMultiple:
     """The map x -> x*g on element ids, one product per lookup."""
 
-    __slots__ = ("elems", "index", "perm")
+    __slots__ = ("elems", "index", "image")
 
     def __init__(self, alg: "_Algebra", g: int):
-        self.elems, self.index, self.perm = alg.elems, alg.index, alg.elems[g]
+        self.elems, self.index = alg.elems, alg.index
+        self.image = alg.elems[g].images.__getitem__
 
     def __getitem__(self, x: int) -> int:
-        return self.index[(self.elems[x] * self.perm).images]
+        return self.index[tuple(map(self.image, self.elems[x].images))]
 
 
 class _Algebra:
@@ -78,8 +79,8 @@ class _Algebra:
             return _RightMultiple(self, g)
         col = self._columns.get(g)
         if col is None:
-            pg = self.elems[g]
-            col = [self.index[(p * pg).images] for p in self.elems]
+            image = self.elems[g].images.__getitem__
+            col = [self.index[tuple(map(image, p.images))] for p in self.elems]
             self._columns[g] = col
         return col
 
@@ -145,11 +146,15 @@ class _Algebra:
         cmap = self.conjugation_maps[gen_index]
         return frozenset(cmap[x] for x in ids)
 
+    def conjugation_orbit(self, ids: frozenset[int]) -> dict:
+        """Conjugation orbit of a subgroup under the whole group, as the
+        Schreier tree of groups.orbit: move k conjugates by generator k."""
+        gens = range(len(self.conjugation_maps))
+        return orbit(ids, lambda s: [self.conjugate_set(s, gi) for gi in gens])
+
     def set_orbit(self, ids: frozenset[int]) -> list[frozenset[int]]:
         """Conjugation orbit of a subgroup under the whole group."""
-        gens = range(len(self.conjugation_maps))
-        return sorted(orbit(ids, lambda s: [self.conjugate_set(s, gi) for gi in gens]),
-                      key=sorted)
+        return sorted(self.conjugation_orbit(ids), key=sorted)
 
 
 def algebra(group: PermGroup) -> _Algebra:
@@ -225,9 +230,11 @@ def subgroup_from_gens(group: PermGroup, gens) -> Subgroup:
 # Subgroup lattice by breadth-first join closure
 # ---------------------------------------------------------------------------
 
-def _atoms(alg: _Algebra) -> list[tuple[frozenset[int], int]]:
-    """All cyclic subgroups of prime-power order, with one generator id each."""
+def _atoms(alg: _Algebra) -> tuple[list[tuple[frozenset[int], int]], dict[int, int]]:
+    """All cyclic subgroups of prime-power order, with one generator id each,
+    and the map from each element id generating one of them to its index."""
     seen: dict[frozenset[int], int] = {}
+    generates: dict[int, frozenset[int]] = {}
     for x in range(1, alg.n):
         p = alg.elems[x]
         k = p.order
@@ -236,9 +243,48 @@ def _atoms(alg: _Algebra) -> list[tuple[frozenset[int], int]]:
         except OutOfRange:
             continue
         ids = frozenset(alg.index[(p ** e).images] for e in range(k))
-        if ids not in seen:
-            seen[ids] = x
-    return sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+        seen.setdefault(ids, x)
+        generates[x] = ids
+    atoms = sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+    position = {ids: a for a, (ids, _) in enumerate(atoms)}
+    return atoms, {x: position[ids] for x, ids in generates.items()}
+
+
+def _normalizer(alg: _Algebra, tree: dict) -> tuple[frozenset[int], list[tuple[int, ...]]]:
+    """N_G(H) for the root H of a conjugation-orbit tree, with a generating
+    set given as words in the group generators.
+
+    N_G(H) is the stabilizer of H, so it is generated by the Schreier
+    generators t_s g t_{s^g}^-1 of the tree's transversal. A letter k < m
+    is generator k and k + m its inverse, m being the number of generators.
+    A Schreier generator is kept only when it enlarges the closure of those
+    kept before, and the search stops at |G| / (orbit length)."""
+    m = len(alg.generators)
+    cols = [alg.column(alg.index[g.images]) for g in alg.generators]
+    transversal: dict[frozenset[int], tuple[tuple[int, ...], int]] = {}
+    for s, edge in tree.items():  # parents come before their children
+        if edge is None:
+            transversal[s] = ((), 0)
+        else:
+            word, x = transversal[edge[0]]
+            transversal[s] = (word + (edge[1],), cols[edge[1]][x])
+    target = alg.n // len(tree)
+    kept: list[int] = []
+    words: list[tuple[int, ...]] = []
+    current = frozenset({0})
+    for s, (word, x) in transversal.items():
+        for k in range(m):
+            if len(current) == target:
+                return current, words
+            back, y = transversal[alg.conjugate_set(s, k)]
+            z = alg.mult(cols[k][x], alg.inv[y])
+            if z not in current:
+                kept.append(z)
+                words.append(word + (k,) + tuple(m + b for b in reversed(back)))
+                current = alg.closure(kept)
+    if len(current) != target:
+        raise CovnumError(f"normalizer of order {len(current)}, orbit says {target}")
+    return current, words
 
 
 def _lattice_classes(group: PermGroup,
@@ -246,37 +292,57 @@ def _lattice_classes(group: PermGroup,
     """Every conjugacy class of subgroups as (orbit, maximal).
 
     Breadth-first join closure: start from the cyclic prime-power subgroups
-    (the atoms), join the conjugate each class was admitted with to every
-    atom outside it, and close each new subgroup under conjugation, which
-    makes joins with one conjugate per class complete. A proper class is
-    maximal exactly when every such join is the whole group: an element of
-    a larger proper subgroup that lies outside H has a prime-power part
-    outside H, and that part generates an atom whose join with H stays
-    proper.
+    (the atoms), join the conjugate H each class was admitted with to one
+    atom from each N_G(H)-orbit of atoms outside it, and close each new
+    subgroup under conjugation, which makes joins with one conjugate per
+    class complete. Since <H, a^h> = <H, a>^h for h in N_G(H), each join
+    skipped is conjugate to one that is made (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005).
+    A proper class is maximal exactly when every such join is the whole
+    group: an element of a larger proper subgroup that lies outside H has a
+    prime-power part outside H, and that part generates an atom whose join
+    with H stays proper. A join's class and whether it is the whole group
+    are constant on an N_G(H)-orbit, so the pruning keeps both the classes
+    and the flag exact. N_G(H) acts on the atoms by table lookups only: each
+    generator's permutation of the atoms comes from its conjugation map, and
+    a normalizer generator acts as its word in those permutations.
     """
     if group.order > limits.lattice_max_order:
         raise BudgetExceeded(
             f"lattice budget: order {group.order} > {limits.lattice_max_order}")
     alg = algebra(group)
-    atoms = _atoms(alg)
+    atoms, atom_of = _atoms(alg)
+    # letter k of a normalizer word moves the atoms as generator k does,
+    # letter k + m as its inverse (m generators)
+    moves = [[atom_of[cmap[gen]] for _, gen in atoms] for cmap in alg.conjugation_maps]
+    moves += [sorted(range(len(atoms)), key=move.__getitem__) for move in moves]
     seen: set[frozenset[int]] = set()
-    classes: list[list] = []  # [ids, generator ids, orbit, maximal]
+    classes: list[list] = []  # [ids, generator ids, orbit tree, maximal]
 
     def admit(ids: frozenset[int], gen_ids: list[int]) -> None:
         if ids not in seen:
-            orbit = alg.set_orbit(ids)
-            seen.update(orbit)
-            classes.append([ids, gen_ids, orbit, len(ids) < alg.n])
+            tree = alg.conjugation_orbit(ids)
+            seen.update(tree)
+            classes.append([ids, gen_ids, tree, len(ids) < alg.n])
 
     admit(frozenset({0}), [])
     for ids, gen in atoms:
         admit(ids, [gen])
     proper_cap = alg.n // smallest_prime_factor(alg.n) if alg.n > 1 else 1
     for cls in classes:  # grows as joins admit new classes
-        ids, gens = cls[0], cls[1]
-        for atom_ids, atom_gen in atoms:
-            if atom_ids <= ids:
+        ids, gens, tree = cls[0], cls[1], cls[2]
+        actions = []
+        for word in _normalizer(alg, tree)[1]:
+            action = list(range(len(atoms)))
+            for letter in word:
+                move = moves[letter]
+                action = [move[a] for a in action]
+            actions.append(action)
+        covered: set[int] = set()
+        for a, (_, atom_gen) in enumerate(atoms):
+            if a in covered or atom_gen in ids:
                 continue
+            covered.update(orbit(a, lambda b: [act[b] for act in actions]))
             joined = alg.closure(gens + [atom_gen], bail_above=proper_cap)
             if joined is None:
                 continue
@@ -284,7 +350,7 @@ def _lattice_classes(group: PermGroup,
             if joined not in seen:
                 admit(joined, alg.generating_ids(joined))
     admit(frozenset(range(alg.n)), alg.gen_ids)
-    return [(orbit, maximal) for _, _, orbit, maximal in classes]
+    return [(list(tree), maximal) for _, _, tree, maximal in classes]
 
 
 def all_subgroups(group: PermGroup, limits: Limits = DEFAULT_LIMITS) -> list[Subgroup]:

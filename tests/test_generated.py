@@ -3,7 +3,7 @@ the solvable formula against the brute-force oracle, and the normal and
 maximal subgroups against the whole lattice, on subgroups of S_n (n <= 6)
 generated by two or three random permutations."""
 
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, assume, given, settings, strategies as st
 from oracle import exhaustive_sigma
 
 from covnum.cover import SolveBudget, build_instance, sigma_exact, solve
@@ -24,7 +24,13 @@ def small_groups(draw) -> PermGroup:
     return group
 
 
+# No shrink phase, and a node budget on the exact solve: a broken maximal
+# flag hands the solver non-maximal columns, and replaying such an example
+# per shrink step, each solve up to the default 5,000,000 nodes, left the
+# file without a verdict for minutes. The same 40 examples are checked; the
+# largest of them needs 3,947 nodes.
 GENERATED = settings(max_examples=40, derandomize=True, deadline=None,
+                     phases=[p for p in Phase if p is not Phase.shrink],
                      suppress_health_check=[HealthCheck.filter_too_much])
 
 
@@ -32,7 +38,7 @@ GENERATED = settings(max_examples=40, derandomize=True, deadline=None,
 @given(small_groups())
 def test_generated_group_agrees_with_oracle(group):
     mx = maximal_classes_computed(group)
-    result = sigma_exact(group, mx=mx)
+    result = sigma_exact(group, SolveBudget(max_nodes=50_000), mx=mx)
     assert result.optimal
     sigma = result.upper
     columns = [member for cls in mx.classes for member in cls.members]

@@ -43,6 +43,24 @@ def test_compose_associative(pa, pb, pc):
     assert (a * b) * c == a * (b * c)
 
 
+def test_construction_rejects_non_permutations():
+    for bad in [(0, 0, 1), (1, 2), (0, 1, 3), (-1, 0)]:
+        with pytest.raises(ValueError):
+            Permutation(bad)
+
+
+@given(st.integers(1, 9).flatmap(
+    lambda n: st.tuples(st.permutations(list(range(n))), st.permutations(list(range(n))))))
+def test_products_and_inverses_equal_validated_construction(pair):
+    """Products and inverses skip the check in Permutation(...); they must
+    equal the validated permutation built from their images."""
+    a, b = Permutation(pair[0]), Permutation(pair[1])
+    for p in (a * b, b * a, a.inverse(), a.conjugated_by(b)):
+        assert p == Permutation(list(p.images))
+        assert p.images == tuple(Permutation(list(p.images)).images)
+    assert (a * b).images == tuple(pair[1][x] for x in pair[0])
+
+
 def test_degree_mismatch_rejected():
     with pytest.raises(DegreeMismatch):
         P("(1,2)", 2) * P("(1,2,3)", 3)

@@ -32,6 +32,61 @@ def test_all_subgroups_counts():
     assert len(all_subgroups(library.group("A5"))) == 59
 
 
+@pytest.mark.parametrize("key, count", [
+    ("A5", 59), ("S5", 156), ("PSL27", 179), ("A6", 501), ("PGL27", 413),
+    ("S6", 1455), ("A5xC2", 164), ("AGL32", 3299)])
+def test_lattice_sizes(key, count):
+    """Subgroup counts of the whole lattice; the first five are published."""
+    assert len(all_subgroups(library.group(key))) == count
+
+
+@pytest.mark.parametrize("key, joins", [("S6", 1411), ("AGL32", 3663)])
+def test_lattice_walk_joins_once_per_normalizer_orbit(monkeypatch, key, joins):
+    """The walk joins each class representative H with one atom per
+    N_G(H)-orbit of atoms outside H, against 12,498 (S6) and 43,362 (AGL32)
+    joins with every atom outside H. A join is the one closure call that
+    stops at the whole group."""
+    made = []
+    closure = subgroups._Algebra.closure
+
+    def counting(self, seed_ids, bail_above=None):
+        if bail_above is not None:
+            made.append(None)
+        return closure(self, seed_ids, bail_above)
+
+    monkeypatch.setattr(subgroups._Algebra, "closure", counting)
+    maximal_classes_computed(library.group(key))
+    assert len(made) == joins
+
+
+@pytest.mark.parametrize("key", [k for k in library.names()
+                                 if library.group(k).order <= 360])
+def test_walk_normalizer_is_brute_force_normalizer(key):
+    """For each class representative H the walk joins, the normalizer read
+    off its conjugation-orbit tree is {g : H^g = H}, found by conjugating
+    permutations, and the words it returns evaluate to elements that
+    generate it."""
+    group = library.group(key)
+    alg = algebra(group)
+    elems = group.elements()
+    gens = list(group.generators)
+    letters = gens + [g.inverse() for g in gens]
+    for orbit, _ in subgroups._lattice_classes(group, subgroups.DEFAULT_LIMITS):
+        rep = orbit[0]
+        images = {elems[x].images for x in rep}
+        expected = {i for i, g in enumerate(elems)
+                    if all(elems[x].conjugated_by(g).images in images for x in rep)}
+        normalizer, words = subgroups._normalizer(alg, alg.conjugation_orbit(rep))
+        assert normalizer == expected
+        word_ids = []
+        for word in words:
+            p = group.identity()
+            for letter in word:
+                p = p * letters[letter]
+            word_ids.append(group.element_index[p.images])
+        assert alg.closure(word_ids) == expected
+
+
 def test_a5_lattice_composition():
     by_order = {}
     for s in all_subgroups(library.group("A5")):
@@ -328,7 +383,7 @@ def _is_normal_by_conjugation(group, images):
 
 
 @pytest.mark.parametrize("key", [k for k in library.names()
-                                 if library.group(k).order <= 720])
+                                 if library.group(k).order <= 720] + ["AGL32"])
 def test_normal_closure_is_least_normal_overgroup(key):
     """normal_subgroups lists the normal subgroups of the lattice in its
     order, and the normal closure of each class representative equals the
