@@ -16,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from covnum.groups import PermGroup, format_group_file, parse_group_file
 from covnum.perms import format_cycles, parse_permutation
-from covnum.subgroups import algebra, subgroup_from_ids, maximal_classes_from_file
+from covnum.subgroups import Subgroup, algebra, maximal_classes_from_file
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "covnum" / "data"
 
@@ -71,8 +71,7 @@ def build() -> tuple[str, str]:
                      if alg.mult(g, t2) == alg.mult(t2, g))
     assert len(cent) == 48, len(cent)
 
-    subs = [subgroup_from_ids(m11, ids)
-            for ids in (stab, l211, norm, s5, cent)]
+    subs = [Subgroup(m11, ids) for ids in (stab, l211, norm, s5, cent)]
     lines = []
     for i, sub in enumerate(subs, start=1):
         orbit = alg.set_orbit(sub.elements)

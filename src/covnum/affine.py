@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import BudgetExceeded, CovnumError, OutOfRange
 from .groups import PermGroup
 from .perms import Permutation
-from .subgroups import Subgroup, algebra, prime_power, subgroup_from_ids
+from .subgroups import Subgroup, algebra, prime_power
 
 # Reduction rules x^d = <poly in lower powers> for the non-prime sizes we
 # construct; coefficients listed for x^0, x^1, ...
@@ -213,7 +213,7 @@ def agl_cover(n: int, q: int, max_order: int = 100_000) -> AffineCover:
     stabs = []
     for v in range(space.size):
         ids = frozenset(i for i, p in enumerate(alg.elems) if p(v) == v)
-        stabs.append(subgroup_from_ids(group, ids))
+        stabs.append(Subgroup(group, ids))
     directions = []
     for w in space.lines():
         w_idx = space.index(w)
@@ -223,7 +223,7 @@ def agl_cover(n: int, q: int, max_order: int = 100_000) -> AffineCover:
             shifted = space.index(space.add(space.coords(p(zero)), w))
             if p(w_idx) == shifted:
                 ids.append(i)
-        directions.append(subgroup_from_ids(group, frozenset(ids)))
+        directions.append(Subgroup(group, frozenset(ids)))
     cover = AffineCover(n=n, q=q, point_stabilizers=tuple(stabs),
                         direction_subgroups=tuple(directions))
     covered = set()

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import library
-from .cover import SolveBudget, build_instance, format_instance, format_lp, sigma_exact
+from .cover import SolveBudget, build_instance, format_instance, format_lp, sigma_exact, solve
 from .errors import CapExceeded, CovnumError
 from .greedy import covering_number_bounds, render_trace, verify_minimal_cover
 from .groups import ENUM_CAP, PermGroup, parse_group_file
 from .incidence import incidence_profile, parse_profile, render_profile
-from .registry import is_sigma_elementary, lookup_known
+from .registry import is_sigma_elementary, lookup_known, sigma_solvable
 from .subgroups import Limits, MaxClassSet, maximal_classes_computed, \
     maximal_classes_from_file
 
@@ -126,16 +126,17 @@ def cmd_exact(args) -> int:
     budget = SolveBudget(max_nodes=args.max_nodes, time_limit=args.time_limit)
     elts = args.classes or None
     subs = args.subgroup_classes or None
-    if elts is None and subs is None:
-        result = sigma_exact(group, budget, _limits(args), mx=mx)
-    else:
+    if elts or subs or args.write_lp or args.write_instance:
+        # without a class selection this is the instance sigma_exact solves
         instance = build_instance(group, group.conjugacy_classes(), mx, elts=elts, subs=subs)
         if args.write_lp:
             Path(args.write_lp).write_text(format_lp(instance, group.name or "G"))
         if args.write_instance:
             Path(args.write_instance).write_text(format_instance(instance))
-        from .cover import solve
+    if elts or subs:
         result = solve(instance, budget)
+    else:
+        result = sigma_exact(group, budget, _limits(args), mx=mx)
     dt = time.monotonic() - t0
     note = ""
     if result.budget_exhausted:
@@ -234,7 +235,6 @@ def cmd_batch(args) -> int:
 
 
 def _batch_solvable(args) -> int:
-    from .registry import sigma_solvable
     reports = []
     failures = 0
     for group in library.solvable_suite():
@@ -256,8 +256,6 @@ def _batch_solvable(args) -> int:
 
 def cmd_known(args) -> int:
     entry = lookup_known(args.name)
-    result = entry.exact if entry.exact is not None else \
-        (entry.bounds[0], entry.bounds[1] if entry.bounds[1] is not None else -1)
     if entry.exact is not None:
         text = str(entry.exact)
     elif entry.bounds[1] is None:
@@ -276,13 +274,16 @@ def make_parser() -> argparse.ArgumentParser:
                     "bounds, minimality certificates, exact set-cover search.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, budgets=True):
-        _add_group_args(p)
+    def output(p, budgets=True):
         p.add_argument("--format", choices=("human", "records"), default="human")
         if budgets:
             p.add_argument("--max-nodes", type=int, default=5_000_000)
             p.add_argument("--time-limit", type=float, default=None,
                            help="seconds for the exact search (default: none)")
+
+    def common(p, budgets=True):
+        _add_group_args(p)
+        output(p, budgets)
 
     p = sub.add_parser("bounds", help="greedy lower/upper bounds with certificate")
     common(p, budgets=False)
@@ -315,9 +316,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="run a named suite against the registry")
     p.add_argument("suite")
-    p.add_argument("--format", choices=("human", "records"), default="human")
-    p.add_argument("--max-nodes", type=int, default=5_000_000)
-    p.add_argument("--time-limit", type=float, default=None)
+    output(p)
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("known", help="look up a registry value")

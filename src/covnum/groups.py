@@ -211,7 +211,10 @@ class ConjClassTable:
     """Nonidentity conjugacy classes, sorted by descending (order, size)."""
 
     classes: tuple[ConjClass, ...]
-    total: int
+
+    @property
+    def total(self) -> int:
+        return sum(c.size for c in self.classes)
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -265,10 +268,10 @@ def _conjugacy_classes(group: PermGroup) -> tuple[ConjClassTable, list[int]]:
     for pos, (_, _, _, cls) in enumerate(raw):
         for j in cls:
             assignment[j] = pos
-    total = sum(c.size for c in classes)
-    if total != group.order - 1:
-        raise CovnumError(f"class sizes sum to {total}, expected {group.order - 1}")
-    return ConjClassTable(classes=classes, total=total), assignment
+    table = ConjClassTable(classes=classes)
+    if table.total != group.order - 1:
+        raise CovnumError(f"class sizes sum to {table.total}, expected {group.order - 1}")
+    return table, assignment
 
 
 def parse_group_file(text: str, name: str | None = None) -> PermGroup:

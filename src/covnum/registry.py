@@ -194,7 +194,7 @@ def is_sigma_elementary(group: PermGroup,
     checks = []
     value = True
     for n_sub in minimal_normal_subgroups(group):
-        image, _ = coset_action(group, n_sub)
+        image, _ = coset_action(n_sub)
         if image.is_cyclic():
             checks.append(QuotientCheck(n_sub.order, image.order, None, "cyclic"))
             continue

@@ -192,38 +192,37 @@ class Subgroup:
     """A subgroup of an enumerated parent, keyed by its element-id set."""
 
     parent: PermGroup
-    generators: tuple[Permutation, ...]
-    order: int
     elements: frozenset[int]
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
 
     @property
     def index(self) -> int:
         return self.parent.order // self.order
 
+    @cached_property
+    def generators(self) -> tuple[Permutation, ...]:
+        """A small deterministic generating set, built when first read."""
+        alg = algebra(self.parent)
+        return tuple(alg.elems[i] for i in alg.generating_ids(self.elements) or [0])
+
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, index={self.index})"
 
 
-def subgroup_from_ids(group: PermGroup, ids: frozenset[int]) -> Subgroup:
-    alg = algebra(group)
-    gen_ids = alg.generating_ids(ids) or [0]
-    return Subgroup(
-        parent=group,
-        generators=tuple(alg.elems[i] for i in gen_ids),
-        order=len(ids),
-        elements=ids,
-    )
-
-
 def subgroup_from_gens(group: PermGroup, gens) -> Subgroup:
+    """The subgroup generated by outside permutations, checked to lie in the group."""
     alg = algebra(group)
     seed = []
     for g in gens:
         if g.images not in alg.index:
             raise IngestInvalid(f"generator {format_cycles(g)} is not in the parent group")
         seed.append(alg.index[g.images])
-    ids = alg.closure(seed)
-    return Subgroup(parent=group, generators=tuple(gens), order=len(ids), elements=ids)
+    sub = Subgroup(group, alg.closure(seed))
+    object.__setattr__(sub, "generators", tuple(gens))  # fills the cached property
+    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +355,7 @@ def _lattice_classes(group: PermGroup,
 def all_subgroups(group: PermGroup, limits: Limits = DEFAULT_LIMITS) -> list[Subgroup]:
     """Every subgroup of the group, including the trivial and full ones."""
     sets = [ids for orbit, _ in _lattice_classes(group, limits) for ids in orbit]
-    return [subgroup_from_ids(group, ids) for ids in sorted(sets, key=lambda s: (len(s), sorted(s)))]
+    return [Subgroup(group, ids) for ids in sorted(sets, key=lambda s: (len(s), sorted(s)))]
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +367,21 @@ class MaxClass:
     """One conjugacy class of maximal subgroups."""
 
     rep: Subgroup
-    class_length: int
-    index: int
-    self_normalizing: bool
     label: str
     members: tuple[frozenset[int], ...] = field(repr=False)
     verification: str = "lattice"  # how maximality was established
+
+    @property
+    def class_length(self) -> int:
+        return len(self.members)
+
+    @property
+    def index(self) -> int:
+        return self.rep.index
+
+    @property
+    def self_normalizing(self) -> bool:
+        return self.class_length == self.index
 
 
 @dataclass(frozen=True)
@@ -397,23 +405,13 @@ class MaxClassSet:
 def _package_max_classes(group: PermGroup, orbits: list[list[frozenset[int]]],
                          provenance: str,
                          notes: dict[frozenset[int], str] | None = None) -> MaxClassSet:
-    order = group.order
-    keyed = []
-    for orbit in orbits:
-        rep_ids = min(orbit, key=sorted)
-        keyed.append((order // len(rep_ids), len(orbit), sorted(rep_ids), rep_ids, orbit))
-    keyed.sort(key=lambda t: (t[0], t[1], t[2]))
-    classes = []
-    for pos, (index, length, _, rep_ids, orbit) in enumerate(keyed, start=1):
-        classes.append(MaxClass(
-            rep=subgroup_from_ids(group, rep_ids),
-            class_length=length,
-            index=index,
-            self_normalizing=(length == index),
-            label=f"M{pos}",
-            members=tuple(sorted(orbit, key=sorted)),
-            verification="lattice" if notes is None else notes[rep_ids],
-        ))
+    # by index, then class length, then the least member, which is the rep
+    ordered = sorted((tuple(sorted(orbit, key=sorted)) for orbit in orbits),
+                     key=lambda members: (-len(members[0]), len(members), sorted(members[0])))
+    classes = [
+        MaxClass(rep=Subgroup(group, members[0]), label=f"M{pos}", members=members,
+                 verification="lattice" if notes is None else notes[members[0]])
+        for pos, members in enumerate(ordered, start=1)]
     return MaxClassSet(classes=tuple(classes), provenance=provenance)
 
 
@@ -448,16 +446,15 @@ def maximal_classes_from_file(group: PermGroup, text: str) -> MaxClassSet:
         if sub.elements in seen_sets:
             raise IngestInvalid("two listed subgroups are conjugate")
         seen_sets.update(orbit)
-        note = _verify_maximal(group, sub)
         orbits.append(orbit)
-        notes[min(orbit, key=sorted)] = note
+        notes[orbit[0]] = _verify_maximal(sub)  # set_orbit lists the least member first
     return _package_max_classes(group, orbits, "ingested", notes)
 
 
-def _coset_decomposition(group: PermGroup, sub: Subgroup) -> tuple[list[int], dict[int, int]]:
+def _coset_decomposition(sub: Subgroup) -> tuple[list[int], dict[int, int]]:
     """Right cosets of sub: representative ids (identity first) and the map
     element id -> coset number."""
-    alg = algebra(group)
+    alg = algebra(sub.parent)
     rep_ids = [0]
     coset_of: dict[int, int] = {x: 0 for x in sub.elements}
     frontier = [0]
@@ -478,7 +475,7 @@ def _coset_decomposition(group: PermGroup, sub: Subgroup) -> tuple[list[int], di
     return rep_ids, coset_of
 
 
-def _verify_maximal(group: PermGroup, sub: Subgroup) -> str:
+def _verify_maximal(sub: Subgroup) -> str:
     """Local maximality check: adjoining any coset representative must
     generate the whole group. Since <H, r> = <H, h r h'> for h, h' in H, one
     representative per double coset H r H decides all of its cosets
@@ -486,8 +483,9 @@ def _verify_maximal(group: PermGroup, sub: Subgroup) -> str:
     Returns a note saying how many representatives were decided."""
     if sub.index == 1:
         raise IngestInvalid("not maximal: the listed subgroup is the whole group")
+    group = sub.parent
     alg = algebra(group)
-    rep_ids, coset_of = _coset_decomposition(group, sub)
+    rep_ids, coset_of = _coset_decomposition(sub)
     decided = {0}
     for c, r in enumerate(rep_ids):
         if c in decided:
@@ -558,26 +556,27 @@ def format_maximal_file(mx: MaxClassSet) -> str:
 # Cores, coset actions, normal structure
 # ---------------------------------------------------------------------------
 
-def normal_core(group: PermGroup, sub: Subgroup) -> Subgroup:
-    """Largest normal subgroup of the group inside sub: the intersection of
+def normal_core(sub: Subgroup) -> Subgroup:
+    """Largest normal subgroup of the parent inside sub: the intersection of
     all conjugates."""
-    alg = algebra(group)
+    alg = algebra(sub.parent)
     core = set(sub.elements)
     for member in alg.set_orbit(sub.elements):
         core &= member
         if len(core) == 1:
             break
-    return subgroup_from_ids(group, frozenset(core))
+    return Subgroup(sub.parent, frozenset(core))
 
 
-def coset_action(group: PermGroup, sub: Subgroup) -> tuple[PermGroup, Subgroup]:
-    """Action on right cosets of sub; returns (image group, kernel). The
-    kernel is the core of sub."""
+def coset_action(sub: Subgroup) -> tuple[PermGroup, Subgroup]:
+    """Action of the parent on right cosets of sub; returns (image group,
+    kernel). The kernel is the core of sub."""
+    group = sub.parent
     index = sub.index
     if index > COSET_DEGREE_MAX:
         raise IndexTooLarge(f"index {index} exceeds {COSET_DEGREE_MAX}")
     alg = algebra(group)
-    rep_ids, coset_of = _coset_decomposition(group, sub)
+    rep_ids, coset_of = _coset_decomposition(sub)
     image_gens = []
     for g in group.generators:
         gid = alg.index[g.images]
@@ -585,7 +584,7 @@ def coset_action(group: PermGroup, sub: Subgroup) -> tuple[PermGroup, Subgroup]:
             tuple(coset_of[alg.mult(r, gid)] for r in rep_ids)))
     image = PermGroup(index, image_gens,
                       name=f"{group.name or 'G'}/cosets({sub.order})")
-    kernel = normal_core(group, sub)
+    kernel = normal_core(sub)
     if image.order * kernel.order != group.order:
         raise CovnumError(f"coset image order {image.order} times kernel order "
                           f"{kernel.order} is not {group.order}")
@@ -615,7 +614,7 @@ def normal_subgroups(group: PermGroup) -> list[Subgroup]:
                 if joined not in seen:
                     seen.add(joined)
                     found.append((joined, gens + [x]))
-    return [subgroup_from_ids(group, ids) for ids in sorted(seen, key=lambda s: (len(s), sorted(s)))]
+    return [Subgroup(group, ids) for ids in sorted(seen, key=lambda s: (len(s), sorted(s)))]
 
 
 def minimal_normal_subgroups(group: PermGroup) -> list[Subgroup]:
@@ -657,26 +656,17 @@ def is_solvable(group: PermGroup) -> bool:
 
 def is_primitive_monolithic(group: PermGroup, mx: MaxClassSet):
     """(primitive, monolithic, min primitivity degree or None)."""
-    degrees = []
-    for cls in mx.classes:
-        core = normal_core(group, cls.rep)
-        if core.order == 1:
-            degrees.append(cls.index)
+    degrees = [cls.index for cls in mx.classes if normal_core(cls.rep).order == 1]
     primitive = bool(degrees)
     monolithic = len(minimal_normal_subgroups(group)) == 1
     return primitive, monolithic, (min(degrees) if degrees else None)
 
 
-def min_supplement_index(group: PermGroup, normal: Subgroup, mx: MaxClassSet) -> int:
-    """Minimal index of a maximal subgroup H with H·N = G."""
-    best = None
-    n = group.order
-    for cls in mx.classes:
-        h = cls.rep.elements
-        inter = len(h & normal.elements)
-        if len(h) * normal.order == n * inter:  # |H||N|/|H∩N| == |G|
-            if best is None or cls.index < best:
-                best = cls.index
-    if best is None:
+def min_supplement_index(normal: Subgroup, mx: MaxClassSet) -> int:
+    """Minimal index of a maximal subgroup H of N's parent G with H·N = G."""
+    n = normal.parent.order
+    indices = [cls.index for cls in mx.classes  # |H||N|/|H∩N| == |G|
+               if cls.rep.order * normal.order == n * len(cls.rep.elements & normal.elements)]
+    if not indices:
         raise NoSupplement("every maximal subgroup contains the normal subgroup")
-    return best
+    return min(indices)

@@ -178,7 +178,7 @@ def test_criterion_08_quotient_monotonicity(sigma_of):
             assert own.optimal
             sigma = own.upper
         for sub in proper:
-            image, _ = coset_action(group, sub)
+            image, _ = coset_action(sub)
             if image.is_cyclic():
                 cyclic_quotients += 1  # sigma(G/N) infinite, inequality trivial
                 continue

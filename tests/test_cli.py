@@ -10,6 +10,7 @@ import pytest
 import covnum
 from covnum import cli
 from covnum.cli import main
+from covnum.cover import build_instance, format_lp, parse_instance
 from covnum.groups import format_group_file
 from covnum.perms import format_cycles
 from covnum.subgroups import format_maximal_file, maximal_classes_computed
@@ -59,6 +60,21 @@ def test_exact_selected_classes_with_lp(tmp_path, capsys):
     assert "sigma=8" in out
     assert lp.read_text().startswith("\\ minimum subgroup cover")
     assert inst.read_text().startswith("universe 48")
+
+
+def test_exact_writes_full_instance_without_selection(tmp_path, capsys):
+    """With no class selection the written instance is the full one that
+    the exact search solves, and the printed record is unchanged."""
+    lp, inst = tmp_path / "a5.lp", tmp_path / "a5.inst"
+    code, out, _ = run(capsys, "exact", "--library", "A5", "--format", "records",
+                       "--write-lp", str(lp), "--write-instance", str(inst))
+    assert code == 0
+    _, plain, _ = run(capsys, "exact", "--library", "A5", "--format", "records")
+    assert re.sub(r"time=\S+", "", out) == re.sub(r"time=\S+", "", plain)
+    group = library.group("A5")
+    full = build_instance(group, group.conjugacy_classes(), library.maximals("A5"))
+    assert parse_instance(inst.read_text()).column_masks == full.column_masks
+    assert lp.read_text() == format_lp(full, group.name)
 
 
 def test_table_contains_a5_entry(capsys):

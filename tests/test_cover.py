@@ -163,7 +163,7 @@ def test_quotient_monotonicity(sigma_of):
         for sub in normal_subgroups(group):
             if sub.order in (1, group.order):
                 continue
-            image, _ = coset_action(group, sub)
+            image, _ = coset_action(sub)
             if image.is_cyclic():
                 continue  # sigma of the quotient is infinite
             result = sigma_exact(image)

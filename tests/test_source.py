@@ -19,3 +19,16 @@ def test_package_has_no_asserts():
                 found.append(f"{path.name}:{node.lineno}")
     assert len(SOURCES) > 10
     assert found == []
+
+
+def test_package_imports_only_at_module_level():
+    """Every module names its dependencies at the top: no import inside a
+    function or method body."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{inner.lineno}" for inner in ast.walk(node)
+                          if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert len(SOURCES) > 10
+    assert found == []

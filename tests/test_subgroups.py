@@ -59,6 +59,33 @@ def test_lattice_walk_joins_once_per_normalizer_orbit(monkeypatch, key, joins):
     assert len(made) == joins
 
 
+@pytest.mark.parametrize("key, calls", [("S6", 46), ("AGL32", 85)])
+def test_all_subgroups_builds_generators_only_for_the_walk(monkeypatch, key, calls):
+    """A subgroup's generating set is built when it is first read, so
+    all_subgroups builds only those the walk joins from: one per class a
+    join admits, against 1,501 (S6) and 3,384 (AGL32) when every subgroup
+    it returns got one."""
+    made = []
+    generating_ids = subgroups._Algebra.generating_ids
+
+    def counting(self, ids):
+        made.append(None)
+        return generating_ids(self, ids)
+
+    monkeypatch.setattr(subgroups._Algebra, "generating_ids", counting)
+    all_subgroups(library.group(key))
+    assert len(made) == calls
+
+
+@pytest.mark.parametrize("key", ["S4", "A5"])
+def test_subgroup_generators_generate_it(key):
+    group = library.group(key)
+    alg = algebra(group)
+    for sub in all_subgroups(group):
+        assert alg.closure([group.element_index[g.images] for g in sub.generators]) \
+            == sub.elements
+
+
 @pytest.mark.parametrize("key", [k for k in library.names()
                                  if library.group(k).order <= 360])
 def test_walk_normalizer_is_brute_force_normalizer(key):
@@ -223,16 +250,21 @@ def test_maximality_check_probes_once_per_double_coset(monkeypatch):
     """M11's maximal classes have 2, 2, 3, 4 and 8 double cosets (the ranks
     of its actions on 11, 12, 55, 66 and 165 points), so the ingest builds
     one probe group per nontrivial double coset: 1 + 1 + 2 + 3 + 7, against
-    one per coset (304) if each coset were probed."""
+    one per coset (304) if each coset were probed. The probes extend the
+    generators read from the file, so no generating set is rebuilt."""
     built = []
+    rebuilt = []
 
     def counting(*args, **kwargs):
         built.append(None)
         return PermGroup(*args, **kwargs)
 
     monkeypatch.setattr(subgroups, "PermGroup", counting)
+    monkeypatch.setattr(subgroups._Algebra, "generating_ids",
+                        lambda self, ids: rebuilt.append(None))
     maximal_classes_from_file(library.group("M11"), library.m11_maximals_text())
     assert len(built) == 14
+    assert rebuilt == []
 
 
 def _subgroup(group, *gen_texts):
@@ -244,27 +276,27 @@ def test_normal_core_examples():
     s4 = library.group("S4")
     stab = _subgroup(s4, "(1,2,3)", "(1,2)")  # S3 fixing point 4
     assert stab.order == 6
-    assert normal_core(s4, stab).order == 1
+    assert normal_core(stab).order == 1
     d8 = _subgroup(s4, "(1,2,3,4)", "(1,3)")
     assert d8.order == 8
-    core = normal_core(s4, d8)
+    core = normal_core(d8)
     assert core.order == 4
     v4 = _subgroup(s4, "(1,2)(3,4)", "(1,3)(2,4)")
-    assert normal_core(s4, v4).elements == v4.elements  # normal subgroup is its own core
+    assert normal_core(v4).elements == v4.elements  # normal subgroup is its own core
 
 
 def test_coset_action_examples():
     s4 = library.group("S4")
     d8 = _subgroup(s4, "(1,2,3,4)", "(1,3)")
-    image, kernel = coset_action(s4, d8)
+    image, kernel = coset_action(d8)
     assert image.degree == 3 and image.order == 6
     assert kernel.order == 4
     full = _subgroup(s4, "(1,2,3,4)", "(1,2)")
-    image, kernel = coset_action(s4, full)
+    image, kernel = coset_action(full)
     assert image.degree == 1 and kernel.order == 24
     a5 = library.group("A5")
     a4 = _subgroup(a5, "(1,2,3)", "(1,2)(3,4)")
-    image, kernel = coset_action(a5, a4)
+    image, kernel = coset_action(a4)
     assert image.degree == 5 and image.order == 60 and kernel.order == 1
 
 
@@ -275,7 +307,7 @@ def test_kernel_equals_normal_core_for_maximals():
         group = library.group(key)
         alg = algebra(group)
         for cls in maximal_classes_computed(group):
-            image, kernel = coset_action(group, cls.rep)
+            image, kernel = coset_action(cls.rep)
             brute = {x for x in range(alg.n)
                      if all(alg.mult(alg.mult(r, x), alg.inv[r]) in cls.rep.elements
                             for r in range(alg.n))}
@@ -324,7 +356,7 @@ def test_core_free_maximal_coset_actions_are_primitive():
         for cls in maximal_classes_computed(group):
             if cls.index > 12:
                 continue
-            image, kernel = coset_action(group, cls.rep)
+            image, kernel = coset_action(cls.rep)
             if kernel.order == 1:
                 assert _min_block_size(image) == image.degree
 
@@ -356,15 +388,15 @@ def test_is_solvable():
 def test_min_supplement_index():
     a5 = library.group("A5")
     full = subgroup_from_gens(a5, list(a5.generators))
-    assert min_supplement_index(a5, full, maximal_classes_computed(a5)) == 5
+    assert min_supplement_index(full, maximal_classes_computed(a5)) == 5
     s5 = library.group("S5")
     a5_in_s5 = _subgroup(s5, "(1,2,3)", "(1,2,3,4,5)")
     assert a5_in_s5.order == 60
-    assert min_supplement_index(s5, a5_in_s5, maximal_classes_computed(s5)) == 5
+    assert min_supplement_index(a5_in_s5, maximal_classes_computed(s5)) == 5
     c4 = PermGroup(4, [parse_permutation("(1,2,3,4)", 4)], name="C4")
     c2 = _subgroup(c4, "(1,3)(2,4)")
     with pytest.raises(NoSupplement):
-        min_supplement_index(c4, c2, maximal_classes_computed(c4))
+        min_supplement_index(c2, maximal_classes_computed(c4))
 
 
 def test_dropped_group_is_collected():
