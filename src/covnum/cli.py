@@ -80,6 +80,14 @@ def _limits(args) -> Limits:
     return Limits(lattice_max_order=args.max_lattice)
 
 
+def _budget(args) -> SolveBudget:
+    if args.max_nodes < 0:
+        raise CovnumError(f"--max-nodes must be nonnegative, got {args.max_nodes}")
+    if args.time_limit is not None and not args.time_limit >= 0:  # NaN too
+        raise CovnumError(f"--time-limit must be nonnegative, got {args.time_limit}")
+    return SolveBudget(max_nodes=args.max_nodes, time_limit=args.time_limit)
+
+
 def _load_group(args) -> tuple[PermGroup, MaxClassSet | None]:
     if bool(args.library) == bool(args.file):
         raise CovnumError("give exactly one of --library or --file")
@@ -121,9 +129,9 @@ def cmd_bounds(args) -> int:
 
 def cmd_exact(args) -> int:
     t0 = time.monotonic()
+    budget = _budget(args)
     group, mx = _load_group(args)
     mx = _maximals_for(group, mx, args)
-    budget = SolveBudget(max_nodes=args.max_nodes, time_limit=args.time_limit)
     elts = args.classes or None
     subs = args.subgroup_classes or None
     if elts or subs or args.write_lp or args.write_instance:
@@ -181,8 +189,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_sigma_elementary(args) -> int:
+    budget = _budget(args)
     group, mx = _load_group(args)
-    budget = SolveBudget(max_nodes=args.max_nodes, time_limit=args.time_limit)
     report = is_sigma_elementary(group, budget, _limits(args), mx=mx)
     print(f"group: {group.name or '?'} (order {group.order}), sigma = {report.sigma}")
     for chk in report.checks:
@@ -194,6 +202,7 @@ def cmd_sigma_elementary(args) -> int:
 
 
 def cmd_batch(args) -> int:
+    budget = _budget(args)
     keys = library.SUITES.get(args.suite)
     if args.suite == "solvable-oracle":
         return _batch_solvable(args)
@@ -202,7 +211,6 @@ def cmd_batch(args) -> int:
         raise CovnumError(f"unknown suite {args.suite!r} (known: {', '.join(names)})")
     reports: list[RunReport] = []
     failures = 0
-    budget = SolveBudget(max_nodes=args.max_nodes, time_limit=args.time_limit)
     for key in keys:
         t0 = time.monotonic()
         try:

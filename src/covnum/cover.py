@@ -7,6 +7,14 @@ branch and bound: greedy incumbent, a dual bound from a greedily grown set
 of pairwise-independent elements (no two sharing a column), unit propagation
 for elements with a single remaining column, and class-level symmetry
 breaking for the first decision only.
+
+The search runs on a reduced universe: one element per inclusion-minimal
+column set, since a column set covering that element covers every element
+whose column set contains it (x and x^k with gcd(k, |x|) = 1 lie in the
+same subgroups). Each kept element carries its column set as a bitmask over
+columns. A node takes the live columns (not banned, still covering
+something) in one pass, and branches on the uncovered element with the
+fewest live columns. The incumbent is checked against the whole universe.
 """
 
 from __future__ import annotations
@@ -131,24 +139,48 @@ def _greedy_cover(masks, full: int) -> list[int]:
     return chosen
 
 
+def _bits(mask: int):
+    """Positions of the set bits of ``mask``, lowest first."""
+    text = bin(mask)[:1:-1]
+    p = text.find("1")
+    while p >= 0:
+        yield p
+        p = text.find("1", p + 1)
+
+
+def _reduce_universe(masks, universe_size: int) -> tuple[list[int], list[int]]:
+    """Column masks over a reduced universe, and each kept element's column
+    set as a mask over columns. One element is kept per inclusion-minimal
+    column set, the lowest position among equals, in position order. Every
+    element's column set contains a kept one, so a set of columns covers the
+    reduced universe exactly when it covers the whole one."""
+    sig = [0] * universe_size
+    for c, m in enumerate(masks):
+        for p in _bits(m):
+            sig[p] |= 1 << c
+    first: dict[int, int] = {}
+    for p, s in enumerate(sig):
+        first.setdefault(s, p)
+    kept: list[int] = []
+    for s in sorted(first, key=int.bit_count):
+        if not any(k & s == k for k in kept):
+            kept.append(s)
+    kept.sort(key=first.__getitem__)
+    reduced = [0] * len(masks)
+    for r, s in enumerate(kept):
+        for c in _bits(s):
+            reduced[c] |= 1 << r
+    return reduced, kept
+
+
 def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
           initial_cover=None) -> CoverResult:
     """Branch-and-bound minimum cover. Budget exhaustion degrades ``optimal``
     to False but the returned (lower, upper) bracket stays sound."""
-    masks = list(instance.column_masks)
+    masks = instance.column_masks
     full = instance.full_mask()
-    U = instance.universe_size
-    if U == 0:
+    if instance.universe_size == 0:
         return CoverResult(0, 0, True, (), 0, False)
-
-    elem_cols: list[list[int]] = [[] for _ in range(U)]
-    for c, m in enumerate(masks):
-        mm = m
-        while mm:
-            low = mm & -mm
-            elem_cols[low.bit_length() - 1].append(c)
-            mm ^= low
-    rarity_order = sorted(range(U), key=lambda e: (len(elem_cols[e]), e))
 
     best = _greedy_cover(masks, full)
     if initial_cover is not None:
@@ -159,33 +191,31 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
             best = list(initial_cover)
     best_size = len(best)
 
+    # the search runs on the reduced universe: cols[c] is column c over it,
+    # sig[e] the columns of element e
+    cols, sig = _reduce_universe(masks, instance.universe_size)
+    U = len(sig)
+    rfull = (1 << U) - 1
+    rarity_order = sorted(range(U), key=lambda e: (sig[e].bit_count(), e))
+
     def independent_bound(cov: int) -> int:
         blocked = 0  # bitmask over columns
         count = 0
         for e in rarity_order:
-            if cov >> e & 1:
+            if cov >> e & 1 or sig[e] & blocked:
                 continue
-            cols = elem_cols[e]
-            hit = False
-            for c in cols:
-                if blocked >> c & 1:
-                    hit = True
-                    break
-            if hit:
-                continue
-            for c in cols:
-                blocked |= 1 << c
+            blocked |= sig[e]
             count += 1
         return count
 
-    def ceil_bound(cov: int) -> int:
-        rem = (full & ~cov).bit_count()
+    def ceil_bound(cov: int, live: int) -> int:
+        rem = (rfull & ~cov).bit_count()
         if rem == 0:
             return 0
-        biggest = max((m & ~cov).bit_count() for m in masks)
+        biggest = max(((cols[c] & ~cov).bit_count() for c in _bits(live)), default=0)
         return ceil(rem / biggest) if biggest else U + 1
 
-    root_lower = max(independent_bound(0), ceil_bound(0), 1)
+    root_lower = max(independent_bound(0), ceil_bound(0, (1 << len(cols)) - 1), 1)
 
     nodes = 0
     start = time.monotonic()
@@ -204,42 +234,46 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
         if exhausted or out_of_budget():
             exhausted = True
             return
-        # unit propagation: elements with one remaining column are forced
+        # unit propagation: elements with one live column are forced
         while True:
-            if cov == full:
+            if cov == rfull:
                 if len(chosen) < best_size:
                     best, best_size = list(chosen), len(chosen)
                 return
-            # the first element with at most one available column, else the
-            # one with the fewest (stopping early at two)
-            branch = None
-            e = full & ~cov
-            while e:
-                low = e & -e
-                e ^= low
-                avail = [c for c in elem_cols[low.bit_length() - 1]
-                         if not (banned >> c & 1) and masks[c] & ~cov]
-                if branch is None or len(avail) < len(branch):
-                    branch = avail
-                    if len(avail) <= 2:
+            uncovered = list(_bits(rfull & ~cov))
+            # live columns: not banned, and still covering something
+            live = 0
+            for e in uncovered:
+                live |= sig[e]
+            live &= ~banned
+            # branch on the element with the fewest live columns, the lowest
+            # position on ties
+            branch, fewest = 0, len(cols) + 1
+            for e in uncovered:
+                avail = sig[e] & live
+                k = avail.bit_count()
+                if k < fewest:
+                    branch, fewest = avail, k
+                    if k <= 1:
                         break
             if not branch:
                 return  # some element can no longer be covered
-            if len(branch) > 1:
+            if fewest > 1:
                 break
             if len(chosen) + 1 >= best_size:
                 return
-            chosen += (branch[0],)
-            cov |= masks[branch[0]]
-        lb = len(chosen) + max(independent_bound(cov), ceil_bound(cov))
+            c = branch.bit_length() - 1
+            chosen += (c,)
+            cov |= cols[c]
+        lb = len(chosen) + max(independent_bound(cov), ceil_bound(cov, live))
         if lb >= best_size:
             return
-        branch.sort(key=lambda c: (-(masks[c] & ~cov).bit_count(), c))
+        order = sorted(_bits(branch), key=lambda c: (-(cols[c] & ~cov).bit_count(), c))
         extra_ban = 0
-        for c in branch:
+        for c in order:
             if len(chosen) + 1 >= best_size:
                 break
-            dfs(cov | masks[c], banned | extra_ban, chosen + (c,))
+            dfs(cov | cols[c], banned | extra_ban, chosen + (c,))
             if exhausted:
                 break
             extra_ban |= 1 << c
@@ -256,7 +290,7 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
                 continue
             first = cols_k[0]
             if not exhausted:
-                dfs(masks[first], banned, (first,))
+                dfs(cols[first], banned, (first,))
             for c in cols_k:
                 banned |= 1 << c
     else:
@@ -266,6 +300,7 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
     # search itself was cut short
     optimal = not exhausted or root_lower >= best_size
     lower = best_size if optimal else min(root_lower, best_size)
+    # the incumbent is checked against the whole universe, not the reduced one
     cov = 0
     for c in best:
         cov |= masks[c]
@@ -310,12 +345,7 @@ def format_instance(instance: CoverInstance) -> str:
     covered element positions."""
     lines = [f"universe {instance.universe_size}", f"columns {len(instance.column_masks)}"]
     for m in instance.column_masks:
-        positions = []
-        while m:
-            low = m & -m
-            positions.append(low.bit_length() - 1)
-            m ^= low
-        lines.append(" ".join(map(str, positions)))
+        lines.append(" ".join(map(str, _bits(m))))
     return "\n".join(lines) + "\n"
 
 
@@ -360,9 +390,12 @@ def format_lp(instance: CoverInstance, name: str = "cover") -> str:
     cols = [f"x{c}" for c in range(len(instance.column_masks))]
     lines = [f"\\ minimum subgroup cover: {name}", "Minimize", " obj: " + " + ".join(cols)]
     lines.append("Subject To")
-    for e in range(instance.universe_size):
-        covering = [f"x{c}" for c, m in enumerate(instance.column_masks) if m >> e & 1]
-        lines.append(f" e{e}: " + " + ".join(covering) + " >= 1")
+    covering: list[list[str]] = [[] for _ in range(instance.universe_size)]
+    for c, m in enumerate(instance.column_masks):
+        for e in _bits(m):
+            covering[e].append(cols[c])
+    for e, row in enumerate(covering):
+        lines.append(f" e{e}: " + " + ".join(row) + " >= 1")
     lines.append("Binary")
     for x in cols:
         lines.append(f" {x}")

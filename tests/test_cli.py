@@ -284,6 +284,11 @@ BAD_FILES = {
     (["table", "--profile", "{tmp}/zero_n.tsv"], "ParseError"),
     (["exact", "--library", "A5", "--maximals", "{tmp}/index.max"], "ParseError"),
     (["exact", "--library", "A5", "--maximals", "{tmp}/length.max"], "ParseError"),
+    (["exact", "--library", "A6", "--max-nodes", "-5"], "CovnumError"),
+    (["exact", "--library", "A6", "--time-limit", "-1"], "CovnumError"),
+    (["exact", "--library", "A6", "--time-limit", "nan"], "CovnumError"),
+    (["sigma-elementary", "--library", "A5", "--max-nodes", "-1"], "CovnumError"),
+    (["batch", "empty", "--time-limit", "-0.5"], "CovnumError"),
 ])
 def test_bad_input_exits_with_error_line(argv, error, capsys, tmp_path):
     for name, text in BAD_FILES.items():

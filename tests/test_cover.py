@@ -1,10 +1,12 @@
-import pytest
+import hashlib
 
+import pytest
+from hypothesis import given, settings, strategies as st
 from oracle import exhaustive_sigma
 
 from covnum import library
-from covnum.cover import SolveBudget, build_instance, format_instance, format_lp, \
-    parse_instance, sigma_exact, solve
+from covnum.cover import SolveBudget, _reduce_universe, build_instance, format_instance, \
+    format_lp, parse_instance, sigma_exact, solve
 from covnum.errors import CyclicGroup, Infeasible, ParseError
 from covnum.greedy import covering_number_bounds
 from covnum.subgroups import all_subgroups, coset_action, normal_subgroups
@@ -132,6 +134,82 @@ def test_lp_emitter_shape():
     assert lines[1] == "Minimize"
     assert sum(1 for ln in lines if ln.startswith(" e")) == inst.universe_size
     assert "Binary" in text and lines[-1] == "End"
+
+
+@pytest.mark.parametrize("key,lp_sha256", [
+    ("A5", "5f0ba16be5c6295c98087f1d002e3c172d95273997a015532fbce27e58b9bbc6"),
+    ("PSL27", "b6ef31fa5f512e6a3c22900a467d7c7930249fbcba2ad55999d44c9c0cdd540f"),
+])
+def test_lp_rows_list_covering_columns(key, lp_sha256):
+    inst = _instance(key)
+    text = format_lp(inst, key)
+    rows = [ln for ln in text.splitlines() if ln.startswith(" e")]
+    for e, row in enumerate(rows):
+        covering = [f"x{c}" for c, m in enumerate(inst.column_masks) if m >> e & 1]
+        assert row == f" e{e}: " + " + ".join(covering) + " >= 1"
+    assert hashlib.sha256(text.encode()).hexdigest() == lp_sha256
+
+
+@st.composite
+def parsed_instances(draw):
+    """Instance text with duplicate and nested element column sets: each
+    element takes one of a few sparse base column sets, often with more
+    columns added. Sparse sets make the greedy cover miss sigma often."""
+    ncols = draw(st.integers(4, 10))
+    column_set = st.sets(st.integers(0, ncols - 1), min_size=1, max_size=3).map(
+        lambda cs: sum(1 << c for c in cs))
+    bases = draw(st.lists(column_set, min_size=3, max_size=12))
+    sigs = draw(st.lists(st.tuples(st.sampled_from(bases), st.one_of(st.just(0), column_set)),
+                         min_size=4, max_size=20))
+    sigs = [base | extra for base, extra in sigs]
+    columns = [[e for e, s in enumerate(sigs) if s >> c & 1] for c in range(ncols)]
+    columns = [col for col in columns if col]  # instance text has no empty columns
+    lines = [f"universe {len(sigs)}", f"columns {len(columns)}"]
+    lines += [" ".join(map(str, col)) for col in columns]
+    return parse_instance("\n".join(lines) + "\n"), columns
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(parsed_instances(), st.integers(1, 3))
+def test_random_instances_agree_with_oracle(drawn, cut_nodes):
+    inst, columns = drawn
+    assert not inst.symmetric
+    sigma = exhaustive_sigma(set(range(inst.universe_size)), columns, len(columns))
+    result = solve(inst)
+    assert result.optimal and result.upper == sigma
+    cut = solve(inst, SolveBudget(max_nodes=cut_nodes))
+    assert cut.lower <= sigma <= cut.upper
+    assert not cut.optimal or cut.upper == sigma
+
+
+def test_elements_in_more_columns_than_the_reduced_universe_has_elements():
+    # greedy takes {0,1,2,3} first and needs three columns; {0,1,4} and
+    # {2,3,5} cover in two. Repeated columns put each of the two kept
+    # elements, 4 and 5, in four columns.
+    text = "universe 6\ncolumns 9\n0 1 2 3\n" + "0 1 4\n2 3 5\n" * 4
+    result = solve(parse_instance(text))
+    assert result.optimal and result.upper == 2
+
+
+@pytest.mark.parametrize("key,size,reduced", [("A6", 359, 121), ("AGL32", 1343, 281)])
+def test_reduced_universe(key, size, reduced):
+    inst = _instance(key)
+    cols, sig = _reduce_universe(inst.column_masks, inst.universe_size)
+    assert inst.universe_size == size and len(sig) == reduced
+    assert len(set(sig)) == reduced
+    assert not any(a != b and a & b == a for a in sig for b in sig)
+    for c, m in enumerate(cols):
+        assert m == sum(1 << e for e, s in enumerate(sig) if s >> c & 1)
+
+
+def test_search_sizes():
+    # 3,843 nodes is A6 through sigma_exact on the whole universe with a
+    # branching scan that stops at the first element with two columns
+    a6 = sigma_exact(library.group("A6"), mx=library.maximals("A6"))
+    assert a6.upper == 16 and a6.nodes_explored == 2303 < 3843
+    assert solve(_instance("A6")).nodes_explored == 6152
+    agl32 = sigma_exact(library.group("AGL32"), mx=library.maximals("AGL32"))
+    assert agl32.upper == 15 and agl32.nodes_explored == 929
 
 
 @pytest.mark.parametrize("key", ["V4", "S3", "D8", "Q8", "S4", "A4", "D10", "D12",
