@@ -6,7 +6,9 @@ class representative), coverage stored as int bitmasks. The solver is plain
 branch and bound: greedy incumbent, a dual bound from a greedily grown set
 of pairwise-independent elements (no two sharing a column), unit propagation
 for elements with a single remaining column, and class-level symmetry
-breaking for the first decision only.
+breaking for the first decision only. The search is one loop over an
+explicit stack of frames, so its depth is not bounded by Python's recursion
+limit; the symmetry pinning is the stack's root frames.
 
 The search runs on a reduced universe: one element per inclusion-minimal
 column set, since a column set covering that element covers every element
@@ -217,29 +219,35 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
 
     root_lower = max(independent_bound(0), ceil_bound(0, (1 << len(cols)) - 1), 1)
 
+    # Search frames (cov, banned, chosen), popped depth first. With symmetry,
+    # any cover uses some class first (in class order); conjugacy makes that
+    # class's columns interchangeable, so the root frames pin its least column
+    # and ban the earlier classes, as an interior node bans earlier siblings.
+    # The pinning is sound only for the first decision.
+    stack = [(0, 0, ())]
+    if instance.symmetric and instance.class_labels:
+        stack, banned = [], 0
+        for k in range(len(instance.class_labels)):
+            cols_k = instance.columns_of_class(k)
+            if cols_k:
+                stack.append((cols[cols_k[0]], banned, (cols_k[0],)))
+            for c in cols_k:
+                banned |= 1 << c
+        stack.reverse()
     nodes = 0
     start = time.monotonic()
     exhausted = False
-
-    def out_of_budget() -> bool:
-        if nodes >= budget.max_nodes:
-            return True
-        if budget.time_limit is not None and nodes % 256 == 0:
-            return time.monotonic() - start > budget.time_limit
-        return False
-
-    def dfs(cov: int, banned: int, chosen: tuple[int, ...]) -> None:
-        nonlocal best, best_size, nodes, exhausted
+    while stack:
+        cov, banned, chosen = stack.pop()
+        if len(chosen) >= best_size:
+            continue  # best_size only shrinks, so later siblings are cut too
         nodes += 1
-        if exhausted or out_of_budget():
+        if nodes >= budget.max_nodes or (budget.time_limit is not None and nodes % 256 == 0
+                                         and time.monotonic() - start > budget.time_limit):
             exhausted = True
-            return
+            break
         # unit propagation: elements with one live column are forced
-        while True:
-            if cov == rfull:
-                if len(chosen) < best_size:
-                    best, best_size = list(chosen), len(chosen)
-                return
+        while cov != rfull:
             uncovered = list(_bits(rfull & ~cov))
             # live columns: not banned, and still covering something
             live = 0
@@ -256,45 +264,27 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
                     branch, fewest = avail, k
                     if k <= 1:
                         break
-            if not branch:
-                return  # some element can no longer be covered
-            if fewest > 1:
+            if fewest != 1 or len(chosen) + 1 >= best_size:
                 break
-            if len(chosen) + 1 >= best_size:
-                return
             c = branch.bit_length() - 1
             chosen += (c,)
             cov |= cols[c]
+        else:  # everything covered: a new incumbent if smaller
+            if len(chosen) < best_size:
+                best, best_size = list(chosen), len(chosen)
+            continue
+        if fewest <= 1:
+            continue  # an element with no live column, or a forced column that cannot win
         lb = len(chosen) + max(independent_bound(cov), ceil_bound(cov, live))
         if lb >= best_size:
-            return
-        order = sorted(_bits(branch), key=lambda c: (-(cols[c] & ~cov).bit_count(), c))
-        extra_ban = 0
-        for c in order:
-            if len(chosen) + 1 >= best_size:
-                break
-            dfs(cov | cols[c], banned | extra_ban, chosen + (c,))
-            if exhausted:
-                break
-            extra_ban |= 1 << c
-
-    if instance.symmetric and instance.class_labels:
-        # Any cover uses some class first (in class order); conjugacy makes the
-        # columns of that class interchangeable, so its first column can be
-        # pinned to the least id. Sound only before other decisions exist.
-        banned = 0
-        nclasses = len(instance.class_labels)
-        for k in range(nclasses):
-            cols_k = instance.columns_of_class(k)
-            if not cols_k:
-                continue
-            first = cols_k[0]
-            if not exhausted:
-                dfs(cols[first], banned, (first,))
-            for c in cols_k:
-                banned |= 1 << c
-    else:
-        dfs(0, 0, ())
+            continue
+        # children in branching order, each banning its earlier siblings,
+        # pushed so that the first is popped first
+        children = []
+        for c in sorted(_bits(branch), key=lambda c: (-(cols[c] & ~cov).bit_count(), c)):
+            children.append((cov | cols[c], banned, chosen + (c,)))
+            banned |= 1 << c
+        stack.extend(reversed(children))
 
     # a root dual bound meeting the incumbent proves optimality even if the
     # search itself was cut short
@@ -344,7 +334,11 @@ def format_instance(instance: CoverInstance) -> str:
     """Text form: 'universe N', 'columns M', then per column a sorted list of
     covered element positions."""
     lines = [f"universe {instance.universe_size}", f"columns {len(instance.column_masks)}"]
-    for m in instance.column_masks:
+    for c, m in enumerate(instance.column_masks):
+        if not m:
+            label = instance.class_labels[instance.column_class[c]]
+            raise CovnumError(f"column {c} ({label}) covers nothing, "
+                              "and the text form has no empty lines")
         lines.append(" ".join(map(str, _bits(m))))
     return "\n".join(lines) + "\n"
 

@@ -226,10 +226,12 @@ class KnownEntry:
     citation: str
 
     def matches(self, value: int) -> bool:
-        if self.exact is not None:
-            return value == self.exact
-        lo, hi = self.bounds
-        return lo <= value and (hi is None or value <= hi)
+        return self.meets(value, value)
+
+    def meets(self, lower: int, upper: int) -> bool:
+        """Whether the bracket [lower, upper] contains a value this entry allows."""
+        lo, hi = self.bounds if self.exact is None else (self.exact, self.exact)
+        return lo <= upper and (hi is None or lower <= hi)
 
 
 @cache

@@ -10,7 +10,8 @@ import pytest
 import covnum
 from covnum import cli
 from covnum.cli import main
-from covnum.cover import build_instance, format_lp, parse_instance
+from covnum.cover import CoverResult, SolveBudget, build_instance, format_lp, \
+    parse_instance, sigma_exact
 from covnum.groups import format_group_file
 from covnum.perms import format_cycles
 from covnum.subgroups import format_maximal_file, maximal_classes_computed
@@ -153,6 +154,42 @@ def test_batch_solvable_oracle(capsys):
     code, out, _ = run(capsys, "batch", "solvable-oracle", "--format", "records")
     assert code == 0
     assert "33/33 passed" in out
+
+
+def test_batch_cut_search_is_a_budget_note_not_a_mismatch(capsys):
+    # a one-node search leaves brackets that contain the registry values
+    code, out, _ = run(capsys, "batch", "golden-small", "--max-nodes", "1",
+                       "--format", "records")
+    assert code == 1 and "8/13 passed" in out
+    assert "MISMATCH" not in out
+    assert "group=A5 order=60 method=exact sigma=8..10 certified=false " \
+           "provenance=registry(Cohn)" in out
+    assert out.count(f"note={cli.BUDGET_NOTE}") == 5
+
+
+def test_batch_note_tells_a_cut_search_from_a_mismatch():
+    cut = CoverResult(8, 10, False, (), 1, True)
+    solved = CoverResult(10, 10, True, (), 5, False)
+    assert cli._batch_note(solved, True, "vs registry 10") == "ok"
+    assert cli._batch_note(cut, True, "vs registry 10") == cli.BUDGET_NOTE
+    assert cli._batch_note(cut, False, "vs registry 11") == "MISMATCH vs registry 11"
+    assert cli._batch_note(solved, False, "vs registry 11") == "MISMATCH vs registry 11"
+
+
+def test_batch_solvable_oracle_passes_the_budget(capsys, monkeypatch):
+    budgets = []
+
+    def recording(group, budget=SolveBudget(), *args, **kwargs):
+        budgets.append(budget)
+        return sigma_exact(group, budget, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "sigma_exact", recording)
+    code, out, _ = run(capsys, "batch", "solvable-oracle", "--max-nodes", "1",
+                       "--time-limit", "30", "--format", "records")
+    assert budgets and set(budgets) == {SolveBudget(max_nodes=1, time_limit=30.0)}
+    # every solvable-suite instance closes on its root bound, so one node
+    # still certifies all of them
+    assert code == 0 and "33/33 passed" in out
 
 
 def test_table_v4_diagonal(capsys):

@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 from oracle import exhaustive_sigma
 
 from covnum import library
-from covnum.cover import SolveBudget, _reduce_universe, build_instance, format_instance, \
-    format_lp, parse_instance, sigma_exact, solve
-from covnum.errors import CyclicGroup, Infeasible, ParseError
+from covnum.cover import CoverInstance, SolveBudget, _reduce_universe, build_instance, \
+    format_instance, format_lp, parse_instance, sigma_exact, solve
+from covnum.errors import CovnumError, CyclicGroup, Infeasible, ParseError
 from covnum.greedy import covering_number_bounds
 from covnum.subgroups import all_subgroups, coset_action, normal_subgroups
 
@@ -89,6 +89,19 @@ def test_exhausted_budget_is_flagged_not_wrong():
     assert result.lower <= 16 <= result.upper
 
 
+def test_deep_search_returns_a_bracket():
+    # 600 disjoint triangles {a, b, c} with columns {a,b}, {b,c}, {a,c}:
+    # sigma is 1200 and every decision goes one level deeper, so a search
+    # deeper than Python's recursion limit must still end in a sound bracket
+    lines = ["universe 1800", "columns 1800"]
+    for a in range(0, 1800, 3):
+        lines += [f"{a} {a + 1}", f"{a + 1} {a + 2}", f"{a} {a + 2}"]
+    result = solve(parse_instance("\n".join(lines)), SolveBudget(max_nodes=1200))
+    assert result.budget_exhausted and not result.optimal
+    assert result.lower <= 1200 <= result.upper
+    assert result.nodes_explored == 1200
+
+
 def test_greedy_incumbent_feeds_solver():
     # sigma_exact starts from the columns of the greedy cover's classes, so
     # it searches exactly as a solve seeded with them by hand
@@ -112,6 +125,13 @@ def test_instance_text_round_trip():
     assert again.column_masks == inst.column_masks
     assert not again.symmetric  # imported instances lose the symmetry claim
     assert solve(again).upper == 10
+
+
+def test_instance_text_rejects_an_empty_column():
+    # an empty column would be a blank line, which parse_instance skips
+    inst = CoverInstance(2, (3, 0), (0, 1), ("C1", "C2"), False)
+    with pytest.raises(CovnumError, match=r"column 1 \(C2\) covers nothing"):
+        format_instance(inst)
 
 
 @pytest.mark.parametrize("text,line,message", [

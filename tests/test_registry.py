@@ -32,6 +32,17 @@ def test_entry_matches():
     assert open_entry.matches(10**9) and not open_entry.matches(9)
 
 
+def test_entry_meets_bracket():
+    exact = KnownEntry("X", 10, None, None, "c")
+    assert exact.meets(8, 10) and exact.meets(10, 12) and not exact.meets(11, 12)
+    assert not exact.meets(8, 9)
+    entry = KnownEntry("Y", None, (10, 20), None, "c")
+    assert entry.meets(5, 10) and entry.meets(20, 30) and not entry.meets(21, 30)
+    assert not entry.meets(5, 9)
+    open_entry = KnownEntry("Z", None, (10, None), None, "c")
+    assert open_entry.meets(10**9, 10**9 + 1) and not open_entry.meets(1, 9)
+
+
 def test_formula_examples():
     assert sigma_formula("psl2", 11) == 67
     assert sigma_formula("pgl2", 11) == 67

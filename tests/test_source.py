@@ -32,3 +32,17 @@ def test_package_imports_only_at_module_level():
                           if isinstance(inner, (ast.Import, ast.ImportFrom))]
     assert len(SOURCES) > 10
     assert found == []
+
+
+def test_no_function_calls_itself():
+    """Deep inputs must not hit Python's recursion limit: no function calls
+    itself by name, so searches keep their own stacks."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{call.lineno}" for call in ast.walk(node)
+                          if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                          and call.func.id == node.name]
+    assert len(SOURCES) > 10
+    assert found == []
