@@ -178,7 +178,10 @@ def _reduce_universe(masks, universe_size: int) -> tuple[list[int], list[int]]:
 def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
           initial_cover=None) -> CoverResult:
     """Branch-and-bound minimum cover. Budget exhaustion degrades ``optimal``
-    to False but the returned (lower, upper) bracket stays sound."""
+    to False but the returned (lower, upper) bracket stays sound. The time
+    limit counts from entry, so it includes the greedy incumbent, the
+    universe reduction and the root bounds; it is checked at every node."""
+    deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit
     masks = instance.column_masks
     full = instance.full_mask()
     if instance.universe_size == 0:
@@ -235,15 +238,13 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
                 banned |= 1 << c
         stack.reverse()
     nodes = 0
-    start = time.monotonic()
     exhausted = False
     while stack:
         cov, banned, chosen = stack.pop()
         if len(chosen) >= best_size:
             continue  # best_size only shrinks, so later siblings are cut too
         nodes += 1
-        if nodes >= budget.max_nodes or (budget.time_limit is not None and nodes % 256 == 0
-                                         and time.monotonic() - start > budget.time_limit):
+        if nodes >= budget.max_nodes or (deadline is not None and time.monotonic() > deadline):
             exhausted = True
             break
         # unit propagation: elements with one live column are forced

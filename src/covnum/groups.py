@@ -41,6 +41,20 @@ def label_index(labels: list[str], label: str, kind: str) -> int:
         raise Unknown(f"no {kind} {label!r} (known: {', '.join(labels)})") from None
 
 
+@dataclass(frozen=True)
+class Enumeration:
+    """A group's elements with the Schreier tree of their enumeration.
+
+    Element x > 0 was first reached as parent[x] * generator letter[x], and
+    columns[k][x] is the id of x * generator k."""
+
+    elements: list[Permutation]
+    index: dict[tuple[int, ...], int]
+    parent: list[int]
+    letter: list[int]
+    columns: list[list[int]]
+
+
 class _ChainLevel:
     """One stabilizer-chain level: a base point, the strong generators that
     fix all earlier base points, and a transversal of the base orbit."""
@@ -152,26 +166,45 @@ class PermGroup:
 
     def elements(self) -> list[Permutation]:
         """All elements, identity first, in a deterministic closure order."""
-        return self._element_list
+        return self.enumeration.elements
 
-    @cached_property
-    def _element_list(self) -> list[Permutation]:
-        if self.order > ENUM_CAP:
-            raise CapExceeded(f"group order {self.order} exceeds cap {ENUM_CAP}")
-        out = list(orbit(self.identity(), lambda x: [x * g for g in self.generators]))
-        if len(out) != self.order:
-            raise CovnumError(f"enumerated {len(out)} elements, chain order {self.order}")
-        return out
-
-    @cached_property
+    @property
     def element_index(self) -> dict[tuple[int, ...], int]:
-        return {p.images: i for i, p in enumerate(self._element_list)}
+        return self.enumeration.index
+
+    @cached_property
+    def enumeration(self) -> Enumeration:
+        """The elements as the breadth-first orbit of the identity under
+        right multiplication by the generators, keeping the Schreier tree
+        and the generator columns that the orbit computes on the way."""
+        n = self.order
+        if n > ENUM_CAP:
+            raise CapExceeded(f"group order {n} exceeds cap {ENUM_CAP}")
+        gens = [g.images for g in self.generators]
+        elems = [self.identity()]
+        index = {elems[0].images: 0}
+        parent, letter = [0], [0]
+        cols: list[list[int]] = [[] for _ in gens]
+        for x, p in enumerate(elems):  # grows as new elements are met
+            for k, g in enumerate(gens):
+                images = tuple(map(g.__getitem__, p.images))
+                y = index.get(images)
+                if y is None:
+                    y = len(elems)
+                    index[images] = y
+                    elems.append(Permutation._trusted(images))
+                    parent.append(x)
+                    letter.append(k)
+                cols[k].append(y)
+        if len(elems) != n:
+            raise CovnumError(f"enumerated {len(elems)} elements, chain order {n}")
+        return Enumeration(elems, index, parent, letter, cols)
 
     @cached_property
     def conjugation_maps(self) -> list[list[int]]:
         """For each generator g, the element-id map x -> g^-1 x g."""
         index = self.element_index
-        return [[index[p.conjugated_by(g).images] for p in self._element_list]
+        return [[index[p.conjugated_by(g).images] for p in self.elements()]
                 for g in self.generators]
 
     def is_cyclic(self) -> bool:

@@ -102,6 +102,19 @@ def test_deep_search_returns_a_bracket():
     assert result.nodes_explored == 1200
 
 
+def test_zero_time_limit_stops_at_the_first_node():
+    # the clock starts when solve is entered and is read at every node, so
+    # a limit of 0 on the 600-triangle instance (sigma 1200) is spent by the
+    # time the first node is reached, and the bracket is still sound
+    lines = ["universe 1800", "columns 1800"]
+    for a in range(0, 1800, 3):
+        lines += [f"{a} {a + 1}", f"{a + 1} {a + 2}", f"{a} {a + 2}"]
+    result = solve(parse_instance("\n".join(lines)), SolveBudget(time_limit=0))
+    assert result.nodes_explored <= 1
+    assert result.budget_exhausted and not result.optimal
+    assert result.lower <= 1200 <= result.upper
+
+
 def test_greedy_incumbent_feeds_solver():
     # sigma_exact starts from the columns of the greedy cover's classes, so
     # it searches exactly as a solve seeded with them by hand

@@ -9,6 +9,7 @@ from covnum.errors import BudgetExceeded, IngestInvalid, NoSupplement, ParseErro
 from covnum.groups import PermGroup, format_group_file, parse_group_file
 from covnum.perms import Permutation, format_cycles, parse_permutation
 from covnum.subgroups import (
+    Limits,
     algebra,
     all_subgroups,
     coset_action,
@@ -44,17 +45,17 @@ def test_lattice_sizes(key, count):
 def test_lattice_walk_joins_once_per_normalizer_orbit(monkeypatch, key, joins):
     """The walk joins each class representative H with one atom per
     N_G(H)-orbit of atoms outside H, against 12,498 (S6) and 43,362 (AGL32)
-    joins with every atom outside H. A join is the one closure call that
+    joins with every atom outside H. A join is the one join call that
     stops at the whole group."""
     made = []
-    closure = subgroups._Algebra.closure
+    join = subgroups._Algebra.join
 
-    def counting(self, seed_ids, bail_above=None):
+    def counting(self, ids, gen_ids, bail_above=None):
         if bail_above is not None:
             made.append(None)
-        return closure(self, seed_ids, bail_above)
+        return join(self, ids, gen_ids, bail_above)
 
-    monkeypatch.setattr(subgroups._Algebra, "closure", counting)
+    monkeypatch.setattr(subgroups._Algebra, "join", counting)
     maximal_classes_computed(library.group(key))
     assert len(made) == joins
 
@@ -75,6 +76,118 @@ def test_all_subgroups_builds_generators_only_for_the_walk(monkeypatch, key, cal
     monkeypatch.setattr(subgroups._Algebra, "generating_ids", counting)
     all_subgroups(library.group(key))
     assert len(made) == calls
+
+
+def _generated_group():
+    """A6 again, but on 7 points from three seeded random permutations, so
+    its enumeration tree differs from the library's."""
+    rng = random.Random(6)
+    gens = []
+    for _ in range(3):
+        images = list(range(7))
+        rng.shuffle(images)
+        gens.append(Permutation(images))
+    group = PermGroup(7, gens)
+    assert group.order == 360
+    return group
+
+
+def _product_mult(group):
+    elems, index = group.elements(), group.element_index
+    return lambda a, b: index[(elems[a] * elems[b]).images]
+
+
+def _product_closure(group, seed_ids):
+    """Breadth-first closure by permutation products, no columns."""
+    mult = _product_mult(group)
+    out, frontier = {0}, [0]
+    for x in frontier:
+        for g in seed_ids:
+            y = mult(x, g)
+            if y not in out:
+                out.add(y)
+                frontier.append(y)
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("make", [lambda: library.group("A6"), lambda: library.group("S6"),
+                                  lambda: library.group("AGL32"), _generated_group],
+                         ids=["A6", "S6", "AGL32", "generated"])
+def test_composed_columns_are_right_multiplication(make):
+    """column(g), composed from generator columns along the enumeration
+    tree, is x -> x*g as permutation products give it, for every g; the
+    columns are asked for in a shuffled order, so walks start from cached
+    ancestors at every depth."""
+    group = make()
+    group = PermGroup(group.degree, group.generators)  # a fresh column cache
+    alg = algebra(group)
+    elems, index = group.elements(), group.element_index
+    order = list(range(alg.n))
+    random.Random(3).shuffle(order)
+    for g in order:
+        image = elems[g].images.__getitem__
+        assert list(alg.column(g)) == [index[tuple(map(image, p.images))] for p in elems]
+
+
+@pytest.mark.parametrize("key", ["S6", "AGL32"])
+def test_coset_join_is_the_closure(key):
+    """On seeded random pairs (H from the lattice, atom a), the join grown
+    by coset images is the closure of H's generators and a, and it is None
+    exactly when that closure has more than bail_above elements."""
+    group = library.group(key)
+    alg = algebra(group)
+    subs = all_subgroups(group)
+    atoms = [gen for _, gen in subgroups._atoms(alg)[0]]
+    rng = random.Random(11)
+    for _ in range(150):
+        sub, a = rng.choice(subs), rng.choice(atoms)
+        gens = alg.generating_ids(sub.elements) + [a]
+        closed = _product_closure(group, gens)
+        assert alg.closure(gens) == closed
+        assert alg.join(sub.elements, gens) == closed
+        bail = rng.randrange(sub.order, alg.n + 1)
+        joined = alg.join(sub.elements, gens, bail_above=bail)
+        assert joined == (None if len(closed) > bail else closed)
+
+
+def _product_coset_decomposition(sub):
+    """Right cosets by permutation products, representatives breadth first."""
+    group = sub.parent
+    mult = _product_mult(group)
+    gen_ids = sorted({group.element_index[g.images] for g in group.generators} - {0})
+    rep_ids, coset_of = [0], {x: 0 for x in sub.elements}
+    for r in rep_ids:
+        for g in gen_ids:
+            x = mult(r, g)
+            if x not in coset_of:
+                coset_of.update((mult(h, x), len(rep_ids)) for h in sub.elements)
+                rep_ids.append(x)
+    return rep_ids, coset_of
+
+
+@pytest.mark.parametrize("key", ["S5", "PSL27", "S6", "AGL32", "M11"])
+def test_coset_decomposition_matches_products(key):
+    """Each maximal class representative, and for the lattice groups a
+    seeded sample of other subgroups, has the representatives and the coset
+    map that permutation products give."""
+    group = library.group(key)
+    subs = [cls.rep for cls in library.maximals(key)]
+    if group.order <= 5000:
+        subs += random.Random(5).sample(all_subgroups(group), 20)
+    for sub in subs:
+        assert subgroups._coset_decomposition(sub) == _product_coset_decomposition(sub)
+
+
+def test_m11_lattice_matches_bundled_maximals():
+    """Above the default lattice cap, M11's lattice walk finds exactly the
+    classes of the bundled maximal file, member for member."""
+    m11 = library.group("M11")
+    group = PermGroup(m11.degree, m11.generators)  # same element ids, own columns
+    computed = maximal_classes_computed(group, Limits(lattice_max_order=10000))
+    bundled = library.maximals("M11")
+    assert [(c.label, c.index, c.members) for c in computed] == \
+        [(c.label, c.index, c.members) for c in bundled]
+    assert [c.index for c in computed] == [11, 12, 55, 66, 165]
 
 
 @pytest.mark.parametrize("key", ["S4", "A5"])
