@@ -149,16 +149,21 @@ class _Algebra:
         out = self.cosets(list(ids), gen_ids, bail_above)
         return None if out is None else frozenset(chain.from_iterable(out))
 
-    def closure(self, seed_ids) -> frozenset[int]:
-        """Subgroup generated by the given element ids, joining one
-        generator at a time onto the subgroup of those before it."""
+    def _span(self, seed_ids) -> tuple[list[int], frozenset[int]]:
+        """The subgroup generated by the given element ids, and the ids it
+        was grown from: in increasing order, each id outside the subgroup
+        of those before it is joined onto that subgroup."""
         gens: list[int] = []
         have: frozenset[int] = frozenset({0})
         for x in sorted(set(seed_ids)):
             if x not in have:
                 gens.append(x)
                 have = self.join(have, gens)
-        return have
+        return gens, have
+
+    def closure(self, seed_ids) -> frozenset[int]:
+        """Subgroup generated by the given element ids."""
+        return self._span(seed_ids)[1]
 
     def conjugation_closure(self, seed_ids, conjugator_ids) -> frozenset[int]:
         """Smallest subgroup containing seed_ids that the conjugator_ids
@@ -183,15 +188,7 @@ class _Algebra:
 
     def generating_ids(self, ids: frozenset[int]) -> list[int]:
         """A small deterministic generating set for the subgroup ``ids``."""
-        gens: list[int] = []
-        have: frozenset[int] = frozenset({0})
-        for x in sorted(ids):
-            if x not in have:
-                gens.append(x)
-                have = self.join(have, gens)
-                if len(have) == len(ids):
-                    break
-        return gens
+        return self._span(ids)[0]
 
     def conjugate_set(self, ids: frozenset[int], gen_index: int) -> frozenset[int]:
         return frozenset(map(self.conjugation_maps[gen_index].__getitem__, ids))
@@ -263,16 +260,15 @@ class Subgroup:
 
 
 def subgroup_from_gens(group: PermGroup, gens) -> Subgroup:
-    """The subgroup generated by outside permutations, checked to lie in the group."""
+    """The subgroup generated by outside permutations, checked to lie in the
+    group. Its ``generators`` are built from its elements, not kept."""
     alg = algebra(group)
     seed = []
     for g in gens:
         if g.images not in alg.index:
             raise IngestInvalid(f"generator {format_cycles(g)} is not in the parent group")
         seed.append(alg.index[g.images])
-    sub = Subgroup(group, alg.closure(seed))
-    object.__setattr__(sub, "generators", tuple(gens))  # fills the cached property
-    return sub
+    return Subgroup(group, alg.closure(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +486,8 @@ def maximal_classes_from_file(group: PermGroup, text: str) -> MaxClassSet:
 
     Each listed subgroup is checked to be a genuine subgroup, its index and
     class length are recomputed, and maximality is verified by the local
-    check: adjoining any coset representative must generate the whole group.
+    check of _verify_maximal, the lattice walk's test: joining any coset
+    representative to the listed generators must generate the whole group.
     """
     alg = algebra(group)
     entries = _parse_maximal_file(text, group.degree)
@@ -502,7 +499,7 @@ def maximal_classes_from_file(group: PermGroup, text: str) -> MaxClassSet:
         if sub.index != claim_index:
             raise IngestInvalid(
                 f"declared index {claim_index}, computed {sub.index}")
-        orbit = alg.set_orbit(sub.elements)
+        orbit = alg.set_orbit(sub.elements)  # the least member first
         if len(orbit) != claim_length:
             raise IngestInvalid(
                 f"declared class length {claim_length}, computed {len(orbit)}")
@@ -510,7 +507,7 @@ def maximal_classes_from_file(group: PermGroup, text: str) -> MaxClassSet:
             raise IngestInvalid("two listed subgroups are conjugate")
         seen_sets.update(orbit)
         orbits.append(orbit)
-        notes[orbit[0]] = _verify_maximal(sub)  # set_orbit lists the least member first
+        notes[orbit[0]] = _verify_maximal(sub, [alg.index[g.images] for g in gens])
     return _package_max_classes(group, orbits, "ingested", notes)
 
 
@@ -528,28 +525,32 @@ def _coset_decomposition(sub: Subgroup) -> tuple[list[int], dict[int, int]]:
     return rep_ids, coset_of
 
 
-def _verify_maximal(sub: Subgroup) -> str:
-    """Local maximality check: adjoining any coset representative must
-    generate the whole group. Since <H, r> = <H, h r h'> for h, h' in H, one
-    representative per double coset H r H decides all of its cosets
+def _verify_maximal(sub: Subgroup, gen_ids: list[int]) -> str:
+    """Local maximality check of H = sub, generated by the ids gen_ids:
+    adjoining any coset representative r must generate the whole group.
+    Since <H, r> = <H, h r h'> for h, h' in H, one r per double coset H r H
+    decides all of its cosets, the orbit of Hr under H's generator columns
     (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
-    Returns a note saying how many representatives were decided."""
+    As in _lattice_classes, <H, r> is the whole group exactly when its join
+    grows past |G|/q, q the least prime dividing [G:H], since no proper
+    overgroup of H is larger. Returns a note saying how many
+    representatives were decided."""
     if sub.index == 1:
         raise IngestInvalid("not maximal: the listed subgroup is the whole group")
-    group = sub.parent
-    alg = algebra(group)
+    alg = algebra(sub.parent)
     rep_ids, coset_of = _coset_decomposition(sub)
+    hcols = [alg.column(g) for g in gen_ids]
+    proper_cap = alg.n // smallest_prime_factor(sub.index)
     decided = {0}
     for c, r in enumerate(rep_ids):
         if c in decided:
             continue
-        decided.update(coset_of[alg.mult(r, h)] for h in sub.elements)
-        rep = alg.elems[r]
-        probe = PermGroup(group.degree, list(sub.generators) + [rep])
-        if probe.order != group.order:
+        decided.update(orbit(c, lambda d: [coset_of[col[rep_ids[d]]] for col in hcols]))
+        joined = alg.join(sub.elements, gen_ids + [r], bail_above=proper_cap)
+        if joined is not None:
             raise IngestInvalid(
-                f"not maximal: adjoining {format_cycles(rep)} gives a proper "
-                f"subgroup of order {probe.order}")
+                f"not maximal: adjoining {format_cycles(alg.elems[r])} gives a "
+                f"proper subgroup of order {len(joined)}")
     return f"exhaustive({len(rep_ids) - 1})"
 
 
@@ -630,11 +631,8 @@ def coset_action(sub: Subgroup) -> tuple[PermGroup, Subgroup]:
         raise IndexTooLarge(f"index {index} exceeds {COSET_DEGREE_MAX}")
     alg = algebra(group)
     rep_ids, coset_of = _coset_decomposition(sub)
-    image_gens = []
-    for g in group.generators:
-        gid = alg.index[g.images]
-        image_gens.append(Permutation(
-            tuple(coset_of[alg.mult(r, gid)] for r in rep_ids)))
+    image_gens = [Permutation(tuple(coset_of[col[r]] for r in rep_ids))
+                  for col in alg.gen_cols]
     image = PermGroup(index, image_gens,
                       name=f"{group.name or 'G'}/cosets({sub.order})")
     kernel = normal_core(sub)

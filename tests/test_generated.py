@@ -1,10 +1,12 @@
 """Differential tests on generated groups: the solver, the greedy route and
 the solvable formula against the brute-force oracle, and the normal and
-maximal subgroups against the whole lattice, on subgroups of S_n (n <= 6)
-generated by two or three random permutations."""
+maximal subgroups and the ingest maximality check against the whole
+lattice, on subgroups of S_n (n <= 6) generated by two or three random
+permutations."""
 
 from hypothesis import HealthCheck, Phase, assume, given, settings, strategies as st
 from oracle import exhaustive_sigma
+from test_subgroups import check_ingest_against_lattice
 
 from covnum.cover import SolveBudget, build_instance, sigma_exact, solve
 from covnum.greedy import covering_number_bounds
@@ -63,7 +65,7 @@ def test_generated_group_structure_matches_lattice(group):
     """normal_subgroups lists the lattice subgroups that conjugation by each
     generator maps onto themselves, in lattice order; the computed maximal
     classes hold exactly the proper subgroups with nothing strictly between
-    them and the group."""
+    them and the group, and the ingest check accepts exactly those."""
     subs = all_subgroups(group)
     elems = group.elements()
     normal = []
@@ -77,3 +79,4 @@ def test_generated_group_structure_matches_lattice(group):
     maximal = {sub.elements for sub in subs[:-1]
                if not any(sub.elements < s.elements < full for s in subs)}
     assert {m for cls in maximal_classes_computed(group) for m in cls.members} == maximal
+    check_ingest_against_lattice(group, subs, maximal)

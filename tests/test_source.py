@@ -46,3 +46,15 @@ def test_no_function_calls_itself():
                           and call.func.id == node.name]
     assert len(SOURCES) > 10
     assert found == []
+
+
+def test_frozen_dataclasses_stay_frozen():
+    """No ``object.__setattr__`` writes past a frozen dataclass."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "__setattr__" \
+                    and isinstance(node.value, ast.Name) and node.value.id == "object":
+                found.append(f"{path.name}:{node.lineno}")
+    assert len(SOURCES) > 10
+    assert found == []

@@ -315,10 +315,26 @@ def test_ingest_rejects_wrong_declarations():
 SMALL_GROUPS = [k for k in library.names() if library.group(k).order <= 720]
 
 
-def _one_class_file(group, sub):
-    length = len(algebra(group).set_orbit(sub.elements))
-    gens = "\n".join(format_cycles(g) for g in sub.generators)
-    return f"[class 1]\nindex {sub.index}\nlength {length}\n{gens}\n"
+def check_ingest_against_lattice(group, subs, maximal):
+    """Ingest one representative of each conjugacy class of proper subgroups
+    among ``subs`` (the whole lattice) as a one-class file: the check accepts
+    it as exhaustive(<index - 1>) exactly when it is in ``maximal``, and
+    rejects it as not maximal otherwise."""
+    alg = algebra(group)
+    seen = set()
+    for sub in subs[:-1]:
+        if sub.elements in seen:
+            continue
+        orbit = alg.set_orbit(sub.elements)
+        seen.update(orbit)
+        gens = "\n".join(format_cycles(g) for g in sub.generators)
+        text = f"[class 1]\nindex {sub.index}\nlength {len(orbit)}\n{gens}\n"
+        if sub.elements not in maximal:
+            with pytest.raises(IngestInvalid, match="not maximal"):
+                maximal_classes_from_file(group, text)
+        else:
+            (cls,) = maximal_classes_from_file(group, text).classes
+            assert cls.verification == f"exhaustive({sub.index - 1})"
 
 
 @pytest.mark.parametrize("key", SMALL_GROUPS)
@@ -333,18 +349,7 @@ def test_ingest_maximality_check_matches_lattice(key):
     maximal = {sub.elements for sub in subs[:-1]
                if not any(sub.elements < s.elements < full for s in subs)}
     assert {m for cls in library.maximals(key) for m in cls.members} == maximal
-    seen = set()
-    for sub in subs[:-1]:
-        if sub.elements in seen:
-            continue
-        seen.update(algebra(group).set_orbit(sub.elements))
-        text = _one_class_file(group, sub)
-        if sub.elements not in maximal:
-            with pytest.raises(IngestInvalid, match="not maximal"):
-                maximal_classes_from_file(group, text)
-        else:
-            (cls,) = maximal_classes_from_file(group, text).classes
-            assert cls.verification == f"exhaustive({sub.index - 1})"
+    check_ingest_against_lattice(group, subs, maximal)
 
 
 def _class_key(cls):
@@ -361,22 +366,32 @@ def test_ingest_of_formatted_maximals_round_trips(key):
 
 def test_maximality_check_probes_once_per_double_coset(monkeypatch):
     """M11's maximal classes have 2, 2, 3, 4 and 8 double cosets (the ranks
-    of its actions on 11, 12, 55, 66 and 165 points), so the ingest builds
-    one probe group per nontrivial double coset: 1 + 1 + 2 + 3 + 7, against
-    one per coset (304) if each coset were probed. The probes extend the
-    generators read from the file, so no generating set is rebuilt."""
-    built = []
+    of its actions on 11, 12, 55, 66 and 165 points), so the ingest makes
+    one bailing join per nontrivial double coset: 1 + 1 + 2 + 3 + 7, against
+    one per coset (304) if each coset were probed. It builds no group and
+    multiplies no permutations, and the joins extend the generators read
+    from the file, so no generating set is rebuilt."""
+    group, text = library.group("M11"), library.m11_maximals_text()
+    made = []
     rebuilt = []
+    join = subgroups._Algebra.join
 
-    def counting(*args, **kwargs):
-        built.append(None)
-        return PermGroup(*args, **kwargs)
+    def counting(self, ids, gen_ids, bail_above=None):
+        if bail_above is not None:
+            made.append(None)
+        return join(self, ids, gen_ids, bail_above)
 
-    monkeypatch.setattr(subgroups, "PermGroup", counting)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the maximality check built a group or multiplied")
+
+    monkeypatch.setattr(subgroups, "PermGroup", forbidden)
+    monkeypatch.setattr(subgroups._Algebra, "mult", forbidden)
+    monkeypatch.setattr(Permutation, "__mul__", forbidden)
+    monkeypatch.setattr(subgroups._Algebra, "join", counting)
     monkeypatch.setattr(subgroups._Algebra, "generating_ids",
                         lambda self, ids: rebuilt.append(None))
-    maximal_classes_from_file(library.group("M11"), library.m11_maximals_text())
-    assert len(built) == 14
+    maximal_classes_from_file(group, text)
+    assert len(made) == 14
     assert rebuilt == []
 
 
