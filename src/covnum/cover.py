@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import ceil
 
 from .errors import CovnumError, CyclicGroup, Infeasible, ParseError
@@ -126,18 +127,24 @@ def build_instance(group: PermGroup, cls: ConjClassTable, mx: MaxClassSet,
 
 
 def _greedy_cover(masks, full: int) -> list[int]:
+    """Greedy cover: the column covering most of what is uncovered, lowest
+    first among ties, until nothing is gained. Lazily: the heap keys
+    (-gain, column) are computed when pushed and gains only fall, so a
+    popped column whose fresh key is still no larger than the top wins."""
+    heap = [(-m.bit_count(), c) for c, m in enumerate(masks) if m]
+    heapify(heap)
     chosen = []
     cov = 0
-    while cov != full:
-        best, best_gain = -1, 0
-        for c, m in enumerate(masks):
-            gain = (m & ~cov).bit_count()
-            if gain > best_gain:
-                best, best_gain = c, gain
-        if best_gain == 0:
+    while heap and cov != full:
+        c = heappop(heap)[1]
+        key = (-(masks[c] & ~cov).bit_count(), c)
+        if heap and key > heap[0]:
+            heappush(heap, key)
+        elif key[0]:
+            chosen.append(c)
+            cov |= masks[c]
+        else:
             break
-        chosen.append(best)
-        cov |= masks[best]
     return chosen
 
 

@@ -210,6 +210,8 @@ class PermGroup:
     def is_cyclic(self) -> bool:
         if self.order == 1:
             return True
+        if not self.is_abelian():  # a cyclic group is abelian
+            return False
         return any(p.order == self.order for p in self.elements())
 
     def is_abelian(self) -> bool:

@@ -364,6 +364,14 @@ def _lattice_classes(group: PermGroup,
     H and <a>, and it stops as soon as it outgrows every proper overgroup of
     H: such an overgroup has index a proper divisor of [G:H], so at most
     |G|/q elements for q the least prime dividing [G:H].
+    A join is skipped when an atom b inside H has <b, a> = G, since then
+    <H, a> = G. The atom classes' own joins decide every atom pair: full[a]
+    holds the atoms b with <a, b> = G, one bit each, and full[b^g] =
+    full[b]^g fills the rest of b's class once b is done. The skipped atoms
+    are N_G(H)-invariant, so the test comes before a's orbit is computed,
+    and one skipped while an atom class is joined goes into its full set.
+    A skipped join would have bailed, and a bailing join admits no class
+    and clears no flag, so the walk's output is unchanged.
     """
     if group.order > limits.lattice_max_order:
         raise BudgetExceeded(
@@ -374,6 +382,11 @@ def _lattice_classes(group: PermGroup,
     # letter k + m as its inverse (m generators)
     moves = [[atom_of[cmap[gen]] for _, gen in atoms] for cmap in alg.conjugation_maps]
     moves += [sorted(range(len(atoms)), key=move.__getitem__) for move in moves]
+    # bit x of an atom set is character last - x of its binary text, and
+    # generator k moves the text by bit_moves[k]
+    last, width = len(atoms) - 1, f"0{len(atoms)}b"
+    bit_moves = [[last - inverse[last - i] for i in range(len(atoms))]
+                 for inverse in moves[len(alg.conjugation_maps):]]
     seen: set[frozenset[int]] = set()
     classes: list[list] = []  # [ids, generator ids, orbit tree, maximal]
 
@@ -386,7 +399,9 @@ def _lattice_classes(group: PermGroup,
     admit(frozenset({0}), [])
     for ids, gen in atoms:
         admit(ids, [gen])
-    for cls in classes:  # grows as joins admit new classes
+    atom_classes = len(classes)
+    full = [0] * len(atoms)  # bit b of full[a]: <atom a, atom b> = G
+    for pos, cls in enumerate(classes):  # grows as joins admit new classes
         ids, gens, tree = cls[0], cls[1], cls[2]
         proper_cap = alg.n // smallest_prime_factor(alg.n // len(ids))
         actions = []
@@ -395,18 +410,33 @@ def _lattice_classes(group: PermGroup,
             for letter in word:
                 action = list(map(moves[letter].__getitem__, action))
             actions.append(action)
+        inside = sum(1 << a for a, (_, atom_gen) in enumerate(atoms) if atom_gen in ids)
+        reach = []  # the atoms whose join with H is G
         covered: set[int] = set()
         for a, (atom, atom_gen) in enumerate(atoms):
             if a in covered or atom_gen in ids:
                 continue
-            covered.update(orbit(a, lambda b: [act[b] for act in actions]))
+            if full[a] & inside:
+                reach.append(a)
+                continue
+            cover = orbit(a, lambda b: [act[b] for act in actions])
+            covered.update(cover)
             joined = alg.join(max(ids, atom, key=len), gens + [atom_gen],
                               bail_above=proper_cap)
             if joined is None:
+                reach += cover
                 continue
             cls[3] = False
             if joined not in seen:
                 admit(joined, alg.generating_ids(joined))
+        if 0 < pos < atom_classes:  # H = <b> is an atom: full[b^g] = full[b]^g
+            at = {ids: atom_of[gens[0]]}
+            full[at[ids]] = sum(1 << x for x in reach)
+            for s, edge in tree.items():  # parents come before their children
+                if edge is not None:
+                    b = at[s] = moves[edge[1]][at[edge[0]]]
+                    text = format(full[at[edge[0]]], width)
+                    full[b] = int("".join(map(text.__getitem__, bit_moves[edge[1]])), 2)
     admit(frozenset(range(alg.n)), alg.gen_ids)
     return [(list(tree), maximal) for _, _, tree, maximal in classes]
 

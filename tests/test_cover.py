@@ -1,12 +1,13 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracle import exhaustive_sigma
 
 from covnum import library
-from covnum.cover import CoverInstance, SolveBudget, _reduce_universe, build_instance, \
-    format_instance, format_lp, parse_instance, sigma_exact, solve
+from covnum.cover import CoverInstance, SolveBudget, _greedy_cover, _reduce_universe, \
+    build_instance, format_instance, format_lp, parse_instance, sigma_exact, solve
 from covnum.errors import CovnumError, CyclicGroup, Infeasible, ParseError
 from covnum.greedy import covering_number_bounds
 from covnum.subgroups import all_subgroups, coset_action, normal_subgroups
@@ -128,6 +129,38 @@ def test_greedy_incumbent_feeds_solver():
         result = sigma_exact(group, budget, mx=mx)
         assert result == solve(inst, budget, initial_cover=seed)
         assert result.upper <= trace.upper
+
+
+def _eager_greedy_cover(masks, full):
+    """Reference greedy: every gain recomputed at every step."""
+    chosen, cov = [], 0
+    while cov != full:
+        gains = [(m & ~cov).bit_count() for m in masks]
+        best = max(range(len(masks)), key=lambda c: (gains[c], -c), default=None)
+        if best is None or gains[best] == 0:
+            break
+        chosen.append(best)
+        cov |= masks[best]
+    return chosen
+
+
+def test_lazy_greedy_cover_picks_as_the_eager_one():
+    # random masks over up to 40 elements, with many gain ties; when the
+    # union is not full the greedy stops once nothing more is gained
+    rng = random.Random(13)
+    partial = 0
+    for _ in range(1500):
+        size = rng.randint(1, 40)
+        density = rng.choice([0.05, 0.2, 0.5])
+        masks = [sum(1 << e for e in range(size) if rng.random() < density)
+                 for _ in range(rng.randint(0, 25))]
+        full = (1 << size) - 1
+        union = 0
+        for m in masks:
+            union |= m
+        partial += union != full
+        assert _greedy_cover(masks, full) == _eager_greedy_cover(masks, full)
+    assert partial > 100
 
 
 def test_instance_text_round_trip():

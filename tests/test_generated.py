@@ -1,12 +1,12 @@
 """Differential tests on generated groups: the solver, the greedy route and
-the solvable formula against the brute-force oracle, and the normal and
-maximal subgroups and the ingest maximality check against the whole
-lattice, on subgroups of S_n (n <= 6) generated by two or three random
-permutations."""
+the solvable formula against the brute-force oracle, the lattice against an
+unpruned reference walk, and the normal and maximal subgroups and the
+ingest maximality check against the whole lattice, on subgroups of S_n
+(n <= 6) generated by two or three random permutations."""
 
 from hypothesis import HealthCheck, Phase, assume, given, settings, strategies as st
 from oracle import exhaustive_sigma
-from test_subgroups import check_ingest_against_lattice
+from test_subgroups import check_ingest_against_lattice, reference_subgroups
 
 from covnum.cover import SolveBudget, build_instance, sigma_exact, solve
 from covnum.greedy import covering_number_bounds
@@ -62,11 +62,14 @@ def test_generated_group_agrees_with_oracle(group):
 @GENERATED
 @given(small_groups())
 def test_generated_group_structure_matches_lattice(group):
-    """normal_subgroups lists the lattice subgroups that conjugation by each
+    """The lattice is the unpruned reference's up to order 120;
+    normal_subgroups lists the lattice subgroups that conjugation by each
     generator maps onto themselves, in lattice order; the computed maximal
     classes hold exactly the proper subgroups with nothing strictly between
     them and the group, and the ingest check accepts exactly those."""
     subs = all_subgroups(group)
+    if group.order <= 120:
+        assert {sub.elements for sub in subs} == reference_subgroups(group)
     elems = group.elements()
     normal = []
     for sub in subs:

@@ -132,6 +132,18 @@ def test_classes_conjugation_invariant():
     assert original == relabeled
 
 
+def test_is_cyclic_matches_element_orders(monkeypatch):
+    # a group is cyclic when some element has the group's order; a
+    # nonabelian group is answered without reading its elements
+    built = [library.group(key) for key in library.names() if key != "M11"]
+    built += library.solvable_suite() + [PermGroup(3, []), library.cyclic(8)]
+    for group in built:
+        assert group.is_cyclic() == any(p.order == group.order for p in group.elements())
+    m11 = PermGroup(11, library.group("M11").generators)
+    monkeypatch.setattr(PermGroup, "elements", lambda *_: pytest.fail("enumerated"))
+    assert not m11.is_cyclic()
+
+
 def test_element_orders_divide_group_order():
     for key in ["S4", "A5", "Q8", "F21"]:
         group = library.group(key)
