@@ -187,12 +187,19 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
     """Branch-and-bound minimum cover. Budget exhaustion degrades ``optimal``
     to False but the returned (lower, upper) bracket stays sound. The time
     limit counts from entry, so it includes the greedy incumbent, the
-    universe reduction and the root bounds; it is checked at every node."""
+    universe reduction and the root bounds; it is checked at every node.
+    An element that no column covers raises Infeasible before any search."""
     deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit
     masks = instance.column_masks
     full = instance.full_mask()
     if instance.universe_size == 0:
         return CoverResult(0, 0, True, (), 0, False)
+    covered = 0
+    for m in masks:
+        covered |= m
+    if covered != full:
+        missing = next(_bits(full & ~covered))
+        raise Infeasible(f"element {missing} lies in no column", witness=missing)
 
     best = _greedy_cover(masks, full)
     if initial_cover is not None:

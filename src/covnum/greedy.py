@@ -126,7 +126,8 @@ def greedy_from_profile(profile: IncidenceProfile, mode: str = "corrected") -> G
 
 
 def verify_minimal_cover(profile: IncidenceProfile, pi, cover) -> CertificateReport:
-    """Class-level minimality certificate for a cover of the classes in pi.
+    """Class-level minimality certificate for a cover of the classes in pi;
+    pi and cover are lists of class labels.
 
     Requires each element class in pi to meet exactly one cover class (its
     assigned class); the verdict is then:
@@ -139,9 +140,8 @@ def verify_minimal_cover(profile: IncidenceProfile, pi, cover) -> CertificateRep
     c-values are exact rationals. A cover consisting of every maximal class
     leaves no competitors, so the c(M) condition holds vacuously.
     """
-    pi_idx = [profile.element_index(lbl) if isinstance(lbl, str) else lbl for lbl in pi]
-    cover_idx = [profile.subgroup_index(lbl) if isinstance(lbl, str) else lbl
-                 for lbl in cover]
+    pi_idx = [profile.element_index(lbl) for lbl in pi]
+    cover_idx = [profile.subgroup_index(lbl) for lbl in cover]
     if len(set(pi_idx)) != len(pi_idx):
         raise NotACover("repeated pi class")
     if len(set(cover_idx)) != len(cover_idx):

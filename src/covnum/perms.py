@@ -66,18 +66,6 @@ class Permutation:
             raise DegreeMismatch(f"degree {len(a)} vs {len(b)}")
         return Permutation._trusted(tuple(map(b.__getitem__, a)))
 
-    def __pow__(self, k: int) -> "Permutation":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Permutation.identity(self.degree)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
         for x, y in enumerate(self.images):

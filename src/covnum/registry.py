@@ -21,13 +21,14 @@ from .subgroups import (
     Limits,
     MaxClassSet,
     all_subgroups,  # not called here: perfbench/workloads.py patches registry.all_subgroups
+    chief_series,
     coset_action,
-    is_solvable,
+    is_solvable,  # not called here: perfbench/workloads.py patches registry.is_solvable
     maximal_classes_computed,
     minimal_normal_subgroups,
-    normal_subgroups,
     prime_power,
     smallest_prime_factor,
+    solvable_series,
 )
 
 
@@ -117,19 +118,11 @@ def sigma_solvable(group: PermGroup, limits: Limits = DEFAULT_LIMITS,
     """
     if group.is_cyclic():
         raise CyclicGroup("covering number of a cyclic group is infinite")
-    if not is_solvable(group):
+    chief = chief_series(group)
+    if not solvable_series(chief):
         raise OutOfRange("group is not solvable")
-    normals = [s.elements for s in normal_subgroups(group)]
+    series = [s.elements for s in chief]
     order = group.order
-    # chief series: the smallest normal subgroup properly above the current
-    # one has nothing normal strictly between
-    series = [frozenset({0})]
-    while len(series[-1]) < order:
-        current = series[-1]
-        nxt = next((s for s in normals if current < s), None)
-        if nxt is None:
-            raise CovnumError(f"chief series stops at order {len(current)}")
-        series.append(nxt)
     maximals = [m for cls in maximal_classes_computed(group, limits) for m in cls.members]
     factors: list[ChiefFactorInfo] = []
     for below, above in zip(series, series[1:]):

@@ -165,26 +165,23 @@ class _Algebra:
         """Subgroup generated by the given element ids."""
         return self._span(seed_ids)[1]
 
-    def conjugation_closure(self, seed_ids, conjugator_ids) -> frozenset[int]:
-        """Smallest subgroup containing seed_ids that the conjugator_ids
-        normalize.
+    def normal_closure(self, seed_ids) -> frozenset[int]:
+        """Smallest normal subgroup containing seed_ids.
 
-        A subgroup is normalized by c once c conjugates each of its
-        generators into it, so each round conjugates only the generators
-        added in the round before and joins them onto the subgroup."""
+        A subgroup is normal once each generator of the group conjugates
+        each of its generators into it, so each round conjugates only the
+        generators added in the round before and joins them onto the
+        subgroup."""
         gens = set(seed_ids) - {0}
         current = self.closure(gens)
         fresh = gens
         while fresh:
-            fresh = {y for x in fresh for c in conjugator_ids
-                     if (y := self.conjugate(x, c)) not in current}
+            fresh = {y for x in fresh for cmap in self.conjugation_maps
+                     if (y := cmap[x]) not in current}
             if fresh:
                 gens |= fresh
                 current = self.join(current, gens)
         return current
-
-    def normal_closure(self, seed_ids) -> frozenset[int]:
-        return self.conjugation_closure(seed_ids, self.gen_ids)
 
     def generating_ids(self, ids: frozenset[int]) -> list[int]:
         """A small deterministic generating set for the subgroup ``ids``."""
@@ -705,34 +702,43 @@ def minimal_normal_subgroups(group: PermGroup) -> list[Subgroup]:
     return [n for n in nontrivial if not any(m.elements < n.elements for m in nontrivial)]
 
 
-def derived_subgroup_ids(group: PermGroup, ids: frozenset[int] | None = None) -> frozenset[int]:
-    """Derived subgroup of the subgroup with the given ids (whole group if None):
-    the commutators of its generators, closed under conjugation by them."""
-    alg = algebra(group)
-    if ids is None:
-        base, gens = frozenset(range(alg.n)), alg.gen_ids
-    else:
-        base, gens = ids, alg.generating_ids(ids)
-    gens = gens or [0]
-    comms = [alg.mult(alg.mult(alg.inv[a], alg.inv[b]), alg.mult(a, b))
-             for a in gens for b in gens]
-    current = alg.conjugation_closure(comms, gens)
-    if not current <= base:
-        raise CovnumError("derived subgroup escaped its subgroup")
-    return current
+def chief_series(group: PermGroup) -> list[Subgroup]:
+    """A chief series 1 = N_0 < N_1 < ... < N_r = G: normal subgroups with
+    no normal subgroup strictly between consecutive terms.
+
+    normal_subgroups lists by order, so the first normal subgroup after the
+    last term kept that properly contains it is the least one above it, and
+    nothing normal lies strictly between them. One pass keeps each in turn."""
+    normals = normal_subgroups(group)
+    series = normals[:1]
+    for sub in normals:
+        if series[-1].elements < sub.elements:
+            series.append(sub)
+    if series[-1].order != group.order:
+        raise CovnumError(f"chief series stops at order {series[-1].order}")
+    return series
+
+
+def solvable_series(series: list[Subgroup]) -> bool:
+    """Whether every factor of the chief series has prime-power order, which
+    decides whether its group is solvable (see is_solvable)."""
+    try:
+        for below, above in zip(series, series[1:]):
+            prime_power(above.order // below.order)
+    except OutOfRange:
+        return False
+    return True
 
 
 def is_solvable(group: PermGroup) -> bool:
-    """True iff the derived series reaches the trivial group."""
-    alg = algebra(group)
-    current = frozenset(range(alg.n))
-    while True:
-        nxt = derived_subgroup_ids(group, current if len(current) < alg.n else None)
-        if nxt == current:
-            return len(current) == 1
-        if len(nxt) == 1:
-            return True
-        current = nxt
+    """True iff every chief factor has prime-power order.
+
+    A chief factor H/K is a minimal normal subgroup of G/K, so a direct
+    power of one simple group T. When |H/K| is a power of a prime p, T is a
+    simple p-group, so T has order p and H/K is elementary abelian; a group
+    with a series of abelian factors is solvable. Conversely every chief
+    factor of a solvable group is elementary abelian."""
+    return solvable_series(chief_series(group))
 
 
 def is_primitive_monolithic(group: PermGroup, mx: MaxClassSet):

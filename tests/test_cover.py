@@ -33,6 +33,18 @@ def test_cyclic_instance_infeasible():
     assert err.value.witness is not None
 
 
+@pytest.mark.parametrize("text, missing", [
+    ("universe 2\ncolumns 1\n0\n", 1),
+    ("universe 2\ncolumns 0\n", 0),
+])
+def test_solve_rejects_an_uncovered_element(text, missing):
+    """An element in no column makes the instance infeasible; solve says so
+    before searching instead of failing its own incumbent check."""
+    with pytest.raises(Infeasible, match=f"element {missing} lies in no column") as err:
+        solve(parse_instance(text))
+    assert err.value.witness == missing
+
+
 def test_psl27_order7_instance():
     inst = _instance("PSL27", elts=["cl_7,1", "cl_7,2"], subs=["M3"])
     assert inst.universe_size == 48

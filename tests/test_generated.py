@@ -13,8 +13,8 @@ from covnum.greedy import covering_number_bounds
 from covnum.groups import PermGroup
 from covnum.perms import Permutation
 from covnum.registry import sigma_solvable
-from covnum.subgroups import all_subgroups, is_solvable, maximal_classes_computed, \
-    normal_subgroups
+from covnum.subgroups import all_subgroups, chief_series, is_solvable, \
+    maximal_classes_computed, normal_subgroups
 
 
 @st.composite
@@ -64,7 +64,8 @@ def test_generated_group_agrees_with_oracle(group):
 def test_generated_group_structure_matches_lattice(group):
     """The lattice is the unpruned reference's up to order 120;
     normal_subgroups lists the lattice subgroups that conjugation by each
-    generator maps onto themselves, in lattice order; the computed maximal
+    generator maps onto themselves, in lattice order; chief_series is a
+    chain of them with none strictly between two terms; the computed maximal
     classes hold exactly the proper subgroups with nothing strictly between
     them and the group, and the ingest check accepts exactly those."""
     subs = all_subgroups(group)
@@ -79,6 +80,11 @@ def test_generated_group_structure_matches_lattice(group):
             normal.append(sub.elements)
     assert [sub.elements for sub in normal_subgroups(group)] == normal
     full = subs[-1].elements
+    series = [sub.elements for sub in chief_series(group)]
+    assert len(series[0]) == 1 and series[-1] == full
+    for below, above in zip(series, series[1:]):
+        assert below < above and above in normal
+        assert not any(below < n < above for n in normal)
     maximal = {sub.elements for sub in subs[:-1]
                if not any(sub.elements < s.elements < full for s in subs)}
     assert {m for cls in maximal_classes_computed(group) for m in cls.members} == maximal

@@ -76,9 +76,11 @@ def test_order_examples():
 def test_order_is_least_power_reaching_identity(images):
     p = Permutation(images)
     k = p.order
-    assert (p ** k).is_identity()
-    for m in range(1, k):
-        assert not (p ** m).is_identity()
+    power = p
+    for _ in range(1, k):
+        assert not power.is_identity()
+        power = power * p
+    assert power.is_identity()
 
 
 @given(st.permutations(list(range(8))))

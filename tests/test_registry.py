@@ -102,6 +102,10 @@ def test_sigma_solvable_rejects():
         sigma_solvable(library.group("C6"))
     with pytest.raises(OutOfRange):
         sigma_solvable(library.group("A5"))
+    # decided from the chief series before the maximal classes, which M11's
+    # order puts over the lattice budget
+    with pytest.raises(OutOfRange, match="group is not solvable"):
+        sigma_solvable(library.group("M11"))
 
 
 def test_sigma_solvable_details():

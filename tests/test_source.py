@@ -1,6 +1,7 @@
 """Source checks: the package states its invariants as explicit errors."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import covnum
@@ -58,3 +59,18 @@ def test_frozen_dataclasses_stay_frozen():
                 found.append(f"{path.name}:{node.lineno}")
     assert len(SOURCES) > 10
     assert found == []
+
+
+def test_perfbench_patch_targets_exist():
+    """Traced benchmark passes replace ``covnum.<module>.<name>`` through
+    ``instrument(rec, <module>, "<name>", ...)``; each name must still be
+    there, or a refactor breaks ``perfbench/run.py --trace 1``."""
+    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    targets = [(node.args[1].id, node.args[2].value)
+               for node in ast.walk(ast.parse(workloads.read_text(), str(workloads)))
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "instrument"]
+    assert len(targets) > 5
+    missing = [f"{module}.{name}" for module, name in targets
+               if not hasattr(importlib.import_module(f"covnum.{module}"), name)]
+    assert missing == []
