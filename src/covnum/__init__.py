@@ -36,7 +36,7 @@ from .incidence import IncidenceProfile, incidence_profile, parse_profile, \
 from .perms import Permutation, format_cycles, parse_permutation
 from .registry import KnownEntry, SigmaElementaryReport, is_sigma_elementary, \
     lookup_known, sigma_formula, sigma_solvable
-from .subgroups import Limits, MaxClass, MaxClassSet, Subgroup, all_subgroups, \
+from .subgroups import MaxClass, MaxClassSet, Subgroup, all_subgroups, \
     coset_action, is_primitive_monolithic, is_solvable, maximal_classes_computed, \
     maximal_classes_from_file, min_supplement_index, minimal_normal_subgroups, \
     normal_core, normal_subgroups

@@ -21,9 +21,9 @@ from .cover import CoverResult, SolveBudget, build_instance, format_instance, fo
 from .errors import CapExceeded, CovnumError
 from .greedy import covering_number_bounds, render_trace, verify_minimal_cover
 from .groups import ENUM_CAP, PermGroup, parse_group_file
-from .incidence import incidence_profile, parse_profile, render_profile
+from .incidence import IncidenceProfile, incidence_profile, parse_profile, render_profile
 from .registry import is_sigma_elementary, lookup_known, sigma_solvable
-from .subgroups import DEFAULT_LIMITS, Limits, MaxClassSet, maximal_classes_computed, \
+from .subgroups import LATTICE_MAX_ORDER, MaxClassSet, maximal_classes_computed, \
     maximal_classes_from_file
 
 BUDGET_NOTE = "budget exhausted (--max-nodes/--time-limit); bounds remain valid"
@@ -75,24 +75,25 @@ def _add_group_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-order", type=int, default=ENUM_CAP,
                    help="largest group order, checked when the group is loaded; "
                         "it can lower the 1e6 enumeration cap but not raise it")
-    p.add_argument("--max-lattice", type=int, default=DEFAULT_LIMITS.lattice_max_order,
+    p.add_argument("--max-lattice", type=int, default=LATTICE_MAX_ORDER,
                    help="largest order for full lattice enumeration "
-                        f"(default {DEFAULT_LIMITS.lattice_max_order})")
-
-
-def _limits(args) -> Limits:
-    return Limits(lattice_max_order=args.max_lattice)
+                        f"(default {LATTICE_MAX_ORDER})")
 
 
 def _budget(args) -> SolveBudget:
+    """The command's one budget; batch has no --max-lattice and keeps the
+    default lattice cap."""
     if args.max_nodes < 0:
         raise CovnumError(f"--max-nodes must be nonnegative, got {args.max_nodes}")
     if args.time_limit is not None and not args.time_limit >= 0:  # NaN too
         raise CovnumError(f"--time-limit must be nonnegative, got {args.time_limit}")
-    return SolveBudget(max_nodes=args.max_nodes, time_limit=args.time_limit)
+    return SolveBudget(max_nodes=args.max_nodes, time_limit=args.time_limit,
+                       lattice_max_order=getattr(args, "max_lattice", LATTICE_MAX_ORDER))
 
 
-def _load_group(args) -> tuple[PermGroup, MaxClassSet | None]:
+def _load_group(args) -> tuple[PermGroup, MaxClassSet]:
+    """The group and its maximal classes: ingested from --maximals or the
+    library's bundled file, otherwise computed within --max-lattice."""
     if bool(args.library) == bool(args.file):
         raise CovnumError("give exactly one of --library or --file")
     if args.library:
@@ -106,20 +107,21 @@ def _load_group(args) -> tuple[PermGroup, MaxClassSet | None]:
     elif args.library and library.entry(args.library).maximals_file:
         mx = library.maximals(args.library)
     else:
-        mx = None
+        mx = maximal_classes_computed(group, args.max_lattice)
     return group, mx
 
 
-def _maximals_for(group: PermGroup, mx: MaxClassSet | None, args) -> MaxClassSet:
-    if mx is not None:
-        return mx
-    return maximal_classes_computed(group, _limits(args))
+def _profile(args) -> tuple[IncidenceProfile, str]:
+    """The --profile table, or the group's incidence profile, and its name."""
+    if args.profile:
+        return parse_profile(Path(args.profile).read_text()), Path(args.profile).stem
+    group, mx = _load_group(args)
+    return incidence_profile(group, group.conjugacy_classes(), mx), group.name or "?"
 
 
 def cmd_bounds(args) -> int:
     t0 = time.monotonic()
     group, mx = _load_group(args)
-    mx = _maximals_for(group, mx, args)
     trace = covering_number_bounds(group, mx, args.mode)
     dt = time.monotonic() - t0
     sys.stdout.write(render_trace(trace))
@@ -135,7 +137,6 @@ def cmd_exact(args) -> int:
     t0 = time.monotonic()
     budget = _budget(args)
     group, mx = _load_group(args)
-    mx = _maximals_for(group, mx, args)
     elts = args.classes or None
     subs = args.subgroup_classes or None
     if elts or subs or args.write_lp or args.write_instance:
@@ -148,7 +149,7 @@ def cmd_exact(args) -> int:
     if elts or subs:
         result = solve(instance, budget)
     else:
-        result = sigma_exact(group, budget, _limits(args), mx=mx)
+        result = sigma_exact(group, budget, mx=mx)
     dt = time.monotonic() - t0
     note = BUDGET_NOTE if result.budget_exhausted else ""
     report = RunReport(
@@ -160,14 +161,7 @@ def cmd_exact(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.profile:
-        profile = parse_profile(Path(args.profile).read_text())
-        name = Path(args.profile).stem
-    else:
-        group, mx = _load_group(args)
-        mx = _maximals_for(group, mx, args)
-        profile = incidence_profile(group, group.conjugacy_classes(), mx)
-        name = group.name or "?"
+    profile, name = _profile(args)
     report = verify_minimal_cover(profile, args.pi, args.cover)
     print(f"group/profile: {name}")
     print(f"pi: {', '.join(report.pi_classes)}")
@@ -180,12 +174,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.profile:
-        profile = parse_profile(Path(args.profile).read_text())
-    else:
-        group, mx = _load_group(args)
-        mx = _maximals_for(group, mx, args)
-        profile = incidence_profile(group, group.conjugacy_classes(), mx)
+    profile, _ = _profile(args)
     sys.stdout.write(render_profile(profile))
     return 0
 
@@ -193,7 +182,7 @@ def cmd_table(args) -> int:
 def cmd_sigma_elementary(args) -> int:
     budget = _budget(args)
     group, mx = _load_group(args)
-    report = is_sigma_elementary(group, budget, _limits(args), mx=mx)
+    report = is_sigma_elementary(group, budget, mx=mx)
     print(f"group: {group.name or '?'} (order {group.order}), sigma = {report.sigma}")
     for chk in report.checks:
         quotient = "infinite (cyclic quotient)" if chk.quotient_sigma is None \
@@ -293,24 +282,24 @@ def make_parser() -> argparse.ArgumentParser:
                     "bounds, minimality certificates, exact set-cover search.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def output(p, budgets=True):
+    def formats(p):
         p.add_argument("--format", choices=("human", "records"), default="human")
-        if budgets:
-            p.add_argument("--max-nodes", type=int, default=5_000_000)
-            p.add_argument("--time-limit", type=float, default=None,
-                           help="seconds for the exact search (default: none)")
 
-    def common(p, budgets=True):
-        _add_group_args(p)
-        output(p, budgets)
+    def budgets(p):
+        p.add_argument("--max-nodes", type=int, default=5_000_000)
+        p.add_argument("--time-limit", type=float, default=None,
+                       help="seconds for the exact search (default: none)")
 
     p = sub.add_parser("bounds", help="greedy lower/upper bounds with certificate")
-    common(p, budgets=False)
+    _add_group_args(p)
+    formats(p)
     p.add_argument("--mode", choices=("corrected", "faithful"), default="corrected")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("exact", help="exact covering number by branch and bound")
-    common(p)
+    _add_group_args(p)
+    formats(p)
+    budgets(p)
     p.add_argument("--classes", nargs="+", help="element-class labels, e.g. cl_7,1 cl_7,2")
     p.add_argument("--subgroup-classes", nargs="+", help="subgroup-class labels, e.g. M1 M3")
     p.add_argument("--write-lp", help="also write the instance as an .lp file")
@@ -318,24 +307,26 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("verify", help="minimality certificate for a chosen pi/cover")
-    common(p, budgets=False)
+    _add_group_args(p)
     p.add_argument("--profile", help="stored profile table instead of a group")
     p.add_argument("--pi", nargs="+", required=True, help="element-class labels")
     p.add_argument("--cover", nargs="+", required=True, help="subgroup-class labels")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", help="element-distribution table")
-    common(p, budgets=False)
+    _add_group_args(p)
     p.add_argument("--profile", help="replay a stored profile table")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("sigma-elementary", help="test sigma(G) < sigma(G/N) for all N")
-    common(p)
+    _add_group_args(p)
+    budgets(p)
     p.set_defaults(func=cmd_sigma_elementary)
 
     p = sub.add_parser("batch", help="run a named suite against the registry")
     p.add_argument("suite")
-    output(p)
+    formats(p)
+    budgets(p)
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("known", help="look up a registry value")

@@ -29,7 +29,8 @@ from math import ceil
 from .errors import CovnumError, CyclicGroup, Infeasible, ParseError
 from .greedy import covering_number_bounds
 from .groups import ConjClassTable, PermGroup
-from .subgroups import DEFAULT_LIMITS, Limits, MaxClassSet, algebra, maximal_classes_computed
+from .perms import format_cycles
+from .subgroups import LATTICE_MAX_ORDER, MaxClassSet, algebra, maximal_classes_computed
 
 
 @dataclass(frozen=True)
@@ -51,22 +52,27 @@ class CoverInstance:
 class CoverResult:
     lower: int
     upper: int
-    optimal: bool
     chosen: tuple[int, ...]
     nodes_explored: int
     budget_exhausted: bool
 
     @property
-    def sigma(self) -> int:
-        if not self.optimal:
-            raise ValueError("result is not optimal; use (lower, upper)")
-        return self.upper
+    def optimal(self) -> bool:
+        """Whether the bracket is closed, so that ``upper`` is the minimum."""
+        return self.lower == self.upper
 
 
 @dataclass(frozen=True)
 class SolveBudget:
+    """The budget of an exact computation. ``max_nodes`` and ``time_limit``
+    (seconds from the entry to ``solve``) bound the search; running out of
+    either ends it with a sound (lower, upper) bracket. ``lattice_max_order``
+    bounds the groups whose subgroup lattice is walked for maximal classes;
+    a larger group raises BudgetExceeded."""
+
     max_nodes: int = 5_000_000
     time_limit: float | None = None
+    lattice_max_order: int = LATTICE_MAX_ORDER
 
 
 def build_instance(group: PermGroup, cls: ConjClassTable, mx: MaxClassSet,
@@ -111,10 +117,9 @@ def build_instance(group: PermGroup, cls: ConjClassTable, mx: MaxClassSet,
         covered |= m
     full = (1 << len(universe)) - 1
     if covered != full:
-        missing = (full & ~covered).bit_length() - 1
-        x = universe[missing]
+        x = universe[next(_bits(full & ~covered))]
         raise Infeasible(
-            f"element {alg.elems[x]} of class "
+            f"element {format_cycles(alg.elems[x])} of class "
             f"{cls.classes[assignment[x]].label} lies in no selected subgroup",
             witness=alg.elems[x])
     return CoverInstance(
@@ -184,8 +189,8 @@ def _reduce_universe(masks, universe_size: int) -> tuple[list[int], list[int]]:
 
 def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
           initial_cover=None) -> CoverResult:
-    """Branch-and-bound minimum cover. Budget exhaustion degrades ``optimal``
-    to False but the returned (lower, upper) bracket stays sound. The time
+    """Branch-and-bound minimum cover. A search cut by the budget returns
+    the root dual bound as ``lower``, so the bracket stays sound. The time
     limit counts from entry, so it includes the greedy incumbent, the
     universe reduction and the root bounds; it is checked at every node.
     An element that no column covers raises Infeasible before any search."""
@@ -193,7 +198,7 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
     masks = instance.column_masks
     full = instance.full_mask()
     if instance.universe_size == 0:
-        return CoverResult(0, 0, True, (), 0, False)
+        return CoverResult(0, 0, (), 0, False)
     covered = 0
     for m in masks:
         covered |= m
@@ -303,20 +308,16 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
 
     # a root dual bound meeting the incumbent proves optimality even if the
     # search itself was cut short
-    optimal = not exhausted or root_lower >= best_size
-    lower = best_size if optimal else min(root_lower, best_size)
+    lower = min(root_lower, best_size) if exhausted else best_size
     # the incumbent is checked against the whole universe, not the reduced one
     cov = 0
     for c in best:
         cov |= masks[c]
     if cov != full or len(best) != best_size:
         raise CovnumError(f"incumbent of size {len(best)} is not a cover of size {best_size}")
-    if optimal != (lower == best_size):
-        raise CovnumError(f"optimal={optimal} disagrees with bracket [{lower}, {best_size}]")
     return CoverResult(
         lower=lower,
         upper=best_size,
-        optimal=optimal,
         chosen=tuple(best),
         nodes_explored=nodes,
         budget_exhausted=exhausted,
@@ -324,15 +325,15 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
 
 
 def sigma_exact(group: PermGroup, budget: SolveBudget = SolveBudget(),
-                limits: Limits = DEFAULT_LIMITS,
                 mx: MaxClassSet | None = None) -> CoverResult:
     """Exact covering number via set cover over all nonidentity classes and
     all maximal subgroup classes (minimal covers can always be taken there).
-    The search starts from the greedy cover as its incumbent."""
+    The search starts from the greedy cover as its incumbent. Without ``mx``
+    the maximal classes come from the lattice, within the budget's cap."""
     if group.is_cyclic():
         raise CyclicGroup("cyclic groups have infinite covering number")
     if mx is None:
-        mx = maximal_classes_computed(group, limits)
+        mx = maximal_classes_computed(group, budget.lattice_max_order)
     cls = group.conjugacy_classes()
     instance = build_instance(group, cls, mx)
     seed = covering_number_bounds(group, mx).chosen_subgroup_classes()

@@ -17,8 +17,6 @@ from .cover import SolveBudget, sigma_exact
 from .errors import CovnumError, CyclicGroup, OutOfRange, Undecided, Unknown
 from .groups import PermGroup
 from .subgroups import (
-    DEFAULT_LIMITS,
-    Limits,
     MaxClassSet,
     all_subgroups,  # not called here: perfbench/workloads.py patches registry.all_subgroups
     chief_series,
@@ -102,8 +100,7 @@ class ChiefFactorInfo:
     complement_count: int
 
 
-def sigma_solvable(group: PermGroup, limits: Limits = DEFAULT_LIMITS,
-                   details: bool = False):
+def sigma_solvable(group: PermGroup, details: bool = False):
     """Covering number of a noncyclic solvable group: |H/K| + 1 for the
     smallest chief factor H/K with more than one complement.
 
@@ -123,7 +120,7 @@ def sigma_solvable(group: PermGroup, limits: Limits = DEFAULT_LIMITS,
         raise OutOfRange("group is not solvable")
     series = [s.elements for s in chief]
     order = group.order
-    maximals = [m for cls in maximal_classes_computed(group, limits) for m in cls.members]
+    maximals = [m for cls in maximal_classes_computed(group) for m in cls.members]
     factors: list[ChiefFactorInfo] = []
     for below, above in zip(series, series[1:]):
         count = 0
@@ -167,7 +164,6 @@ class SigmaElementaryReport:
 
 def is_sigma_elementary(group: PermGroup,
                         budget: SolveBudget = SolveBudget(),
-                        limits: Limits = DEFAULT_LIMITS,
                         sigma: int | None = None,
                         quotient_sigma=None,
                         mx: MaxClassSet | None = None) -> SigmaElementaryReport:
@@ -176,11 +172,12 @@ def is_sigma_elementary(group: PermGroup,
     Only minimal normal subgroups need checking: sigma of a quotient never
     drops along further quotient maps. ``quotient_sigma`` may supply a
     callable (image group -> exact sigma) to reuse cached values; the default
-    runs the exact solver on each quotient. ``mx`` gives the maximal classes
-    of G itself when sigma(G) is to be computed (default: from the lattice).
+    runs the exact solver on each quotient, within ``budget``. ``mx`` gives
+    the maximal classes of G itself when sigma(G) is to be computed (default:
+    from the lattice).
     """
     if sigma is None:
-        result = sigma_exact(group, budget, limits, mx=mx)
+        result = sigma_exact(group, budget, mx=mx)
         if not result.optimal:
             raise Undecided("sigma(G) did not close within budget")
         sigma = result.upper
@@ -194,7 +191,7 @@ def is_sigma_elementary(group: PermGroup,
         if quotient_sigma is not None:
             qsigma = quotient_sigma(image)
         else:
-            qres = sigma_exact(image, budget, limits)
+            qres = sigma_exact(image, budget)
             if not qres.optimal:
                 raise Undecided(
                     f"sigma(G/N) for |N| = {n_sub.order} did not close within budget")

@@ -29,14 +29,7 @@ from .groups import PermGroup, label_index, orbit
 from .perms import Permutation, format_cycles, parse_permutation
 
 
-@dataclass(frozen=True)
-class Limits:
-    """The subgroup-lattice budget; an overrun raises BudgetExceeded."""
-
-    lattice_max_order: int = 5000
-
-
-DEFAULT_LIMITS = Limits()
+LATTICE_MAX_ORDER = 5000  # largest group whose subgroup lattice is walked
 COSET_DEGREE_MAX = 20000  # largest coset action that coset_action builds
 
 
@@ -337,8 +330,8 @@ def _normalizer(alg: _Algebra, tree: dict) -> tuple[frozenset[int], list[tuple[i
     return current, words
 
 
-def _lattice_classes(group: PermGroup,
-                     limits: Limits) -> list[tuple[list[frozenset[int]], bool]]:
+def _lattice_classes(group: PermGroup, lattice_max_order: int = LATTICE_MAX_ORDER
+                     ) -> list[tuple[list[frozenset[int]], bool]]:
     """Every conjugacy class of subgroups as (orbit, maximal).
 
     Breadth-first join closure: start from the cyclic prime-power subgroups
@@ -370,9 +363,8 @@ def _lattice_classes(group: PermGroup,
     A skipped join would have bailed, and a bailing join admits no class
     and clears no flag, so the walk's output is unchanged.
     """
-    if group.order > limits.lattice_max_order:
-        raise BudgetExceeded(
-            f"lattice budget: order {group.order} > {limits.lattice_max_order}")
+    if group.order > lattice_max_order:
+        raise BudgetExceeded(f"lattice budget: order {group.order} > {lattice_max_order}")
     alg = algebra(group)
     atoms, atom_of = _atoms(alg)
     # letter k of a normalizer word moves the atoms as generator k does,
@@ -438,9 +430,10 @@ def _lattice_classes(group: PermGroup,
     return [(list(tree), maximal) for _, _, tree, maximal in classes]
 
 
-def all_subgroups(group: PermGroup, limits: Limits = DEFAULT_LIMITS) -> list[Subgroup]:
+def all_subgroups(group: PermGroup,
+                  lattice_max_order: int = LATTICE_MAX_ORDER) -> list[Subgroup]:
     """Every subgroup of the group, including the trivial and full ones."""
-    sets = [ids for orbit, _ in _lattice_classes(group, limits) for ids in orbit]
+    sets = [ids for orbit, _ in _lattice_classes(group, lattice_max_order) for ids in orbit]
     return [Subgroup(group, ids) for ids in sorted(sets, key=lambda s: (len(s), sorted(s)))]
 
 
@@ -502,9 +495,10 @@ def _package_max_classes(group: PermGroup, orbits: list[list[frozenset[int]]],
 
 
 def maximal_classes_computed(group: PermGroup,
-                             limits: Limits = DEFAULT_LIMITS) -> MaxClassSet:
+                             lattice_max_order: int = LATTICE_MAX_ORDER) -> MaxClassSet:
     """Maximal subgroup classes, as the subgroup lattice walk flags them."""
-    orbits = [orbit for orbit, maximal in _lattice_classes(group, limits) if maximal]
+    orbits = [orbit for orbit, maximal in _lattice_classes(group, lattice_max_order)
+              if maximal]
     return _package_max_classes(group, orbits, "computed")
 
 

@@ -168,8 +168,9 @@ def test_batch_cut_search_is_a_budget_note_not_a_mismatch(capsys):
 
 
 def test_batch_note_tells_a_cut_search_from_a_mismatch():
-    cut = CoverResult(8, 10, False, (), 1, True)
-    solved = CoverResult(10, 10, True, (), 5, False)
+    cut = CoverResult(8, 10, (), 1, True)
+    solved = CoverResult(10, 10, (), 5, False)
+    assert solved.optimal and not cut.optimal
     assert cli._batch_note(solved, True, "vs registry 10") == "ok"
     assert cli._batch_note(cut, True, "vs registry 10") == cli.BUDGET_NOTE
     assert cli._batch_note(cut, False, "vs registry 11") == "MISMATCH vs registry 11"
@@ -252,6 +253,14 @@ def test_whole_group_rejected_without_asserts(tmp_path):
     assert "IngestInvalid" in proc.stderr
 
 
+def test_infeasible_selection_names_its_witness_in_cycles(capsys):
+    code, out, err = run(capsys, "exact", "--library", "A5", "--classes", "cl_5,1",
+                         "--subgroup-classes", "M1")
+    assert code == 1 and out == ""
+    assert err == "error: Infeasible: element (1,2,3,4,5) of class cl_5,1 " \
+                  "lies in no selected subgroup\n"
+
+
 def test_parse_error_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.grp"
     bad.write_text("degree 3\n(1,5)\n")
@@ -326,6 +335,8 @@ BAD_FILES = {
     (["exact", "--library", "A6", "--time-limit", "nan"], "CovnumError"),
     (["sigma-elementary", "--library", "A5", "--max-nodes", "-1"], "CovnumError"),
     (["batch", "empty", "--time-limit", "-0.5"], "CovnumError"),
+    (["exact", "--library", "A6", "--max-lattice", "100"], "BudgetExceeded"),
+    (["sigma-elementary", "--library", "A5xC2", "--max-lattice", "60"], "BudgetExceeded"),
 ])
 def test_bad_input_exits_with_error_line(argv, error, capsys, tmp_path):
     for name, text in BAD_FILES.items():

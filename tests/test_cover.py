@@ -10,6 +10,7 @@ from covnum.cover import CoverInstance, SolveBudget, _greedy_cover, _reduce_univ
     build_instance, format_instance, format_lp, parse_instance, sigma_exact, solve
 from covnum.errors import CovnumError, CyclicGroup, Infeasible, ParseError
 from covnum.greedy import covering_number_bounds
+from covnum.perms import format_cycles
 from covnum.subgroups import all_subgroups, coset_action, normal_subgroups
 
 
@@ -27,10 +28,14 @@ def test_a5_full_instance_shape():
 
 
 def test_cyclic_instance_infeasible():
+    """The witness is the lowest uncovered element, as in solve: here the
+    first element of the universe, named in cycle notation."""
     group = library.group("C5")
     with pytest.raises(Infeasible) as err:
         build_instance(group, group.conjugacy_classes(), library.maximals("C5"))
-    assert err.value.witness is not None
+    first = group.elements()[1]
+    assert err.value.witness == first
+    assert str(err.value).startswith(f"element {format_cycles(first)} of class ")
 
 
 @pytest.mark.parametrize("text, missing", [

@@ -1,8 +1,8 @@
 import pytest
 
 from covnum import library
-from covnum.cover import sigma_exact
-from covnum.errors import CyclicGroup, OutOfRange, Unknown
+from covnum.cover import SolveBudget, sigma_exact
+from covnum.errors import BudgetExceeded, CyclicGroup, OutOfRange, Unknown
 from covnum.registry import KnownEntry, is_sigma_elementary, lookup_known, registry, \
     sigma_formula, sigma_solvable
 
@@ -121,6 +121,17 @@ def test_sigma_elementary_examples():
     report = is_sigma_elementary(library.group("D8"))
     assert report.value is False
     assert report.checks[0].quotient_sigma == 3 == report.sigma
+
+
+def test_lattice_cap_reaches_every_computed_maximal_list():
+    """The budget's lattice cap bounds sigma(G) and each quotient solve:
+    A5xC2 comes with its maximal classes, and its A5 quotient (order 60)
+    is over a cap of 50."""
+    with pytest.raises(BudgetExceeded, match="lattice budget: order 60 > 50"):
+        is_sigma_elementary(library.group("A5xC2"), SolveBudget(lattice_max_order=50),
+                            mx=library.maximals("A5xC2"))
+    with pytest.raises(BudgetExceeded, match="lattice budget: order 360 > 100"):
+        sigma_exact(library.group("A6"), SolveBudget(lattice_max_order=100))
 
 
 def test_sigma_elementary_evidence_records_cyclic_quotients():

@@ -61,16 +61,43 @@ def test_frozen_dataclasses_stay_frozen():
     assert found == []
 
 
-def test_perfbench_patch_targets_exist():
-    """Traced benchmark passes replace ``covnum.<module>.<name>`` through
-    ``instrument(rec, <module>, "<name>", ...)``; each name must still be
-    there, or a refactor breaks ``perfbench/run.py --trace 1``."""
+def _perfbench_patch_targets() -> list[tuple[str, str]]:
+    """The (module, name) pairs that traced benchmark passes replace through
+    ``instrument(rec, <module>, "<name>", ...)`` in perfbench/workloads.py."""
     workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    targets = [(node.args[1].id, node.args[2].value)
-               for node in ast.walk(ast.parse(workloads.read_text(), str(workloads)))
-               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-               and node.func.id == "instrument"]
+    return [(node.args[1].id, node.args[2].value)
+            for node in ast.walk(ast.parse(workloads.read_text(), str(workloads)))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "instrument"]
+
+
+def test_perfbench_patch_targets_exist():
+    """Traced benchmark passes replace ``covnum.<module>.<name>``; each name
+    must still be there, or a refactor breaks ``perfbench/run.py --trace 1``."""
+    targets = _perfbench_patch_targets()
     assert len(targets) > 5
     missing = [f"{module}.{name}" for module, name in targets
                if not hasattr(importlib.import_module(f"covnum.{module}"), name)]
     assert missing == []
+
+
+def test_modules_use_every_name_they_import():
+    """Every name a module imports at module level is read in that module,
+    except the names traced benchmark passes patch there. ``__init__``
+    imports to export, and ``annotations`` is a compiler switch."""
+    patched = set(_perfbench_patch_targets())
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name != "annotations" and name not in used \
+                            and (path.stem, name) not in patched:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert len(SOURCES) > 10
+    assert unused == []

@@ -10,7 +10,6 @@ from covnum.errors import BudgetExceeded, IngestInvalid, NoSupplement, ParseErro
 from covnum.groups import PermGroup, format_group_file, parse_group_file
 from covnum.perms import Permutation, format_cycles, parse_permutation
 from covnum.subgroups import (
-    Limits,
     algebra,
     all_subgroups,
     coset_action,
@@ -222,7 +221,7 @@ def test_m11_lattice_matches_bundled_maximals():
     classes of the bundled maximal file, member for member."""
     m11 = library.group("M11")
     group = PermGroup(m11.degree, m11.generators)  # same element ids, own columns
-    computed = maximal_classes_computed(group, Limits(lattice_max_order=10000))
+    computed = maximal_classes_computed(group, lattice_max_order=10000)
     bundled = library.maximals("M11")
     assert [(c.label, c.index, c.members) for c in computed] == \
         [(c.label, c.index, c.members) for c in bundled]
@@ -250,7 +249,7 @@ def test_walk_normalizer_is_brute_force_normalizer(key):
     elems = group.elements()
     gens = list(group.generators)
     letters = gens + [g.inverse() for g in gens]
-    for orbit, _ in subgroups._lattice_classes(group, subgroups.DEFAULT_LIMITS):
+    for orbit, _ in subgroups._lattice_classes(group):
         rep = orbit[0]
         images = {elems[x].images for x in rep}
         expected = {i for i, g in enumerate(elems)
