@@ -18,7 +18,7 @@ from pathlib import Path
 from . import library
 from .cover import CoverResult, SolveBudget, build_instance, format_instance, format_lp, \
     sigma_exact, solve
-from .errors import CapExceeded, CovnumError
+from .errors import CapExceeded, CovnumError, CyclicGroup
 from .greedy import covering_number_bounds, render_trace, verify_minimal_cover
 from .groups import ENUM_CAP, PermGroup, parse_group_file
 from .incidence import IncidenceProfile, incidence_profile, parse_profile, render_profile
@@ -91,9 +91,11 @@ def _budget(args) -> SolveBudget:
                        lattice_max_order=getattr(args, "max_lattice", LATTICE_MAX_ORDER))
 
 
-def _load_group(args) -> tuple[PermGroup, MaxClassSet]:
+def _load_group(args, cyclic_ok: bool = False) -> tuple[PermGroup, MaxClassSet]:
     """The group and its maximal classes: ingested from --maximals or the
-    library's bundled file, otherwise computed within --max-lattice."""
+    library's bundled file, otherwise computed within --max-lattice. A
+    cyclic group has no finite covering number, so it is rejected before its
+    maximal classes are read unless ``cyclic_ok`` (its incidence table)."""
     if bool(args.library) == bool(args.file):
         raise CovnumError("give exactly one of --library or --file")
     if args.library:
@@ -102,6 +104,8 @@ def _load_group(args) -> tuple[PermGroup, MaxClassSet]:
         group = parse_group_file(Path(args.file).read_text(), name=Path(args.file).stem)
     if group.order > args.max_order:
         raise CapExceeded(f"group order {group.order} exceeds --max-order {args.max_order}")
+    if not cyclic_ok and group.is_cyclic():
+        raise CyclicGroup("cyclic groups have infinite covering number")
     if args.maximals:
         mx = maximal_classes_from_file(group, Path(args.maximals).read_text())
     elif args.library and library.entry(args.library).maximals_file:
@@ -114,8 +118,10 @@ def _load_group(args) -> tuple[PermGroup, MaxClassSet]:
 def _profile(args) -> tuple[IncidenceProfile, str]:
     """The --profile table, or the group's incidence profile, and its name."""
     if args.profile:
+        if args.library or args.file:
+            raise CovnumError("give either --profile or a group (--library or --file)")
         return parse_profile(Path(args.profile).read_text()), Path(args.profile).stem
-    group, mx = _load_group(args)
+    group, mx = _load_group(args, cyclic_ok=True)
     return incidence_profile(group, group.conjugacy_classes(), mx), group.name or "?"
 
 

@@ -67,8 +67,8 @@ class SolveBudget:
     """The budget of an exact computation. ``max_nodes`` and ``time_limit``
     (seconds from the entry to ``solve``) bound the search; running out of
     either ends it with a sound (lower, upper) bracket. ``lattice_max_order``
-    bounds the groups whose subgroup lattice is walked for maximal classes;
-    a larger group raises BudgetExceeded."""
+    bounds the groups whose maximal classes are computed; a larger group
+    raises BudgetExceeded."""
 
     max_nodes: int = 5_000_000
     time_limit: float | None = None
@@ -295,8 +295,11 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
             continue
         if fewest <= 1:
             continue  # an element with no live column, or a forced column that cannot win
-        lb = len(chosen) + max(independent_bound(cov), ceil_bound(cov, live))
-        if lb >= best_size:
+        # max(a, b) >= m exactly when a >= m or b >= m, so the cheaper
+        # independence bound goes first and the ceiling bound only when it
+        # does not prune: the same prunes as the maximum of the two
+        room = best_size - len(chosen)
+        if independent_bound(cov) >= room or ceil_bound(cov, live) >= room:
             continue
         # children in branching order, each banning its earlier siblings,
         # pushed so that the first is popped first
@@ -329,7 +332,7 @@ def sigma_exact(group: PermGroup, budget: SolveBudget = SolveBudget(),
     """Exact covering number via set cover over all nonidentity classes and
     all maximal subgroup classes (minimal covers can always be taken there).
     The search starts from the greedy cover as its incumbent. Without ``mx``
-    the maximal classes come from the lattice, within the budget's cap."""
+    the maximal classes are computed, within the budget's lattice cap."""
     if group.is_cyclic():
         raise CyclicGroup("cyclic groups have infinite covering number")
     if mx is None:

@@ -20,9 +20,9 @@ from .subgroups import (
     MaxClassSet,
     all_subgroups,  # not called here: perfbench/workloads.py patches registry.all_subgroups
     chief_series,
+    complements,
     coset_action,
     is_solvable,  # not called here: perfbench/workloads.py patches registry.is_solvable
-    maximal_classes_computed,
     minimal_normal_subgroups,
     prime_power,
     smallest_prime_factor,
@@ -109,30 +109,22 @@ def sigma_solvable(group: PermGroup, details: bool = False):
     chief factor is maximal: for C <= M < G, Dedekind's law gives
     M = C(M meet H); (M meet H)/K is normalized by M and, as H/K is abelian,
     by H, so it is normal in G/K; M < G rules out M meet H = H, so the
-    minimality of H/K leaves M meet H = K and M = C. Complements are
-    therefore counted among the members of the maximal classes
-    (Tomkinson, Math. Scand. 81, 1997).
+    minimality of H/K leaves M meet H = K and M = C (Tomkinson, Math. Scand.
+    81, 1997). The complements of each factor are counted by
+    subgroups.complements, a depth-first search over tuples of coset
+    representatives with one bailing join per prefix and no subgroup
+    lattice; BudgetExceeded when that search is over its budget.
     """
     if group.is_cyclic():
         raise CyclicGroup("covering number of a cyclic group is infinite")
     chief = chief_series(group)
     if not solvable_series(chief):
         raise OutOfRange("group is not solvable")
-    series = [s.elements for s in chief]
-    order = group.order
-    maximals = [m for cls in maximal_classes_computed(group) for m in cls.members]
-    factors: list[ChiefFactorInfo] = []
-    for below, above in zip(series, series[1:]):
-        count = 0
-        for c in maximals:
-            if (c & above) == below and len(c) * len(above) == order * len(below):
-                count += 1
-        factors.append(ChiefFactorInfo(
-            below_order=len(below),
-            above_order=len(above),
-            factor_order=len(above) // len(below),
-            complement_count=count,
-        ))
+    factors = [ChiefFactorInfo(below_order=below.order,
+                               above_order=above.order,
+                               factor_order=above.order // below.order,
+                               complement_count=len(complements(below, above)))
+               for below, above in zip(chief, chief[1:])]
     multi = [f for f in factors if f.complement_count > 1]
     if not multi:
         raise CovnumError("noncyclic solvable group has no multi-complement chief factor")
@@ -174,7 +166,7 @@ def is_sigma_elementary(group: PermGroup,
     callable (image group -> exact sigma) to reuse cached values; the default
     runs the exact solver on each quotient, within ``budget``. ``mx`` gives
     the maximal classes of G itself when sigma(G) is to be computed (default:
-    from the lattice).
+    maximal_classes_computed).
     """
     if sigma is None:
         result = sigma_exact(group, budget, mx=mx)

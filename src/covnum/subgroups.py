@@ -496,10 +496,144 @@ def _package_max_classes(group: PermGroup, orbits: list[list[frozenset[int]]],
 
 def maximal_classes_computed(group: PermGroup,
                              lattice_max_order: int = LATTICE_MAX_ORDER) -> MaxClassSet:
-    """Maximal subgroup classes, as the subgroup lattice walk flags them."""
-    orbits = [orbit for orbit, maximal in _lattice_classes(group, lattice_max_order)
+    """Maximal subgroup classes, split at a minimal normal subgroup N.
+
+    A maximal subgroup M either contains N, and is then the preimage of a
+    maximal subgroup of Q = G/N, or has MN = G (Eick and Hulpke, "Computing
+    the maximal subgroups of a permutation group I", 2001; Cannon and Holt,
+    J. Symbolic Comput. 37, 2004). Q is the image of the coset action on N,
+    which is regular, so its element q is the coset numbered q(0), and the
+    same split is applied to Q in turn. The classes with MN = G come from
+    _supplement_classes. The subgroup lattice is walked only at the bottom
+    of that chain: where N is the whole group (a simple quotient), or where
+    N's complements are over the budget of complements. The cap applies to
+    |G|, as for the walk, and the result is the walk's, class for class."""
+    if group.order > lattice_max_order:
+        raise BudgetExceeded(f"lattice budget: order {group.order} > {lattice_max_order}")
+    # per level: G/N, the cosets of N numbered as in its coset action, and
+    # the classes with MN = G
+    levels = []
+    current = group
+    while normals := minimal_normal_subgroups(current):
+        normal = normals[0]
+        if normal.order == current.order:
+            break
+        try:
+            supplements = _supplement_classes(normal, lattice_max_order)
+        except BudgetExceeded:
+            break
+        alg = algebra(current)
+        cosets = alg.cosets(sorted(normal.elements), alg.gen_ids)
+        current = coset_action(normal)[0]
+        levels.append((current, cosets, supplements))
+    orbits = [orbit for orbit, maximal in _lattice_classes(current, lattice_max_order)
               if maximal]
+    for quotient, cosets, supplements in reversed(levels):
+        preimage = [cosets[q.images[0]] for q in quotient.elements()]
+        orbits = [[frozenset(chain.from_iterable(map(preimage.__getitem__, member)))
+                   for member in orbit] for orbit in orbits] + supplements
     return _package_max_classes(group, orbits, "computed")
+
+
+def _supplement_classes(normal: Subgroup,
+                        lattice_max_order: int) -> list[list[frozenset[int]]]:
+    """The classes of maximal subgroups M with MN = G, for a minimal normal
+    subgroup N < G; BudgetExceeded when N's complements are over budget.
+
+    N is a direct power of one simple group, so it is abelian exactly when
+    its order is a prime power. If it is, M meets N trivially (M meet N is
+    normalized by M and by N, so normal in G), and these classes are the
+    complements of N, all maximal by the Dedekind argument of
+    registry.sigma_solvable. Otherwise K = M meet N is 1, and M a complement
+    of N, or K is a nontrivial proper subgroup of N normalized by M, and M =
+    N_G(K) by maximality, with N_G(K)N = G. Every such candidate lies in a
+    maximal subgroup with the same property, and that is a candidate too, so
+    the maximal ones are the candidates inside no other candidate. One K is
+    taken per G-class of N's subgroups, from N's own lattice."""
+    group = normal.parent
+    alg = algebra(group)
+    candidates: list[list[frozenset[int]]] = []
+    seen: set[frozenset[int]] = set()
+    for ids in complements(Subgroup(group, frozenset({0})), normal):
+        if ids not in seen:
+            candidates.append(alg.set_orbit(ids))
+            seen.update(candidates[-1])
+    try:
+        prime_power(normal.order)
+        return candidates  # N is abelian
+    except OutOfRange:
+        pass
+    sub = PermGroup(group.degree, [alg.elems[x] for x in alg.generating_ids(normal.elements)])
+    to_group = [alg.index[p.images] for p in sub.elements()]
+    conjugates: set[frozenset[int]] = set()
+    for orbit, _ in _lattice_classes(sub, lattice_max_order):
+        k = frozenset(map(to_group.__getitem__, orbit[0]))
+        if not 1 < len(k) < normal.order or k in conjugates:
+            continue
+        tree = alg.conjugation_orbit(k)
+        conjugates.update(tree)
+        norm = _normalizer(alg, tree)[0]
+        if norm not in seen and \
+                len(norm) * normal.order == alg.n * len(norm & normal.elements):
+            candidates.append(alg.set_orbit(norm))
+            seen.update(candidates[-1])
+    return [orbit for orbit in candidates
+            if not any(orbit[0] < m for other in candidates for m in other)]
+
+
+def complements(low: Subgroup, high: Subgroup) -> list[frozenset[int]]:
+    """Every complement of high/low in G, for normal subgroups low < high of
+    G: the subgroups C with C meet high = low and C·high = G.
+
+    Take x_1..x_k among G's generators, each kept when it enlarges
+    L_i = <high, x_1, ..., x_i>, until they generate G modulo high, and a
+    transversal T of low in high. A complement C meets each coset high·x_i
+    in exactly one coset low·t_i·x_i with t_i in T, and is generated by low
+    and those elements. So each complement comes from exactly one tuple
+    (t_1..t_k). A prefix P_i = <low, t_1 x_1, ..., t_i x_i> has P_i·high =
+    L_i, and it lies in a complement only if it meets high in low, that is
+    only if |P_i| = |L_i||low|/|high|; at i = k that order makes P_k a
+    complement. The tuples are searched depth first, one join per prefix
+    that stops above that order, and a prefix of another order is not
+    extended. Each join stops above |G||low|/|high| elements, and
+    BudgetExceeded comes before more than |G||high|/|low| joins, which
+    bounds the search by about |G|^2 element steps."""
+    alg = algebra(high.parent)
+    xs: list[int] = []
+    orders: list[int] = []  # |P_i| = |L_i||low|/|high|
+    span = high.elements
+    for x in alg.gen_ids:
+        if len(span) == alg.n:
+            break
+        if x not in span:
+            xs.append(x)
+            span = alg.join(span, xs)  # high is normal, so L_i = high <x_1, ..., x_i>
+            orders.append(len(span) * low.order // high.order)
+    transversal = [coset[0] for coset in alg.cosets(sorted(low.elements),
+                                                    alg.generating_ids(high.elements))]
+    # t_i x_i lies in P_i, so its order divides |P_i|
+    choices = [[y for t in transversal if order % alg.elems[y := col[t]].order == 0]
+               for order, col in zip(orders, map(alg.column, xs))]
+    factor = high.order // low.order
+    budget = alg.n * factor  # each join stops above |G|/factor elements
+    found = []
+    joins = 0
+    stack = [(low.elements, [])]
+    while stack:
+        prefix, gens = stack.pop()
+        i = len(gens)
+        if i == len(xs):
+            found.append(prefix)
+            continue
+        joins += len(choices[i])
+        if joins > budget:
+            raise BudgetExceeded(f"complement budget: more than {budget} joins "
+                                 f"for a factor of order {factor}")
+        for y in reversed(choices[i]):
+            joined = alg.join(prefix, gens + [y], bail_above=orders[i])
+            if joined is not None and len(joined) == orders[i]:
+                stack.append((joined, gens + [y]))
+    return found
 
 
 def maximal_classes_from_file(group: PermGroup, text: str) -> MaxClassSet:
@@ -673,10 +807,7 @@ def normal_subgroups(group: PermGroup) -> list[Subgroup]:
     closure of x is the normal closure of x and the representatives N was
     built from."""
     alg = algebra(group)
-    singles: dict[frozenset[int], int] = {}
-    for cls in group.conjugacy_classes():
-        x = alg.index[cls.rep.images]
-        singles.setdefault(alg.normal_closure([x]), x)
+    singles = _class_closures(group)
     found = [(ids, [x]) for ids, x in singles.items()]
     seen = {frozenset({0}), *singles}
     for ids, gens in found:  # grows as joins find new normal subgroups
@@ -689,11 +820,28 @@ def normal_subgroups(group: PermGroup) -> list[Subgroup]:
     return [Subgroup(group, ids) for ids in sorted(seen, key=lambda s: (len(s), sorted(s)))]
 
 
+def _class_closures(group: PermGroup) -> dict[frozenset[int], int]:
+    """The normal closure of each conjugacy class representative, keyed by
+    its elements, with the first representative that gives it."""
+    alg = algebra(group)
+    singles: dict[frozenset[int], int] = {}
+    for cls in group.conjugacy_classes():
+        x = alg.index[cls.rep.images]
+        singles.setdefault(alg.normal_closure([x]), x)
+    return singles
+
+
 def minimal_normal_subgroups(group: PermGroup) -> list[Subgroup]:
     """The nontrivial normal subgroups with no nontrivial normal subgroup
-    strictly inside."""
-    nontrivial = normal_subgroups(group)[1:]
-    return [n for n in nontrivial if not any(m.elements < n.elements for m in nontrivial)]
+    strictly inside, sorted as normal_subgroups sorts them.
+
+    A minimal normal subgroup is the normal closure of each of its
+    nontrivial elements, and a nontrivial normal subgroup contains the
+    closure of each of its class representatives, so these are the minimal
+    ones among the closures of the class representatives; no joins are
+    needed."""
+    singles = sorted(_class_closures(group), key=lambda s: (len(s), sorted(s)))
+    return [Subgroup(group, n) for n in singles if not any(m < n for m in singles)]
 
 
 def chief_series(group: PermGroup) -> list[Subgroup]:

@@ -107,6 +107,29 @@ def test_verify_inconclusive_exit_code(capsys):
     assert "verdict: inconclusive" in out
 
 
+def test_table_of_a_cyclic_group(capsys):
+    """The incidence table does not need a finite covering number."""
+    code, out, _ = run(capsys, "table", "--library", "C6")
+    assert code == 0
+    assert out.splitlines()[0] == "\tM1(1)\tM2(1)"
+
+
+@pytest.mark.parametrize("command, source", [
+    ("table", ["--library", "A5"]),
+    ("verify", ["--library", "A5", "--pi", "cl_2", "--cover", "M1"]),
+    ("table", ["--file", "a5.grp"]),
+    ("verify", ["--file", "a5.grp", "--pi", "cl_2", "--cover", "M1"]),
+])
+def test_profile_with_a_group_is_an_error(command, source, capsys, data_dir):
+    """--profile replaces the group, so giving both is refused, not resolved
+    by dropping the group."""
+    code, out, err = run(capsys, command, "--profile",
+                         str(data_dir / "psl274_profile.tsv"), *source)
+    assert code == 1 and out == ""
+    assert err == "error: CovnumError: give either --profile or a group " \
+                  "(--library or --file)\n"
+
+
 def test_sigma_elementary_command(capsys):
     code, out, _ = run(capsys, "sigma-elementary", "--library", "D8")
     assert code == 0
@@ -337,6 +360,11 @@ BAD_FILES = {
     (["batch", "empty", "--time-limit", "-0.5"], "CovnumError"),
     (["exact", "--library", "A6", "--max-lattice", "100"], "BudgetExceeded"),
     (["sigma-elementary", "--library", "A5xC2", "--max-lattice", "60"], "BudgetExceeded"),
+    # a cyclic group is rejected before its maximal classes meet the lattice cap
+    (["exact", "--library", "C6", "--max-lattice", "3"], "CyclicGroup"),
+    (["bounds", "--library", "C6", "--max-lattice", "3"], "CyclicGroup"),
+    (["sigma-elementary", "--library", "C6", "--max-lattice", "3"], "CyclicGroup"),
+    (["table", "--library", "C6", "--max-lattice", "3"], "BudgetExceeded"),
 ])
 def test_bad_input_exits_with_error_line(argv, error, capsys, tmp_path):
     for name, text in BAD_FILES.items():

@@ -1,12 +1,14 @@
 """Differential tests on generated groups: the solver, the greedy route and
 the solvable formula against the brute-force oracle, the lattice against an
-unpruned reference walk, and the normal and maximal subgroups and the
-ingest maximality check against the whole lattice, on subgroups of S_n
-(n <= 6) generated by two or three random permutations."""
+unpruned reference walk, the maximal classes and the complement counts
+against the lattice walk's maximal flags, and the normal and maximal
+subgroups and the ingest maximality check against the whole lattice, on
+subgroups of S_n (n <= 6) generated by two or three random permutations."""
 
 from hypothesis import HealthCheck, Phase, assume, given, settings, strategies as st
 from oracle import exhaustive_sigma
-from test_subgroups import check_ingest_against_lattice, reference_subgroups
+from test_subgroups import check_ingest_against_lattice, lattice_maximal_classes, \
+    max_class_set_key, reference_subgroups
 
 from covnum.cover import SolveBudget, build_instance, sigma_exact, solve
 from covnum.greedy import covering_number_bounds
@@ -14,7 +16,7 @@ from covnum.groups import PermGroup
 from covnum.perms import Permutation
 from covnum.registry import sigma_solvable
 from covnum.subgroups import all_subgroups, chief_series, is_solvable, \
-    maximal_classes_computed, normal_subgroups
+    maximal_classes_computed, minimal_normal_subgroups, normal_subgroups
 
 
 @st.composite
@@ -56,7 +58,16 @@ def test_generated_group_agrees_with_oracle(group):
     assert not cut.optimal or cut.upper == sigma
 
     if is_solvable(group):
-        assert sigma_solvable(group) == sigma
+        value, factors = sigma_solvable(group, details=True)
+        assert value == sigma
+        # the complement counts are those among the lattice walk's maximal
+        # members: every complement of an abelian chief factor is maximal
+        members = [m for cls in lattice_maximal_classes(group) for m in cls.members]
+        series = [sub.elements for sub in chief_series(group)]
+        assert [f.complement_count for f in factors] == [
+            sum(c & above == below and len(c) * len(above) == group.order * len(below)
+                for c in members)
+            for below, above in zip(series, series[1:])]
 
 
 @GENERATED
@@ -64,10 +75,12 @@ def test_generated_group_agrees_with_oracle(group):
 def test_generated_group_structure_matches_lattice(group):
     """The lattice is the unpruned reference's up to order 120;
     normal_subgroups lists the lattice subgroups that conjugation by each
-    generator maps onto themselves, in lattice order; chief_series is a
+    generator maps onto themselves, in lattice order, and
+    minimal_normal_subgroups the minimal nontrivial ones; chief_series is a
     chain of them with none strictly between two terms; the computed maximal
     classes hold exactly the proper subgroups with nothing strictly between
-    them and the group, and the ingest check accepts exactly those."""
+    them and the group, and are the lattice walk's byte for byte; and the
+    ingest check accepts exactly those."""
     subs = all_subgroups(group)
     if group.order <= 120:
         assert {sub.elements for sub in subs} == reference_subgroups(group)
@@ -79,6 +92,8 @@ def test_generated_group_structure_matches_lattice(group):
                for g in group.generators for i in sub.elements):
             normal.append(sub.elements)
     assert [sub.elements for sub in normal_subgroups(group)] == normal
+    assert [sub.elements for sub in minimal_normal_subgroups(group)] == \
+        [n for n in normal[1:] if not any(m < n for m in normal[1:])]
     full = subs[-1].elements
     series = [sub.elements for sub in chief_series(group)]
     assert len(series[0]) == 1 and series[-1] == full
@@ -87,5 +102,7 @@ def test_generated_group_structure_matches_lattice(group):
         assert not any(below < n < above for n in normal)
     maximal = {sub.elements for sub in subs[:-1]
                if not any(sub.elements < s.elements < full for s in subs)}
-    assert {m for cls in maximal_classes_computed(group) for m in cls.members} == maximal
+    computed = maximal_classes_computed(group)
+    assert {m for cls in computed for m in cls.members} == maximal
+    assert max_class_set_key(computed) == max_class_set_key(lattice_maximal_classes(group))
     check_ingest_against_lattice(group, subs, maximal)

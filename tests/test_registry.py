@@ -3,6 +3,8 @@ import pytest
 from covnum import library
 from covnum.cover import SolveBudget, sigma_exact
 from covnum.errors import BudgetExceeded, CyclicGroup, OutOfRange, Unknown
+from covnum.groups import PermGroup
+from covnum.perms import parse_permutation
 from covnum.registry import KnownEntry, is_sigma_elementary, lookup_known, registry, \
     sigma_formula, sigma_solvable
 
@@ -106,6 +108,17 @@ def test_sigma_solvable_rejects():
     # order puts over the lattice budget
     with pytest.raises(OutOfRange, match="group is not solvable"):
         sigma_solvable(library.group("M11"))
+
+
+def test_sigma_solvable_when_tuples_outnumber_the_group():
+    """A group of order 36 whose chief factor of order 9 at the bottom needs
+    two generators modulo it, so 81 tuples of coset representatives: more
+    than |G|, and the search still counts the 9 complements."""
+    group = PermGroup(6, [parse_permutation("(1,6)(2,3)", 6),
+                          parse_permutation("(1,3,4,2)(5,6)", 6)])
+    value, factors = sigma_solvable(group, details=True)
+    assert [(f.factor_order, f.complement_count) for f in factors] == [(9, 9), (2, 0), (2, 1)]
+    assert value == 10 == sigma_exact(group).upper
 
 
 def test_sigma_solvable_details():

@@ -10,8 +10,11 @@ from covnum.errors import BudgetExceeded, IngestInvalid, NoSupplement, ParseErro
 from covnum.groups import PermGroup, format_group_file, parse_group_file
 from covnum.perms import Permutation, format_cycles, parse_permutation
 from covnum.subgroups import (
+    LATTICE_MAX_ORDER,
+    Subgroup,
     algebra,
     all_subgroups,
+    complements,
     coset_action,
     format_maximal_file,
     is_primitive_monolithic,
@@ -94,7 +97,7 @@ def test_lattice_walk_joins_once_per_normalizer_orbit(monkeypatch, key, joins, b
         return joined
 
     monkeypatch.setattr(subgroups._Algebra, "join", counting)
-    maximal_classes_computed(library.group(key))
+    subgroups._lattice_classes(library.group(key))
     assert (len(made), sum(made)) == (joins, bailed)
 
 
@@ -303,6 +306,68 @@ def test_maximal_classes_a5():
 def test_maximal_classes_v4():
     mx = maximal_classes_computed(library.group("V4"))
     assert [(c.class_length, c.index) for c in mx] == [(1, 2)] * 3
+
+
+def lattice_maximal_classes(group):
+    """The maximal classes as the lattice walk flags them, packaged as
+    maximal_classes_computed packages its own: the reference for that
+    route."""
+    orbits = [orbit for orbit, maximal in subgroups._lattice_classes(group) if maximal]
+    return subgroups._package_max_classes(group, orbits, "computed")
+
+
+def max_class_set_key(mx):
+    """Everything a MaxClassSet holds and prints."""
+    return (mx.provenance, format_maximal_file(mx),
+            [(c.label, c.members, c.rep.elements, c.rep.generators, c.verification)
+             for c in mx])
+
+
+PRODUCTS = {
+    # N = A5 x 1, with the diagonals among the maximal complements of N
+    "A5xA5": lambda: library.direct_product(library.alternating(5), library.alternating(5)),
+    "S5xS3": lambda: library.direct_product(library.symmetric(5), library.symmetric(3)),
+}
+
+
+@pytest.mark.parametrize("key", [k for k in library.names()
+                                 if library.group(k).order <= LATTICE_MAX_ORDER]
+                         + sorted(PRODUCTS))
+def test_maximal_classes_match_the_lattice_walk(key):
+    """The route through a minimal normal subgroup gives the walk's classes,
+    byte for byte, on every library group within the lattice cap and on two
+    products with a nonabelian minimal normal subgroup."""
+    group = library.group(key) if key in library.names() else PRODUCTS[key]()
+    assert max_class_set_key(maximal_classes_computed(group)) == \
+        max_class_set_key(lattice_maximal_classes(group))
+
+
+def test_complements():
+    s4 = library.group("S4")
+    (v4,) = minimal_normal_subgroups(s4)
+    point_stabilizers = {frozenset(i for i, p in enumerate(s4.elements()) if p.images[k] == k)
+                         for k in range(4)}
+    assert set(complements(Subgroup(s4, frozenset({0})), v4)) == point_stabilizers
+    agl32 = library.group("AGL32")
+    translations = minimal_normal_subgroups(agl32)[0]
+    found = complements(Subgroup(agl32, frozenset({0})), translations)
+    assert len(found) == len(set(found)) == 16
+    assert all(len(c) == 168 and c & translations.elements == {0} for c in found)
+    d8 = library.group("D8")
+    trivial, centre, whole = [s for s in normal_subgroups(d8) if s.order in (1, 2, 8)]
+    assert complements(centre, whole) == [centre.elements]
+    assert complements(trivial, centre) == []
+
+
+def test_complement_search_has_a_budget():
+    """C2^3 has 2^9 complements in C2^6, more joins than |G| times the
+    factor's order, 512."""
+    group = library.elementary_abelian(2, 6)
+    low = Subgroup(group, frozenset({0}))
+    high = subgroup_from_gens(group, group.generators[:3])
+    with pytest.raises(BudgetExceeded,
+                       match="complement budget: more than 512 joins for a factor of order 8"):
+        complements(low, high)
 
 
 def test_m11_ingestion():
