@@ -13,16 +13,18 @@ from functools import cache
 from importlib import resources
 from math import comb
 
-from .cover import SolveBudget, sigma_exact
+from .cover import SolveBudget, build_instance, sigma_exact, solve
 from .errors import CovnumError, CyclicGroup, OutOfRange, Undecided, Unknown
 from .groups import PermGroup
 from .subgroups import (
     MaxClassSet,
+    algebra,
     all_subgroups,  # not called here: perfbench/workloads.py patches registry.all_subgroups
     chief_series,
     complements,
     coset_action,
     is_solvable,  # not called here: perfbench/workloads.py patches registry.is_solvable
+    maximal_classes_computed,
     minimal_normal_subgroups,
     prime_power,
     smallest_prime_factor,
@@ -142,7 +144,6 @@ def sigma_solvable(group: PermGroup, details: bool = False):
 @dataclass(frozen=True)
 class QuotientCheck:
     normal_order: int
-    quotient_order: int
     quotient_sigma: int | None  # None means cyclic quotient (infinite)
     verdict: str                # "greater" | "not_greater" | "cyclic"
 
@@ -162,36 +163,45 @@ def is_sigma_elementary(group: PermGroup,
     """Whether sigma(G) < sigma(G/N) for every nontrivial normal N.
 
     Only minimal normal subgroups need checking: sigma of a quotient never
-    drops along further quotient maps. ``quotient_sigma`` may supply a
-    callable (image group -> exact sigma) to reuse cached values; the default
-    runs the exact solver on each quotient, within ``budget``. ``mx`` gives
-    the maximal classes of G itself when sigma(G) is to be computed (default:
-    maximal_classes_computed).
+    drops along further quotient maps. G/N is cyclic when some x, 1 or a
+    class representative, has |N||<x>| = |G||N meet <x>|. Otherwise sigma(G/N)
+    is the least cover of G - N by G's maximal classes containing N (a class
+    contains the normal N in all members or none), so each quotient rests on
+    the same maximal list as sigma(G): ``mx``, else one computed under the
+    budget's lattice cap. No quotient group is built except for the hook
+    ``quotient_sigma`` (image group -> exact sigma), kept until perfbench
+    stops passing it; given it and ``sigma``, or for a cyclic G, no list is computed.
     """
+    if mx is None and (sigma is None or quotient_sigma is None) and not group.is_cyclic():
+        mx = maximal_classes_computed(group, budget.lattice_max_order)
     if sigma is None:
         result = sigma_exact(group, budget, mx=mx)
         if not result.optimal:
             raise Undecided("sigma(G) did not close within budget")
         sigma = result.upper
+    alg = algebra(group)
+    cls = group.conjugacy_classes()
+    reps = [alg.index[c.rep.images] for c in cls.classes]
+    spans = [alg.closure([x]) for x in [0] + reps]
     checks = []
-    value = True
     for n_sub in minimal_normal_subgroups(group):
-        image, _ = coset_action(n_sub)
-        if image.is_cyclic():
-            checks.append(QuotientCheck(n_sub.order, image.order, None, "cyclic"))
+        normal = n_sub.elements
+        if any(len(normal) * len(s) == group.order * len(s & normal) for s in spans):
+            checks.append(QuotientCheck(n_sub.order, None, "cyclic"))
             continue
         if quotient_sigma is not None:
-            qsigma = quotient_sigma(image)
+            qsigma = quotient_sigma(coset_action(n_sub)[0])
         else:
-            qres = sigma_exact(image, budget)
+            outside = [c.label for c, x in zip(cls.classes, reps) if x not in normal]
+            above = [m.label for m in mx.classes if normal <= m.rep.elements]
+            qres = solve(build_instance(group, cls, mx, outside, above), budget)
             if not qres.optimal:
                 raise Undecided(
                     f"sigma(G/N) for |N| = {n_sub.order} did not close within budget")
             qsigma = qres.upper
         verdict = "greater" if sigma < qsigma else "not_greater"
-        if verdict == "not_greater":
-            value = False
-        checks.append(QuotientCheck(n_sub.order, image.order, qsigma, verdict))
+        checks.append(QuotientCheck(n_sub.order, qsigma, verdict))
+    value = all(c.verdict != "not_greater" for c in checks)
     return SigmaElementaryReport(value=value, sigma=sigma, checks=tuple(checks))
 
 

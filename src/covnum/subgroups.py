@@ -448,7 +448,6 @@ class MaxClass:
     rep: Subgroup
     label: str
     members: tuple[frozenset[int], ...] = field(repr=False)
-    verification: str = "lattice"  # how maximality was established
 
     @property
     def class_length(self) -> int:
@@ -482,14 +481,12 @@ class MaxClassSet:
 
 
 def _package_max_classes(group: PermGroup, orbits: list[list[frozenset[int]]],
-                         provenance: str,
-                         notes: dict[frozenset[int], str] | None = None) -> MaxClassSet:
+                         provenance: str) -> MaxClassSet:
     # by index, then class length, then the least member, which is the rep
     ordered = sorted((tuple(sorted(orbit, key=sorted)) for orbit in orbits),
                      key=lambda members: (-len(members[0]), len(members), sorted(members[0])))
     classes = [
-        MaxClass(rep=Subgroup(group, members[0]), label=f"M{pos}", members=members,
-                 verification="lattice" if notes is None else notes[members[0]])
+        MaxClass(rep=Subgroup(group, members[0]), label=f"M{pos}", members=members)
         for pos, members in enumerate(ordered, start=1)]
     return MaxClassSet(classes=tuple(classes), provenance=provenance)
 
@@ -647,7 +644,6 @@ def maximal_classes_from_file(group: PermGroup, text: str) -> MaxClassSet:
     alg = algebra(group)
     entries = _parse_maximal_file(text, group.degree)
     orbits = []
-    notes: dict[frozenset[int], str] = {}
     seen_sets: set[frozenset[int]] = set()
     for claim_index, claim_length, gens in entries:
         sub = subgroup_from_gens(group, gens)
@@ -662,8 +658,8 @@ def maximal_classes_from_file(group: PermGroup, text: str) -> MaxClassSet:
             raise IngestInvalid("two listed subgroups are conjugate")
         seen_sets.update(orbit)
         orbits.append(orbit)
-        notes[orbit[0]] = _verify_maximal(sub, [alg.index[g.images] for g in gens])
-    return _package_max_classes(group, orbits, "ingested", notes)
+        _verify_maximal(sub, [alg.index[g.images] for g in gens])
+    return _package_max_classes(group, orbits, "ingested")
 
 
 def _coset_decomposition(sub: Subgroup) -> tuple[list[int], dict[int, int]]:
@@ -680,7 +676,7 @@ def _coset_decomposition(sub: Subgroup) -> tuple[list[int], dict[int, int]]:
     return rep_ids, coset_of
 
 
-def _verify_maximal(sub: Subgroup, gen_ids: list[int]) -> str:
+def _verify_maximal(sub: Subgroup, gen_ids: list[int]) -> None:
     """Local maximality check of H = sub, generated by the ids gen_ids:
     adjoining any coset representative r must generate the whole group.
     Since <H, r> = <H, h r h'> for h, h' in H, one r per double coset H r H
@@ -688,8 +684,7 @@ def _verify_maximal(sub: Subgroup, gen_ids: list[int]) -> str:
     (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
     As in _lattice_classes, <H, r> is the whole group exactly when its join
     grows past |G|/q, q the least prime dividing [G:H], since no proper
-    overgroup of H is larger. Returns a note saying how many
-    representatives were decided."""
+    overgroup of H is larger."""
     if sub.index == 1:
         raise IngestInvalid("not maximal: the listed subgroup is the whole group")
     alg = algebra(sub.parent)
@@ -706,7 +701,6 @@ def _verify_maximal(sub: Subgroup, gen_ids: list[int]) -> str:
             raise IngestInvalid(
                 f"not maximal: adjoining {format_cycles(alg.elems[r])} gives a "
                 f"proper subgroup of order {len(joined)}")
-    return f"exhaustive({len(rep_ids) - 1})"
 
 
 def _parse_maximal_file(text: str, degree: int) -> list[tuple[int, int, list[Permutation]]]:

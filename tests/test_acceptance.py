@@ -192,17 +192,12 @@ def test_criterion_08_quotient_monotonicity(sigma_of):
 
 
 def test_criterion_09_sigma_elementary_verdicts(sigma_of):
-    def quotient_sigma(image):
-        result = sigma_exact(image)
-        assert result.optimal
-        return result.upper
-
     verdicts = {}
     for key in ["A5", "S5", "S6", "A6", "PSL27", "PGL27", "M11",
                 "D8", "S4", "A5xC2"]:
         budget = TEN_MINUTES if key == "M11" else SolveBudget()
-        report = is_sigma_elementary(library.group(key), sigma=sigma_of(key, budget),
-                                     quotient_sigma=quotient_sigma)
+        report = is_sigma_elementary(library.group(key), budget, sigma=sigma_of(key, budget),
+                                     mx=library.maximals(key))
         verdicts[key] = report.value
     for key in ["A5", "S5", "S6", "A6", "PSL27", "PGL27", "M11"]:
         assert verdicts[key] is True, key

@@ -1,12 +1,14 @@
 """Differential tests on generated groups: the solver, the greedy route and
-the solvable formula against the brute-force oracle, the lattice against an
-unpruned reference walk, the maximal classes and the complement counts
-against the lattice walk's maximal flags, and the normal and maximal
-subgroups and the ingest maximality check against the whole lattice, on
-subgroups of S_n (n <= 6) generated by two or three random permutations."""
+the solvable formula against the brute-force oracle, the quotient covering
+numbers against the image groups' own, the lattice against an unpruned
+reference walk, the maximal classes and the complement counts against the
+lattice walk's maximal flags, and the normal and maximal subgroups and the
+ingest maximality check against the whole lattice, on subgroups of S_n
+(n <= 6) generated by two or three random permutations."""
 
 from hypothesis import HealthCheck, Phase, assume, given, settings, strategies as st
 from oracle import exhaustive_sigma
+from test_registry import image_quotient_sigmas
 from test_subgroups import check_ingest_against_lattice, lattice_maximal_classes, \
     max_class_set_key, reference_subgroups
 
@@ -14,7 +16,7 @@ from covnum.cover import SolveBudget, build_instance, sigma_exact, solve
 from covnum.greedy import covering_number_bounds
 from covnum.groups import PermGroup
 from covnum.perms import Permutation
-from covnum.registry import sigma_solvable
+from covnum.registry import is_sigma_elementary, sigma_solvable
 from covnum.subgroups import all_subgroups, chief_series, is_solvable, \
     maximal_classes_computed, minimal_normal_subgroups, normal_subgroups
 
@@ -56,6 +58,11 @@ def test_generated_group_agrees_with_oracle(group):
                 SolveBudget(max_nodes=3))
     assert cut.lower <= sigma <= cut.upper
     assert not cut.optimal or cut.upper == sigma
+
+    # sigma(G/N) from G's maximal classes that contain N, against the image
+    # group's own exact solve
+    report = is_sigma_elementary(group, sigma=sigma, mx=mx)
+    assert [c.quotient_sigma for c in report.checks] == image_quotient_sigmas(group)
 
     if is_solvable(group):
         value, factors = sigma_solvable(group, details=True)

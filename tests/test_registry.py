@@ -7,6 +7,7 @@ from covnum.groups import PermGroup
 from covnum.perms import parse_permutation
 from covnum.registry import KnownEntry, is_sigma_elementary, lookup_known, registry, \
     sigma_formula, sigma_solvable
+from covnum.subgroups import LATTICE_MAX_ORDER, coset_action, minimal_normal_subgroups
 
 
 def test_lookup_examples():
@@ -137,14 +138,78 @@ def test_sigma_elementary_examples():
 
 
 def test_lattice_cap_reaches_every_computed_maximal_list():
-    """The budget's lattice cap bounds sigma(G) and each quotient solve:
-    A5xC2 comes with its maximal classes, and its A5 quotient (order 60)
-    is over a cap of 50."""
-    with pytest.raises(BudgetExceeded, match="lattice budget: order 60 > 50"):
-        is_sigma_elementary(library.group("A5xC2"), SolveBudget(lattice_max_order=50),
-                            mx=library.maximals("A5xC2"))
+    """The budget's lattice cap bounds G's own maximal list, and no other:
+    with A5xC2's maximal classes given, its A5 quotient (order 60) is
+    solved over a cap of 50 from them, and without them G's list is over
+    the cap."""
+    group = library.group("A5xC2")
+    report = is_sigma_elementary(group, SolveBudget(lattice_max_order=50),
+                                 mx=library.maximals("A5xC2"))
+    assert [(c.normal_order, c.quotient_sigma, c.verdict) for c in report.checks] == [
+        (2, 10, "not_greater"), (60, None, "cyclic")]
+    with pytest.raises(BudgetExceeded, match="lattice budget: order 120 > 50"):
+        is_sigma_elementary(group, SolveBudget(lattice_max_order=50))
+    with pytest.raises(CyclicGroup):  # rejected before its list is computed
+        is_sigma_elementary(library.group("C6"), SolveBudget(lattice_max_order=5))
     with pytest.raises(BudgetExceeded, match="lattice budget: order 360 > 100"):
         sigma_exact(library.group("A6"), SolveBudget(lattice_max_order=100))
+
+
+def image_quotient_sigmas(group):
+    """sigma(G/N) for each minimal normal N, in order, from the image group
+    of the coset action on N and its own exact solve; None for a cyclic
+    quotient."""
+    values = []
+    for sub in minimal_normal_subgroups(group):
+        image, _ = coset_action(sub)
+        if image.is_cyclic():
+            values.append(None)
+            continue
+        result = sigma_exact(image)
+        assert result.optimal
+        values.append(result.upper)
+    return values
+
+
+def test_quotient_sigma_matches_the_image_group(sigma_of):
+    """sigma(G/N) read off G's maximal classes that contain N is the image
+    group's own, on the noncyclic library groups within the lattice cap and
+    on the solvable suite."""
+    groups = [(library.group(key), library.maximals(key), sigma_of(key))
+              for key in library.names()
+              if not library.group(key).is_cyclic()
+              and library.group(key).order <= LATTICE_MAX_ORDER]
+    groups += [(group, None, None) for group in library.solvable_suite()]
+    noncyclic = 0
+    for group, mx, sigma in groups:
+        report = is_sigma_elementary(group, sigma=sigma, mx=mx)
+        expected = image_quotient_sigmas(group)
+        assert [c.quotient_sigma for c in report.checks] == expected, group.name
+        noncyclic += sum(value is not None for value in expected)
+    assert noncyclic >= 20
+
+
+@pytest.mark.parametrize("key", ["AGL32", "A5xC2"])
+def test_default_route_builds_and_solves_no_quotient(key, monkeypatch):
+    """Once sigma(G) is known, the default route neither builds a quotient
+    group nor runs sigma_exact on one: both raise from then on."""
+    group = library.group(key)
+    solved = []
+
+    def sigma_exact_of_g_only(target, *args, **kwargs):
+        assert not solved, "sigma_exact called past sigma(G)"
+        solved.append(target)
+        return sigma_exact(target, *args, **kwargs)
+
+    def no_coset_action(sub):
+        raise AssertionError("a quotient group was built")
+
+    monkeypatch.setattr("covnum.registry.sigma_exact", sigma_exact_of_g_only)
+    monkeypatch.setattr("covnum.registry.coset_action", no_coset_action)
+    report = is_sigma_elementary(group)
+    assert solved == [group]
+    assert report.value is False
+    assert any(c.quotient_sigma is not None for c in report.checks)
 
 
 def test_sigma_elementary_evidence_records_cyclic_quotients():

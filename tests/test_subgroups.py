@@ -319,8 +319,7 @@ def lattice_maximal_classes(group):
 def max_class_set_key(mx):
     """Everything a MaxClassSet holds and prints."""
     return (mx.provenance, format_maximal_file(mx),
-            [(c.label, c.members, c.rep.elements, c.rep.generators, c.verification)
-             for c in mx])
+            [(c.label, c.members, c.rep.elements, c.rep.generators) for c in mx])
 
 
 PRODUCTS = {
@@ -376,10 +375,6 @@ def test_m11_ingestion():
     assert [c.index for c in mx] == [11, 12, 55, 66, 165]
     assert [c.class_length for c in mx] == [11, 12, 55, 66, 165]
     assert mx.subgroup_count() == 309
-    # the local maximality check decides every coset representative
-    assert [c.verification for c in mx.classes] == [
-        "exhaustive(10)", "exhaustive(11)", "exhaustive(54)", "exhaustive(65)",
-        "exhaustive(164)"]
 
 
 def test_ingest_rejects_outside_generator():
@@ -421,8 +416,8 @@ SMALL_GROUPS = [k for k in library.names() if library.group(k).order <= 720]
 def check_ingest_against_lattice(group, subs, maximal):
     """Ingest one representative of each conjugacy class of proper subgroups
     among ``subs`` (the whole lattice) as a one-class file: the check accepts
-    it as exhaustive(<index - 1>) exactly when it is in ``maximal``, and
-    rejects it as not maximal otherwise."""
+    it, as the class of its conjugates, exactly when it is in ``maximal``,
+    and rejects it as not maximal otherwise."""
     alg = algebra(group)
     seen = set()
     for sub in subs[:-1]:
@@ -437,7 +432,7 @@ def check_ingest_against_lattice(group, subs, maximal):
                 maximal_classes_from_file(group, text)
         else:
             (cls,) = maximal_classes_from_file(group, text).classes
-            assert cls.verification == f"exhaustive({sub.index - 1})"
+            assert cls.members == tuple(orbit)
 
 
 @pytest.mark.parametrize("key", SMALL_GROUPS)
