@@ -5,10 +5,22 @@ element classes, one column per subgroup (every conjugate of each selected
 class representative), coverage stored as int bitmasks. The solver is plain
 branch and bound: greedy incumbent, a dual bound from a greedily grown set
 of pairwise-independent elements (no two sharing a column), unit propagation
-for elements with a single remaining column, and class-level symmetry
-breaking for the first decision only. The search is one loop over an
-explicit stack of frames, so its depth is not bounded by Python's recursion
-limit; the symmetry pinning is the stack's root frames.
+for elements with a single remaining column, and orbital branching on G's
+conjugation action on the columns (Ostrowski, Linderoth, Rossi and
+Smriglio, "Orbital branching", Math. Programming 126, 2011). The search is
+one loop over an explicit stack of frames, so its depth is not bounded by
+Python's recursion limit.
+
+Each frame carries a subgroup H of G that maps the frame's feasible covers
+onto each other; the root has H = G. While H is nontrivial, a node takes the
+first column c of its branching order and pushes two children: one takes c,
+with H meet N_G(M_c) (which fixes c), and one bans c's whole H-orbit, with
+H. A cover meeting the orbit is moved by some h in H to one that contains
+c, and the banned columns stay a union of H-orbits. Under G the orbits are
+the classes, so the root's first level pins one column per class. Once H is
+trivial a node branches on each live column of its element, each child
+banning its earlier siblings. Forced columns keep H, since every feasible
+cover of the frame already contains them.
 
 The search runs on a reduced universe: one element per inclusion-minimal
 column set, since a column set covering that element covers every element
@@ -28,9 +40,23 @@ from math import ceil
 
 from .errors import CovnumError, CyclicGroup, Infeasible, ParseError
 from .greedy import covering_number_bounds
-from .groups import ConjClassTable, PermGroup
+from .groups import ConjClassTable, PermGroup, orbit
 from .perms import format_cycles
 from .subgroups import LATTICE_MAX_ORDER, MaxClassSet, algebra, maximal_classes_computed
+
+
+_TRIVIAL = frozenset({0})  # the identity subgroup, as element ids
+
+
+@dataclass(frozen=True)
+class _ColumnAction:
+    """G's conjugation action on an instance's columns: the element id at
+    each universe position, and for each column the normalizer of its
+    subgroup as element ids (None for G)."""
+
+    group: PermGroup
+    elements: tuple[int, ...]
+    normalizers: tuple[frozenset[int] | None, ...]
 
 
 @dataclass(frozen=True)
@@ -39,13 +65,10 @@ class CoverInstance:
     column_masks: tuple[int, ...]
     column_class: tuple[int, ...]      # class index per column
     class_labels: tuple[str, ...]
-    symmetric: bool = True             # columns within a class interchangeable
+    action: _ColumnAction | None = None  # G acting on the columns, whose orbits are the classes
 
     def full_mask(self) -> int:
         return (1 << self.universe_size) - 1
-
-    def columns_of_class(self, class_index: int) -> list[int]:
-        return [c for c, k in enumerate(self.column_class) if k == class_index]
 
 
 @dataclass(frozen=True)
@@ -88,9 +111,9 @@ def build_instance(group: PermGroup, cls: ConjClassTable, mx: MaxClassSet,
     position = {x: p for p, x in enumerate(universe)}
     masks: list[int] = []
     col_class: list[int] = []
+    normalizers: list[frozenset[int] | None] = []
     labels: list[str] = []
-    seen_masks: dict[int, int] = {}
-    cross_collision = False
+    seen_masks: set[int] = set()
     for out_idx, lbl in enumerate(sub_labels):
         mcls = mx.classes[mx.by_label(lbl)]
         labels.append(lbl)
@@ -100,18 +123,16 @@ def build_instance(group: PermGroup, cls: ConjClassTable, mx: MaxClassSet,
                 p = position.get(x)
                 if p is not None:
                     mask |= 1 << p
-            if mask == 0:
+            # G permutes the masks, so a mask met in an earlier class brings
+            # its whole class with it and the classes with columns stay the
+            # G-orbits; a column keeps its first member, whose normalizer
+            # fixes the mask even when a conjugate shares it
+            if mask == 0 or mask in seen_masks:
                 continue
-            prev = seen_masks.get(mask)
-            if prev is not None:
-                # duplicates within a class keep the conjugation symmetry;
-                # across classes they break it, so flag the instance
-                if prev != out_idx:
-                    cross_collision = True
-                continue
-            seen_masks[mask] = out_idx
+            seen_masks.add(mask)
             masks.append(mask)
             col_class.append(out_idx)
+            normalizers.append(member if mcls.self_normalizing else None)
     covered = 0
     for m in masks:
         covered |= m
@@ -127,7 +148,7 @@ def build_instance(group: PermGroup, cls: ConjClassTable, mx: MaxClassSet,
         column_masks=tuple(masks),
         column_class=tuple(col_class),
         class_labels=tuple(labels),
-        symmetric=not cross_collision,
+        action=_ColumnAction(group, tuple(universe), tuple(normalizers)),
     )
 
 
@@ -162,23 +183,35 @@ def _bits(mask: int):
         p = text.find("1", p + 1)
 
 
+def _element_columns(masks, universe_size: int) -> list[int]:
+    """Each element's column set, as a mask over columns."""
+    sig = [0] * universe_size
+    for c, m in enumerate(masks):
+        for p in _bits(m):
+            sig[p] |= 1 << c
+    return sig
+
+
 def _reduce_universe(masks, universe_size: int) -> tuple[list[int], list[int]]:
     """Column masks over a reduced universe, and each kept element's column
     set as a mask over columns. One element is kept per inclusion-minimal
     column set, the lowest position among equals, in position order. Every
     element's column set contains a kept one, so a set of columns covers the
-    reduced universe exactly when it covers the whole one."""
-    sig = [0] * universe_size
-    for c, m in enumerate(masks):
-        for p in _bits(m):
-            sig[p] |= 1 << c
+    reduced universe exactly when it covers the whole one.
+
+    The distinct sets are taken by size, so a kept set is tested only against
+    smaller ones; those are filed under their lowest column, and a set can
+    contain only those filed under one of its own columns."""
+    sig = _element_columns(masks, universe_size)
     first: dict[int, int] = {}
     for p, s in enumerate(sig):
         first.setdefault(s, p)
     kept: list[int] = []
+    by_lowest: list[list[int]] = [[] for _ in masks]
     for s in sorted(first, key=int.bit_count):
-        if not any(k & s == k for k in kept):
+        if not any(k & s == k for c in _bits(s) for k in by_lowest[c]):
             kept.append(s)
+            by_lowest[(s & -s).bit_length() - 1].append(s)
     kept.sort(key=first.__getitem__)
     reduced = [0] * len(masks)
     for r, s in enumerate(kept):
@@ -187,13 +220,81 @@ def _reduce_universe(masks, universe_size: int) -> tuple[list[int], list[int]]:
     return reduced, kept
 
 
+class _Orbits:
+    """Orbits on the columns of subgroups H of G, each H given as element
+    ids, built at the first node that needs one.
+
+    G permutes the columns, so column c's image under h is read off a few
+    witness elements x of c, chosen so that the columns containing them all
+    are those whose sets contain c's: the columns containing every x^h are
+    the images of those, and c^h is the one among them of c's size."""
+
+    def __init__(self, instance: CoverInstance):
+        action = instance.action
+        self.alg = algebra(action.group)
+        self.position = {x: p for p, x in enumerate(action.elements)}
+        self.masks = instance.column_masks
+        self.sig = _element_columns(self.masks, instance.universe_size)
+        self.every = (1 << len(self.masks)) - 1
+        self.witnesses = []
+        for c, m in enumerate(self.masks):
+            found, holding = [], self.every
+            for p in _bits(m):
+                if holding & ~self.sig[p]:
+                    found.append(action.elements[p])
+                    holding &= self.sig[p]
+                    if holding == 1 << c:
+                        break
+            self.witnesses.append(found)
+        # per subgroup: its generators' right-multiplication columns, and
+        # the orbit mask of each column met so far
+        self.known: dict[frozenset[int], tuple[list, dict[int, int]]] = {}
+
+    def _image(self, c: int, col, inv) -> int:
+        """The image of column c under the element whose right-multiplication
+        column is ``col``: x^h = h^-1 x h is col[inv[col[inv[x]]]]."""
+        holding = self.every
+        for x in self.witnesses[c]:
+            holding &= self.sig[self.position[col[inv[col[inv[x]]]]]]
+        if holding & (holding - 1):
+            size = self.masks[c].bit_count()
+            return next(d for d in _bits(holding) if self.masks[d].bit_count() == size)
+        return holding.bit_length() - 1
+
+    def of(self, sub: frozenset[int], c: int) -> int:
+        """The orbit of column c under the subgroup ``sub``, as a mask."""
+        if sub not in self.known:
+            self.known[sub] = [self.alg.column(h) for h in self.alg.generating_ids(sub)], {}
+        cols, known = self.known[sub]
+        if c not in known:
+            inv = self.alg.inv
+            found = orbit(c, lambda d: [self._image(d, col, inv) for col in cols])
+            mask = sum(1 << d for d in found)
+            for d in found:
+                known[d] = mask
+        return known[c]
+
+
+def _result(masks, full: int, best: list[int], lower: int, nodes: int,
+            exhausted: bool) -> CoverResult:
+    """The result, once the incumbent is checked against the whole universe."""
+    cov = 0
+    for c in best:
+        cov |= masks[c]
+    if cov != full:
+        raise CovnumError(f"incumbent of size {len(best)} is not a cover")
+    return CoverResult(lower=lower, upper=len(best), chosen=tuple(best),
+                       nodes_explored=nodes, budget_exhausted=exhausted)
+
+
 def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
           initial_cover=None) -> CoverResult:
     """Branch-and-bound minimum cover. A search cut by the budget returns
     the root dual bound as ``lower``, so the bracket stays sound. The time
     limit counts from entry, so it includes the greedy incumbent, the
-    universe reduction and the root bounds; it is checked at every node.
-    An element that no column covers raises Infeasible before any search."""
+    universe reduction and the root bounds; it is checked after the greedy
+    incumbent and at every node. An element that no column covers raises
+    Infeasible before any search."""
     deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit
     masks = instance.column_masks
     full = instance.full_mask()
@@ -213,6 +314,10 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
             cov |= masks[c]
         if cov == full and len(initial_cover) < len(best):
             best = list(initial_cover)
+    if deadline is not None and time.monotonic() > deadline:
+        # out of time before the reduction: the ceiling bound on the whole universe
+        lower = ceil(instance.universe_size / max(m.bit_count() for m in masks))
+        return _result(masks, full, best, lower, 0, True)
     best_size = len(best)
 
     # the search runs on the reduced universe: cols[c] is column c over it,
@@ -241,25 +346,23 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
 
     root_lower = max(independent_bound(0), ceil_bound(0, (1 << len(cols)) - 1), 1)
 
-    # Search frames (cov, banned, chosen), popped depth first. With symmetry,
-    # any cover uses some class first (in class order); conjugacy makes that
-    # class's columns interchangeable, so the root frames pin its least column
-    # and ban the earlier classes, as an interior node bans earlier siblings.
-    # The pinning is sound only for the first decision.
-    stack = [(0, 0, ())]
-    if instance.symmetric and instance.class_labels:
-        stack, banned = [], 0
-        for k in range(len(instance.class_labels)):
-            cols_k = instance.columns_of_class(k)
-            if cols_k:
-                stack.append((cols[cols_k[0]], banned, (cols_k[0],)))
-            for c in cols_k:
-                banned |= 1 << c
-        stack.reverse()
+    # Search frames (cov, banned, chosen, group), popped depth first. The
+    # group maps the frame's feasible covers onto each other: None stands
+    # for G, whose orbits are the classes, and a frozenset of element ids
+    # for a subgroup. Without an action the group is trivial from the root.
+    action = instance.action
+    if action is None:
+        stack = [(0, 0, (), _TRIVIAL)]
+    else:
+        class_columns = [0] * len(instance.class_labels)
+        for c, k in enumerate(instance.column_class):
+            class_columns[k] |= 1 << c
+        stack = [(0, 0, (), None)]
+    orbits = None
     nodes = 0
     exhausted = False
     while stack:
-        cov, banned, chosen = stack.pop()
+        cov, banned, chosen, group = stack.pop()
         if len(chosen) >= best_size:
             continue  # best_size only shrinks, so later siblings are cut too
         nodes += 1
@@ -301,30 +404,36 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
         room = best_size - len(chosen)
         if independent_bound(cov) >= room or ceil_bound(cov, live) >= room:
             continue
+        # the branching order: most newly covered first, the lowest column on ties
+        def gain(c: int) -> tuple[int, int]:
+            return -(cols[c] & ~cov).bit_count(), c
+        if group is None or len(group) > 1:
+            # orbital branching: take the first column, or ban its orbit
+            c = min(_bits(branch), key=gain)
+            normalizer = action.normalizers[c]
+            if group is None:
+                orbit_c = class_columns[instance.column_class[c]]
+                stabilizer = normalizer
+            else:
+                if orbits is None:
+                    orbits = _Orbits(instance)
+                orbit_c = orbits.of(group, c)
+                stabilizer = group if normalizer is None else group & normalizer
+            stack.append((cov, banned | orbit_c, chosen, group))
+            stack.append((cov | cols[c], banned, chosen + (c,), stabilizer))
+            continue
         # children in branching order, each banning its earlier siblings,
         # pushed so that the first is popped first
         children = []
-        for c in sorted(_bits(branch), key=lambda c: (-(cols[c] & ~cov).bit_count(), c)):
-            children.append((cov | cols[c], banned, chosen + (c,)))
+        for c in sorted(_bits(branch), key=gain):
+            children.append((cov | cols[c], banned, chosen + (c,), group))
             banned |= 1 << c
         stack.extend(reversed(children))
 
     # a root dual bound meeting the incumbent proves optimality even if the
     # search itself was cut short
-    lower = min(root_lower, best_size) if exhausted else best_size
-    # the incumbent is checked against the whole universe, not the reduced one
-    cov = 0
-    for c in best:
-        cov |= masks[c]
-    if cov != full or len(best) != best_size:
-        raise CovnumError(f"incumbent of size {len(best)} is not a cover of size {best_size}")
-    return CoverResult(
-        lower=lower,
-        upper=best_size,
-        chosen=tuple(best),
-        nodes_explored=nodes,
-        budget_exhausted=exhausted,
-    )
+    return _result(masks, full, best, min(root_lower, best_size) if exhausted else best_size,
+                   nodes, exhausted)
 
 
 def sigma_exact(group: PermGroup, budget: SolveBudget = SolveBudget(),
@@ -393,7 +502,6 @@ def parse_instance(text: str) -> CoverInstance:
         column_masks=tuple(masks),
         column_class=tuple(range(len(masks))),
         class_labels=tuple(f"C{i + 1}" for i in range(len(masks))),
-        symmetric=False,
     )
 
 

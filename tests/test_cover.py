@@ -1,17 +1,19 @@
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracle import exhaustive_sigma
 
 from covnum import library
-from covnum.cover import CoverInstance, SolveBudget, _greedy_cover, _reduce_universe, \
+from covnum.cover import CoverInstance, SolveBudget, _greedy_cover, _Orbits, _reduce_universe, \
     build_instance, format_instance, format_lp, parse_instance, sigma_exact, solve
 from covnum.errors import CovnumError, CyclicGroup, Infeasible, ParseError
 from covnum.greedy import covering_number_bounds
 from covnum.perms import format_cycles
-from covnum.subgroups import all_subgroups, coset_action, normal_subgroups
+from covnum.subgroups import LATTICE_MAX_ORDER, all_subgroups, coset_action, \
+    minimal_normal_subgroups, normal_subgroups
 
 
 def _instance(key, elts=None, subs=None):
@@ -24,7 +26,9 @@ def test_a5_full_instance_shape():
     inst = _instance("A5")
     assert inst.universe_size == 59
     assert len(inst.column_masks) == 21  # 5 + 6 + 10
-    assert inst.symmetric
+    # G acts on the columns; A4, D10 and S3 are their own normalizers
+    assert [len(n) for n in inst.action.normalizers] == [12] * 5 + [10] * 6 + [6] * 10
+    assert inst.action.elements == tuple(range(1, 60))
 
 
 def test_cyclic_instance_infeasible():
@@ -121,16 +125,20 @@ def test_deep_search_returns_a_bracket():
 
 
 def test_zero_time_limit_stops_at_the_first_node():
-    # the clock starts when solve is entered and is read at every node, so
-    # a limit of 0 on the 600-triangle instance (sigma 1200) is spent by the
-    # time the first node is reached, and the bracket is still sound
+    # the clock starts when solve is entered and is read right after the
+    # greedy incumbent, so a limit of 0 on the 600-triangle instance
+    # (sigma 1200) ends the solve before the universe reduction, with the
+    # ceiling bound 1800 / 2 as a sound lower end
     lines = ["universe 1800", "columns 1800"]
     for a in range(0, 1800, 3):
         lines += [f"{a} {a + 1}", f"{a + 1} {a + 2}", f"{a} {a + 2}"]
-    result = solve(parse_instance("\n".join(lines)), SolveBudget(time_limit=0))
-    assert result.nodes_explored <= 1
+    inst = parse_instance("\n".join(lines))
+    start = time.perf_counter()
+    result = solve(inst, SolveBudget(time_limit=0))
+    assert time.perf_counter() - start < 0.1
+    assert result.nodes_explored == 0
     assert result.budget_exhausted and not result.optimal
-    assert result.lower <= 1200 <= result.upper
+    assert result.lower == 900 and result.upper == 1200 == len(result.chosen)
 
 
 def test_greedy_incumbent_feeds_solver():
@@ -186,13 +194,13 @@ def test_instance_text_round_trip():
     again = parse_instance(text)
     assert again.universe_size == inst.universe_size
     assert again.column_masks == inst.column_masks
-    assert not again.symmetric  # imported instances lose the symmetry claim
+    assert again.action is None  # imported instances have no group acting on them
     assert solve(again).upper == 10
 
 
 def test_instance_text_rejects_an_empty_column():
     # an empty column would be a blank line, which parse_instance skips
-    inst = CoverInstance(2, (3, 0), (0, 1), ("C1", "C2"), False)
+    inst = CoverInstance(2, (3, 0), (0, 1), ("C1", "C2"))
     with pytest.raises(CovnumError, match=r"column 1 \(C2\) covers nothing"):
         format_instance(inst)
 
@@ -256,7 +264,7 @@ def parsed_instances(draw):
 @given(parsed_instances(), st.integers(1, 3))
 def test_random_instances_agree_with_oracle(drawn, cut_nodes):
     inst, columns = drawn
-    assert not inst.symmetric
+    assert inst.action is None
     sigma = exhaustive_sigma(set(range(inst.universe_size)), columns, len(columns))
     result = solve(inst)
     assert result.optimal and result.upper == sigma
@@ -274,6 +282,28 @@ def test_elements_in_more_columns_than_the_reduced_universe_has_elements():
     assert result.optimal and result.upper == 2
 
 
+def _quadratic_reduce_universe(masks, universe_size):
+    """Reference: each distinct column set tested against every kept one."""
+    sig = [sum(1 << c for c, m in enumerate(masks) if m >> p & 1) for p in range(universe_size)]
+    first = {}
+    for p, s in enumerate(sig):
+        first.setdefault(s, p)
+    kept = []
+    for s in sorted(first, key=int.bit_count):
+        if not any(k & s == k for k in kept):
+            kept.append(s)
+    kept.sort(key=first.__getitem__)
+    return [sum(1 << r for r, s in enumerate(kept) if s >> c & 1) for c in range(len(masks))], kept
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(parsed_instances())
+def test_reduced_universe_matches_the_quadratic_filter(drawn):
+    inst, _ = drawn
+    assert _reduce_universe(inst.column_masks, inst.universe_size) == \
+        _quadratic_reduce_universe(inst.column_masks, inst.universe_size)
+
+
 @pytest.mark.parametrize("key,size,reduced", [("A6", 359, 121), ("AGL32", 1343, 281)])
 def test_reduced_universe(key, size, reduced):
     inst = _instance(key)
@@ -285,18 +315,95 @@ def test_reduced_universe(key, size, reduced):
         assert m == sum(1 << e for e, s in enumerate(sig) if s >> c & 1)
 
 
+def _class_columns(inst):
+    return [sum(1 << c for c, k in enumerate(inst.column_class) if k == j)
+            for j in range(len(inst.class_labels))]
+
+
+def _check_against_no_action(inst):
+    """G's orbits on the columns are the classes that kept columns, and the
+    solve with G acting gives the sigma of the same instance read back from
+    text, which has no group acting on it."""
+    everything = frozenset(range(inst.action.group.order))
+    orbits = _Orbits(inst)
+    assert {orbits.of(everything, c) for c in range(len(inst.column_masks))} == \
+        {mask for mask in _class_columns(inst) if mask}
+    result = solve(inst)
+    plain = solve(parse_instance(format_instance(inst)))
+    assert result.optimal and plain.optimal
+    assert result.upper == plain.upper
+    return result.upper
+
+
+DIFFERENTIAL_KEYS = [key for key in library.names()
+                     if 1 < library.group(key).order <= LATTICE_MAX_ORDER
+                     and not library.group(key).is_cyclic()]
+
+
+@pytest.mark.parametrize("key", DIFFERENTIAL_KEYS)
+def test_orbital_branching_matches_the_search_without_symmetry(key, sigma_of):
+    """On the whole instance and on each quotient instance of
+    is_sigma_elementary: G minus a minimal normal N, covered by the maximal
+    classes that contain N (a cyclic quotient leaves G - N uncovered)."""
+    assert _check_against_no_action(_instance(key)) == sigma_of(key)
+    group, mx = library.group(key), library.maximals(key)
+    cls = group.conjugacy_classes()
+    for normal in minimal_normal_subgroups(group):
+        outside = [c.label for c in cls.classes
+                   if group.element_index[c.rep.images] not in normal.elements]
+        above = [m.label for m in mx.classes if normal.elements <= m.rep.elements]
+        try:
+            inst = build_instance(group, cls, mx, outside, above)
+        except Infeasible:
+            continue
+        _check_against_no_action(inst)
+
+
+@pytest.mark.parametrize("key,elts,subs,sigma,within,cross", [
+    # conjugate subgroups with equal masks; sigma 7 in 35 nodes
+    ("AGL32", ["cl_4,1", "cl_2,2", "cl_2,3"], None, 7, True, False),
+    # a later class whose masks all repeat an earlier class's
+    ("AGL32", ["cl_7,2", "cl_2,3"], None, 8, True, True),
+    # a child that kept H instead of H meet N_G(M_c) missed these covers,
+    # and an orbit taken under G instead of H the first one
+    ("S6", ["cl_2,2", "cl_2,3"], ["M1", "M2", "M3", "M5", "M6"], 4, False, False),
+    ("PGL27", ["cl_2,1"], ["M1", "M3", "M4"], 7, False, False),
+    ("A6", ["cl_3,2"], ["M1", "M3", "M4", "M5"], 6, False, False),
+])
+def test_orbital_branching_on_class_selections(key, elts, subs, sigma, within, cross):
+    mx = library.maximals(key)
+    inst = _instance(key, elts=elts, subs=subs)
+    positions = set(inst.action.elements)
+    masks = [[m & positions for m in mx.classes[mx.by_label(lbl)].members if m & positions]
+             for lbl in subs or [c.label for c in mx.classes]]
+    assert within == any(len(set(c)) < len(c) for c in masks)
+    assert cross == (len(set().union(*masks)) < sum(len(set(c)) for c in masks))
+    assert _check_against_no_action(inst) == sigma
+
+
 def test_search_sizes():
     """Node counts, seeded and unseeded. A node tries the independence bound
     first and the ceiling bound only when that does not prune; the counts
-    are those of pruning on the larger of the two."""
-    # 3,843 nodes is A6 through sigma_exact on the whole universe with a
-    # branching scan that stops at the first element with two columns
+    are those of pruning on the larger of the two. With the symmetry broken
+    only at the root, A6 took 2,303 nodes seeded and 6,152 unseeded, and
+    AGL32 929 either way; orbital branching below the root takes fewer."""
     a6 = sigma_exact(library.group("A6"), mx=library.maximals("A6"))
-    assert a6.upper == 16 and a6.nodes_explored == 2303 < 3843
-    assert solve(_instance("A6")).nodes_explored == 6152
+    assert a6.upper == 16 and a6.nodes_explored == 973 < 2303
+    a6_unseeded = solve(_instance("A6")).nodes_explored
+    assert a6_unseeded == 3920 < 6152
     agl32 = sigma_exact(library.group("AGL32"), mx=library.maximals("AGL32"))
-    assert agl32.upper == 15 and agl32.nodes_explored == 929
-    assert solve(_instance("AGL32")).nodes_explored == 929
+    assert agl32.upper == 15 and agl32.nodes_explored == 212 < 929
+    assert solve(_instance("AGL32")).nodes_explored == 212
+
+
+@pytest.mark.parametrize("nodes", [7, 2000])
+def test_cut_search_brackets_sigma(nodes):
+    # A6 seeded closes within 2,000 nodes, unseeded does not
+    group, mx = library.group("A6"), library.maximals("A6")
+    for result in (sigma_exact(group, SolveBudget(max_nodes=nodes), mx=mx),
+                   solve(_instance("A6"), SolveBudget(max_nodes=nodes))):
+        assert result.lower <= 16 <= result.upper
+        assert result.optimal == (result.nodes_explored < nodes)
 
 
 @pytest.mark.parametrize("key", ["V4", "S3", "D8", "Q8", "S4", "A4", "D10", "D12",
