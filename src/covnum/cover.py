@@ -50,12 +50,12 @@ _TRIVIAL = frozenset({0})  # the identity subgroup, as element ids
 
 @dataclass(frozen=True)
 class _ColumnAction:
-    """G's conjugation action on an instance's columns: the element id at
-    each universe position, and for each column the normalizer of its
+    """G's conjugation action on an instance's columns: the element classes
+    that make up the universe, and for each column the normalizer of its
     subgroup as element ids (None for G)."""
 
     group: PermGroup
-    elements: tuple[int, ...]
+    element_classes: frozenset[int]
     normalizers: tuple[frozenset[int] | None, ...]
 
 
@@ -98,6 +98,12 @@ class SolveBudget:
     lattice_max_order: int = LATTICE_MAX_ORDER
 
 
+def _universe(group: PermGroup, element_classes) -> list[int]:
+    """The element ids of the given element classes, in id order."""
+    assignment = group.class_assignment()
+    return [x for x in range(1, algebra(group).n) if assignment[x] in element_classes]
+
+
 def build_instance(group: PermGroup, cls: ConjClassTable, mx: MaxClassSet,
                    elts=None, subs=None) -> CoverInstance:
     """Cover instance for the selected element classes and subgroup classes
@@ -106,8 +112,8 @@ def build_instance(group: PermGroup, cls: ConjClassTable, mx: MaxClassSet,
     sub_labels = [m.label for m in mx.classes] if subs is None else list(subs)
     alg = algebra(group)
     assignment = group.class_assignment()
-    selected = {cls.by_label(lbl) for lbl in elt_labels}
-    universe = [x for x in range(1, alg.n) if assignment[x] in selected]
+    selected = frozenset(cls.by_label(lbl) for lbl in elt_labels)
+    universe = _universe(group, selected)
     position = {x: p for p, x in enumerate(universe)}
     masks: list[int] = []
     col_class: list[int] = []
@@ -148,7 +154,7 @@ def build_instance(group: PermGroup, cls: ConjClassTable, mx: MaxClassSet,
         column_masks=tuple(masks),
         column_class=tuple(col_class),
         class_labels=tuple(labels),
-        action=_ColumnAction(group, tuple(universe), tuple(normalizers)),
+        action=_ColumnAction(group, selected, tuple(normalizers)),
     )
 
 
@@ -232,7 +238,8 @@ class _Orbits:
     def __init__(self, instance: CoverInstance):
         action = instance.action
         self.alg = algebra(action.group)
-        self.position = {x: p for p, x in enumerate(action.elements)}
+        elements = _universe(action.group, action.element_classes)
+        self.position = {x: p for p, x in enumerate(elements)}
         self.masks = instance.column_masks
         self.sig = _element_columns(self.masks, instance.universe_size)
         self.every = (1 << len(self.masks)) - 1
@@ -241,7 +248,7 @@ class _Orbits:
             found, holding = [], self.every
             for p in _bits(m):
                 if holding & ~self.sig[p]:
-                    found.append(action.elements[p])
+                    found.append(elements[p])
                     holding &= self.sig[p]
                     if holding == 1 << c:
                         break
