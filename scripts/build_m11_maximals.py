@@ -58,7 +58,7 @@ def build() -> tuple[str, str]:
     assert syl3 is not None
     norm = frozenset(
         g for g in range(alg.n)
-        if frozenset(alg.conjugate(x, g) for x in syl3) == syl3)
+        if frozenset(alg.index[elems[x].conjugated_by(elems[g]).images] for x in syl3) == syl3)
     assert len(norm) == 144, len(norm)
 
     # index 66: order 120, generated by a 5-element and one more element
@@ -68,7 +68,7 @@ def build() -> tuple[str, str]:
     # index 165: centralizer of an involution
     t2 = next(i for i in range(1, alg.n) if elems[i].order == 2)
     cent = frozenset(g for g in range(alg.n)
-                     if alg.mult(g, t2) == alg.mult(t2, g))
+                     if elems[g] * elems[t2] == elems[t2] * elems[g])
     assert len(cent) == 48, len(cent)
 
     subs = [Subgroup(m11, ids) for ids in (stab, l211, norm, s5, cent)]

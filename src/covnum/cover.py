@@ -17,10 +17,13 @@ first column c of its branching order and pushes two children: one takes c,
 with H meet N_G(M_c) (which fixes c), and one bans c's whole H-orbit, with
 H. A cover meeting the orbit is moved by some h in H to one that contains
 c, and the banned columns stay a union of H-orbits. Under G the orbits are
-the classes, so the root's first level pins one column per class. Once H is
-trivial a node branches on each live column of its element, each child
-banning its earlier siblings. Forced columns keep H, since every feasible
-cover of the frame already contains them.
+the classes, so the root's first level pins one column per class; under a
+proper H they are walked over H's generators, and the image of a column
+under h is the column whose mask is its own conjugated by h, each element
+read off h's id column. Once H is trivial a node branches on each live
+column of its element, each child banning its earlier siblings. Forced
+columns keep H, since every feasible cover of the frame already contains
+them.
 
 The search runs on a reduced universe: one element per inclusion-minimal
 column set, since a column set covering that element covers every element
@@ -189,15 +192,6 @@ def _bits(mask: int):
         p = text.find("1", p + 1)
 
 
-def _element_columns(masks, universe_size: int) -> list[int]:
-    """Each element's column set, as a mask over columns."""
-    sig = [0] * universe_size
-    for c, m in enumerate(masks):
-        for p in _bits(m):
-            sig[p] |= 1 << c
-    return sig
-
-
 def _reduce_universe(masks, universe_size: int) -> tuple[list[int], list[int]]:
     """Column masks over a reduced universe, and each kept element's column
     set as a mask over columns. One element is kept per inclusion-minimal
@@ -208,7 +202,10 @@ def _reduce_universe(masks, universe_size: int) -> tuple[list[int], list[int]]:
     The distinct sets are taken by size, so a kept set is tested only against
     smaller ones; those are filed under their lowest column, and a set can
     contain only those filed under one of its own columns."""
-    sig = _element_columns(masks, universe_size)
+    sig = [0] * universe_size  # each element's column set
+    for c, m in enumerate(masks):
+        for p in _bits(m):
+            sig[p] |= 1 << c
     first: dict[int, int] = {}
     for p, s in enumerate(sig):
         first.setdefault(s, p)
@@ -230,29 +227,17 @@ class _Orbits:
     """Orbits on the columns of subgroups H of G, each H given as element
     ids, built at the first node that needs one.
 
-    G permutes the columns, so column c's image under h is read off a few
-    witness elements x of c, chosen so that the columns containing them all
-    are those whose sets contain c's: the columns containing every x^h are
-    the images of those, and c^h is the one among them of c's size."""
+    G permutes the columns, and no two columns share a mask, so column c's
+    image under h is the column whose mask is c's with every element x
+    replaced by x^h."""
 
     def __init__(self, instance: CoverInstance):
         action = instance.action
         self.alg = algebra(action.group)
-        elements = _universe(action.group, action.element_classes)
-        self.position = {x: p for p, x in enumerate(elements)}
+        self.elements = _universe(action.group, action.element_classes)
+        self.position = {x: p for p, x in enumerate(self.elements)}
         self.masks = instance.column_masks
-        self.sig = _element_columns(self.masks, instance.universe_size)
-        self.every = (1 << len(self.masks)) - 1
-        self.witnesses = []
-        for c, m in enumerate(self.masks):
-            found, holding = [], self.every
-            for p in _bits(m):
-                if holding & ~self.sig[p]:
-                    found.append(elements[p])
-                    holding &= self.sig[p]
-                    if holding == 1 << c:
-                        break
-            self.witnesses.append(found)
+        self.column_of = {m: c for c, m in enumerate(self.masks)}
         # per subgroup: its generators' right-multiplication columns, and
         # the orbit mask of each column met so far
         self.known: dict[frozenset[int], tuple[list, dict[int, int]]] = {}
@@ -260,13 +245,11 @@ class _Orbits:
     def _image(self, c: int, col, inv) -> int:
         """The image of column c under the element whose right-multiplication
         column is ``col``: x^h = h^-1 x h is col[inv[col[inv[x]]]]."""
-        holding = self.every
-        for x in self.witnesses[c]:
-            holding &= self.sig[self.position[col[inv[col[inv[x]]]]]]
-        if holding & (holding - 1):
-            size = self.masks[c].bit_count()
-            return next(d for d in _bits(holding) if self.masks[d].bit_count() == size)
-        return holding.bit_length() - 1
+        elements, position = self.elements, self.position
+        mask = 0
+        for p in _bits(self.masks[c]):
+            mask |= 1 << position[col[inv[col[inv[elements[p]]]]]]
+        return self.column_of[mask]
 
     def of(self, sub: frozenset[int], c: int) -> int:
         """The orbit of column c under the subgroup ``sub``, as a mask."""

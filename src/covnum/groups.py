@@ -69,18 +69,11 @@ class _ChainLevel:
         self.rebuild_orbit()
 
     def rebuild_orbit(self) -> None:
-        self.transversal = {self.base: Permutation.identity(self.degree)}
-        frontier = [self.base]
-        while frontier:
-            new = []
-            for point in frontier:
-                u = self.transversal[point]
-                for g in self.gens:
-                    image = g(point)
-                    if image not in self.transversal:
-                        self.transversal[image] = u * g
-                        new.append(image)
-            frontier = sorted(new)
+        """The transversal down the Schreier tree of the base orbit."""
+        self.transversal = {}
+        for point, edge in orbit(self.base, lambda x: [g(x) for g in self.gens]).items():
+            self.transversal[point] = (Permutation.identity(self.degree) if edge is None
+                                       else self.transversal[edge[0]] * self.gens[edge[1]])
 
 
 def _sift(levels: list[_ChainLevel], g: Permutation, start: int = 0):
@@ -201,11 +194,17 @@ class PermGroup:
         return Enumeration(elems, index, parent, letter, cols)
 
     @cached_property
-    def conjugation_maps(self) -> list[list[int]]:
-        """For each generator g, the element-id map x -> g^-1 x g."""
+    def inverses(self) -> list[int]:
+        """The id of each element's inverse."""
         index = self.element_index
-        return [[index[p.conjugated_by(g).images] for p in self.elements()]
-                for g in self.generators]
+        return [index[p.inverse().images] for p in self.elements()]
+
+    @cached_property
+    def conjugation_maps(self) -> list[list[int]]:
+        """For each generator g, the element-id map x -> g^-1 x g, read off
+        g's column col (x -> x*g) as col[inv[col[inv[x]]]]."""
+        inv = self.inverses
+        return [[col[inv[col[y]]] for y in inv] for col in self.enumeration.columns]
 
     def is_cyclic(self) -> bool:
         if self.order == 1:

@@ -43,7 +43,8 @@ class _Algebra:
     """Element-id arithmetic for one enumerated group, done on integer
     columns: column(g) is the map x -> x*g on element ids. The generator
     columns come with the enumeration; every other column is composed from
-    them and cached."""
+    them and cached. The group's inverse table and conjugation maps are read
+    once; the algebra keeps no reference to the group itself."""
 
     def __init__(self, group: PermGroup):
         enum = group.enumeration
@@ -51,6 +52,7 @@ class _Algebra:
         self.elems = enum.elements
         self.index = enum.index
         self.n = len(self.elems)
+        self.inv = group.inverses
         self.conjugation_maps = group.conjugation_maps
         self.gen_cols = enum.columns
         self._parent, self._letter = enum.parent, enum.letter
@@ -59,19 +61,9 @@ class _Algebra:
             self._columns.setdefault(self.index[g.images], col)
 
     @cached_property
-    def inv(self) -> list[int]:
-        return [self.index[p.inverse().images] for p in self.elems]
-
-    def mult(self, a: int, b: int) -> int:
-        """a*b, read off b's column when it is cached."""
-        col = self._columns.get(b)
-        if col is not None:
-            return col[a]
-        return self.index[(self.elems[a] * self.elems[b]).images]
-
-    def conjugate(self, x: int, c: int) -> int:
-        """x^c = c^-1 * x * c."""
-        return self.mult(self.mult(self.inv[c], x), c)
+    def inv_gen_cols(self) -> list[list[int] | array]:
+        """The column of each generator's inverse."""
+        return [self.column(self.inv[self.index[g.images]]) for g in self.generators]
 
     def column(self, g: int) -> list[int] | array:
         """The right-multiplication map x -> x*g, composed from generator
@@ -299,11 +291,13 @@ def _normalizer(alg: _Algebra, tree: dict) -> tuple[frozenset[int], list[tuple[i
 
     N_G(H) is the stabilizer of H, so it is generated by the Schreier
     generators t_s g t_{s^g}^-1 of the tree's transversal. A letter k < m
-    is generator k and k + m its inverse, m being the number of generators.
-    A Schreier generator is kept only when it enlarges the closure of those
-    kept before, and the search stops at |G| / (orbit length)."""
+    is generator k and k + m its inverse, m being the number of generators,
+    and a word's element is its letters' columns applied in turn to the
+    identity. A Schreier generator is kept only when it enlarges the closure
+    of those kept before, and the search stops at |G| / (orbit length)."""
     m = len(alg.generators)
     cols = alg.gen_cols
+    inv_cols = alg.inv_gen_cols
     transversal: dict[frozenset[int], tuple[tuple[int, ...], int]] = {}
     for s, edge in tree.items():  # parents come before their children
         if edge is None:
@@ -319,8 +313,10 @@ def _normalizer(alg: _Algebra, tree: dict) -> tuple[frozenset[int], list[tuple[i
         for k in range(m):
             if len(current) == target:
                 return current, words
-            back, y = transversal[alg.conjugate_set(s, k)]
-            z = alg.mult(cols[k][x], alg.inv[y])
+            back = transversal[alg.conjugate_set(s, k)][0]
+            z = cols[k][x]
+            for b in reversed(back):
+                z = inv_cols[b][z]
             if z not in current:
                 kept.append(z)
                 words.append(word + (k,) + tuple(m + b for b in reversed(back)))

@@ -1,6 +1,8 @@
 import hashlib
 import random
 import time
+from functools import cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -356,7 +358,7 @@ def test_orbital_branching_matches_the_search_without_symmetry(key, sigma_of):
         _check_against_no_action(inst)
 
 
-@pytest.mark.parametrize("key,elts,subs,sigma,within,cross", [
+CLASS_SELECTIONS = [
     # conjugate subgroups with equal masks; sigma 7 in 35 nodes
     ("AGL32", ["cl_4,1", "cl_2,2", "cl_2,3"], None, 7, True, False),
     # a later class whose masks all repeat an earlier class's
@@ -366,7 +368,10 @@ def test_orbital_branching_matches_the_search_without_symmetry(key, sigma_of):
     ("S6", ["cl_2,2", "cl_2,3"], ["M1", "M2", "M3", "M5", "M6"], 4, False, False),
     ("PGL27", ["cl_2,1"], ["M1", "M3", "M4"], 7, False, False),
     ("A6", ["cl_3,2"], ["M1", "M3", "M4", "M5"], 6, False, False),
-])
+]
+
+
+@pytest.mark.parametrize("key,elts,subs,sigma,within,cross", CLASS_SELECTIONS)
 def test_orbital_branching_on_class_selections(key, elts, subs, sigma, within, cross):
     """Selections as ``covnum exact --classes/--subgroup-classes`` makes
     them, with masks repeated within or across classes, or with covers that
@@ -380,6 +385,36 @@ def test_orbital_branching_on_class_selections(key, elts, subs, sigma, within, c
     assert within == any(len(set(c)) < len(c) for c in masks)
     assert cross == (len(set().union(*masks)) < sum(len(set(c)) for c in masks))
     assert _check_against_no_action(inst) == sigma
+
+
+@pytest.mark.parametrize("key,elts,subs", [sel[:3] for sel in CLASS_SELECTIONS])
+def test_column_orbits_under_proper_subgroups(key, elts, subs):
+    """_Orbits.of(H, c), for H each column normalizer and each meet of two,
+    is {c^h : h in H}: the brute force conjugates the part of c's subgroup
+    in the universe by every h in H with Permutation.conjugated_by and reads
+    the column off the resulting mask."""
+    group = library.group(key)
+    inst = _instance(key, elts=elts, subs=subs)
+    elems, index = group.elements(), group.element_index
+    assignment = group.class_assignment()
+    universe = [x for x in range(1, group.order)
+                if assignment[x] in inst.action.element_classes]
+    position = {x: p for p, x in enumerate(universe)}
+    column_of = {m: c for c, m in enumerate(inst.column_masks)}
+    members = [[x for p, x in enumerate(universe) if m >> p & 1] for m in inst.column_masks]
+
+    @cache
+    def image(h):  # h's permutation of the columns
+        conj = {x: index[elems[x].conjugated_by(elems[h]).images] for x in universe}
+        return [column_of[sum(1 << position[conj[x]] for x in member)] for member in members]
+
+    normalizers = {n for n in inst.action.normalizers if n is not None}
+    subgroups = normalizers | {a & b for a, b in combinations(normalizers, 2)}
+    assert len(subgroups) > len(normalizers) > 1
+    orbits = _Orbits(inst)
+    for sub in sorted(subgroups, key=sorted):
+        for c in range(len(members)):
+            assert orbits.of(sub, c) == sum(1 << d for d in {image(h)[c] for h in sub})
 
 
 def test_search_sizes():

@@ -117,6 +117,18 @@ def test_class_assignment_is_conjugacy(key):
         assert conjugates == ids
 
 
+def test_conjugation_maps_and_inverses_match_permutations():
+    """The maps read off the id columns send x to g^-1 x g, as
+    Permutation.conjugated_by gives it, for each generator g. The flip
+    x -> g x g^-1 gives the same classes, but wrong normalizer words and
+    atom moves in the lattice walk."""
+    for group in [library.group(key) for key in library.names()] + library.solvable_suite():
+        elems, index = group.elements(), group.element_index
+        assert group.inverses == [index[p.inverse().images] for p in elems]
+        assert group.conjugation_maps == [[index[p.conjugated_by(g).images] for p in elems]
+                                          for g in group.generators]
+
+
 def test_orbit_keeps_discovery_order():
     assert list(orbit(0, lambda x: [(x + 1) % 5, 2 * x % 5])) == [0, 1, 2, 3, 4]
     assert list(orbit(3, lambda x: [3 * x % 7])) == [3, 2, 6, 4, 5, 1]
