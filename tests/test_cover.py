@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from oracle import exhaustive_sigma
 
 from covnum import library
-from covnum.cover import CoverInstance, SolveBudget, _greedy_cover, _Orbits, _reduce_universe, \
-    build_instance, format_instance, format_lp, parse_instance, sigma_exact, solve
+from covnum.cover import CoverInstance, CoverResult, SolveBudget, _greedy_cover, _Orbits, \
+    _reduce_universe, build_instance, format_instance, format_lp, parse_instance, sigma_exact, \
+    solve
 from covnum.errors import CovnumError, CyclicGroup, Infeasible, ParseError
 from covnum.greedy import covering_number_bounds
 from covnum.perms import format_cycles
@@ -306,6 +307,79 @@ def test_reduced_universe_matches_the_quadratic_filter(drawn):
         _quadratic_reduce_universe(inst.column_masks, inst.universe_size)
 
 
+def _reference_solve(inst, max_nodes):
+    """Reference search for an instance without an action: the uncovered
+    elements are listed again after each forced column, and both bounds
+    are computed in full at every node."""
+    masks, full = inst.column_masks, inst.full_mask()
+    best = _eager_greedy_cover(masks, full)
+    cols, sig = _quadratic_reduce_universe(masks, inst.universe_size)
+    size = len(sig)
+    rarity = sorted(range(size), key=lambda e: (sig[e].bit_count(), e))
+
+    def bound(cov, live):  # the larger of the packing and the ceiling bound
+        blocked = packing = 0
+        for e in rarity:
+            if not cov >> e & 1 and not sig[e] & blocked:
+                blocked |= sig[e]
+                packing += 1
+        left = size - cov.bit_count()
+        biggest = max([(cols[c] & ~cov).bit_count() for c in range(len(cols)) if live >> c & 1],
+                      default=0)
+        ceiling = 0 if left == 0 else -(-left // biggest) if biggest else size + 1
+        return max(packing, ceiling)
+
+    root = max(bound(0, (1 << len(cols)) - 1), 1)
+    stack, nodes, exhausted = [(0, 0, ())], 0, False
+    while stack:
+        cov, banned, chosen = stack.pop()
+        if len(chosen) >= len(best):
+            continue
+        nodes += 1
+        if nodes >= max_nodes:
+            exhausted = True
+            break
+        while True:
+            uncovered = [e for e in range(size) if not cov >> e & 1]
+            if not uncovered:
+                break
+            live = 0
+            for e in uncovered:
+                live |= sig[e]
+            live &= ~banned
+            avail = [sig[e] & live for e in uncovered]
+            fewest = min(a.bit_count() for a in avail)
+            branch = next(a for a in avail if a.bit_count() == fewest)
+            if fewest != 1 or len(chosen) + 1 >= len(best):
+                break
+            chosen += (branch.bit_length() - 1,)
+            cov |= cols[chosen[-1]]
+        if not uncovered:
+            if len(chosen) < len(best):
+                best = list(chosen)
+            continue
+        if fewest <= 1 or bound(cov, live) >= len(best) - len(chosen):
+            continue
+        children = []
+        for c in sorted((c for c in range(len(cols)) if branch >> c & 1),
+                        key=lambda c: (-(cols[c] & ~cov).bit_count(), c)):
+            children.append((cov | cols[c], banned, chosen + (c,)))
+            banned |= 1 << c
+        stack.extend(reversed(children))
+    return CoverResult(lower=min(root, len(best)) if exhausted else len(best), upper=len(best),
+                       chosen=tuple(best), nodes_explored=nodes, budget_exhausted=exhausted)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(parsed_instances(), st.integers(1, 3))
+def test_search_matches_the_reference_search(drawn, cut_nodes):
+    """The same tree as the reference: the same cover, bracket and node
+    count, run to the end and cut after one to three nodes."""
+    inst, _ = drawn
+    assert solve(inst) == _reference_solve(inst, SolveBudget().max_nodes)
+    assert solve(inst, SolveBudget(max_nodes=cut_nodes)) == _reference_solve(inst, cut_nodes)
+
+
 @pytest.mark.parametrize("key,size,reduced", [("A6", 359, 121), ("AGL32", 1343, 281)])
 def test_reduced_universe(key, size, reduced):
     inst = _instance(key)
@@ -417,6 +491,17 @@ def test_column_orbits_under_proper_subgroups(key, elts, subs):
             assert orbits.of(sub, c) == sum(1 << d for d in {image(h)[c] for h in sub})
 
 
+@pytest.mark.parametrize("key,elts,subs", [
+    ("A5", None, None), ("S5", None, None), ("PGL27", None, None), ("S6", None, None),
+    ("A6", None, None), ("AGL32", None, None), *[sel[:3] for sel in CLASS_SELECTIONS]])
+def test_search_of_library_text_matches_the_reference_search(key, elts, subs):
+    """Library instances read back from text, which searches up to 6,166
+    nodes deep where the random instances mostly close at the root."""
+    inst = parse_instance(format_instance(_instance(key, elts=elts, subs=subs)))
+    for nodes in (7, 100, SolveBudget().max_nodes):
+        assert solve(inst, SolveBudget(max_nodes=nodes)) == _reference_solve(inst, nodes)
+
+
 def test_search_sizes():
     """Node counts, seeded and unseeded. A node tries the independence bound
     first and the ceiling bound only when that does not prune; the counts
@@ -429,6 +514,37 @@ def test_search_sizes():
     agl32 = sigma_exact(library.group("AGL32"), mx=library.maximals("AGL32"))
     assert agl32.upper == 15 and agl32.nodes_explored == 212 < 929
     assert solve(_instance("AGL32")).nodes_explored == 212
+    # whole results: A6 seeded and unseeded cut at 7 and 2,000 nodes, three
+    # more groups through sigma_exact, and the class selections
+    group, mx = library.group("A6"), library.maximals("A6")
+    for nodes, seeded, unseeded in SEARCH_TREES_A6:
+        assert sigma_exact(group, SolveBudget(max_nodes=nodes), mx=mx) == CoverResult(*seeded)
+        assert solve(_instance("A6"), SolveBudget(max_nodes=nodes)) == CoverResult(*unseeded)
+    for key, tree in SEARCH_TREES_SIGMA_EXACT.items():
+        assert sigma_exact(library.group(key), mx=library.maximals(key)) == CoverResult(*tree)
+    for (key, elts, subs, *_), tree in zip(CLASS_SELECTIONS, SEARCH_TREES_SELECTIONS):
+        assert solve(_instance(key, elts=elts, subs=subs)) == CoverResult(*tree)
+
+
+# (lower, upper, chosen, nodes_explored, budget_exhausted) of whole searches
+SEARCH_TREES_A6 = [  # max_nodes, seeded, unseeded
+    (7, (10, 16, (0, 1, 2, 3, 4, 5, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21), 7, True),
+     (10, 18, (0, 6, 1, 8, 4, 20, 11, 12, 13, 2, 3, 5, 14, 15, 16, 17, 18, 19), 7, True)),
+    (2000, (16, 16, (0, 1, 2, 3, 4, 5, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21), 973, False),
+     (10, 17, (3, 7, 5, 11, 4, 1, 0, 2, 13, 16, 18, 14, 17, 21, 19, 15, 12), 2000, True)),
+]
+SEARCH_TREES_SIGMA_EXACT = {
+    "S6": (13, 13, (0, 1, 7, 2, 9, 3, 11, 4, 5, 6, 8, 10, 12), 39, False),
+    "PGL27": (29, 29, (*range(7), *range(9, 30), 7), 17, False),
+    "M11": (23, 23, tuple(range(23)), 1, False),
+}
+SEARCH_TREES_SELECTIONS = [  # in the order of CLASS_SELECTIONS
+    (7, 7, (0, 1, 6, 2, 3, 4, 5), 35, False),
+    (8, 8, (1, 2, 3, 4, 5, 6, 7, 8), 1, False),
+    (4, 4, (13, 29, 27, 15), 19, False),
+    (7, 7, (5, 9, 25, 46, 12, 47, 24), 55, False),
+    (6, 6, (15, 18, 21, 20, 24, 19), 15, False),
+]
 
 
 @pytest.mark.parametrize("nodes", [7, 2000])
