@@ -29,9 +29,13 @@ The search runs on a reduced universe: one element per inclusion-minimal
 column set, since a column set covering that element covers every element
 whose column set contains it (x and x^k with gcd(k, |x|) = 1 lie in the
 same subgroups). Each kept element carries its column set as a bitmask over
-columns. A node takes the live columns (not banned, still covering
-something) in one pass, and branches on the uncovered element with the
-fewest live columns. The incumbent is checked against the whole universe.
+columns. A node walks its uncovered elements once, in position order: the
+pass forces the columns of elements down to one unbanned column, takes the
+live columns (not banned, still covering something) and picks the branch
+element, the one with the fewest. Both bounds then only test whether they
+reach the columns to spare, each stopping once it knows; the packing walks
+the uncovered elements rarest first, in coordinates kept per frame. The
+incumbent is checked against the whole universe.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import ceil
 
 from .errors import CovnumError, CyclicGroup, Infeasible, ParseError
@@ -183,9 +188,19 @@ def _greedy_cover(masks, full: int) -> list[int]:
     return chosen
 
 
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _bits(mask: int):
-    """Positions of the set bits of ``mask``, lowest first."""
+    """Positions of the set bits of ``mask``, lowest first: of a dense mask
+    by compress at C speed, of a sparse one by a search for each 1."""
     text = bin(mask)[:1:-1]
+    if mask.bit_count() * 10 >= len(text):
+        return compress(range(len(text)), text.encode().translate(_FLAGS))
+    return _ones(text)
+
+
+def _ones(text: str):
     p = text.find("1")
     while p >= 0:
         yield p
@@ -284,7 +299,9 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
     limit counts from entry, so it includes the greedy incumbent, the
     universe reduction and the root bounds; it is checked after the greedy
     incumbent and at every node. An element that no column covers raises
-    Infeasible before any search."""
+    Infeasible before any search. The tree is the one that propagates from
+    the lowest element again after each forced column and computes both
+    bounds in full; each node does it in one pass and two early exits."""
     deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit
     masks = instance.column_masks
     full = instance.full_mask()
@@ -311,92 +328,108 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
     best_size = len(best)
 
     # the search runs on the reduced universe: cols[c] is column c over it,
-    # sig[e] the columns of element e
+    # sig[e] the columns of element e. The packing takes elements rarest
+    # first, in rarity coordinates (element rarity_order[i] at bit i): rcols[c]
+    # is column c, rblock[i] the elements sharing a column with element i.
     cols, sig = _reduce_universe(masks, instance.universe_size)
     U = len(sig)
     rfull = (1 << U) - 1
     rarity_order = sorted(range(U), key=lambda e: (sig[e].bit_count(), e))
+    rcols = [0] * len(cols)
+    for i, e in enumerate(rarity_order):
+        for c in _bits(sig[e]):
+            rcols[c] |= 1 << i
+    rblock = [0] * U
+    for i, e in enumerate(rarity_order):
+        for c in _bits(sig[e]):
+            rblock[i] |= rcols[c]
 
-    def independent_bound(cov: int) -> int:
-        blocked = 0  # bitmask over columns
-        count = 0
-        for e in rarity_order:
-            if cov >> e & 1 or sig[e] & blocked:
-                continue
-            blocked |= sig[e]
+    def packing(rcov: int, room: int) -> int:
+        """Uncovered elements no two of which share a column, taken greedily
+        rarest first and counted up to ``room``: a lower bound on the
+        columns still needed."""
+        free, count = rfull ^ rcov, 0
+        while free and count < room:
             count += 1
+            free &= ~rblock[(free & -free).bit_length() - 1]
         return count
 
-    def ceil_bound(cov: int, live: int) -> int:
-        rem = (rfull & ~cov).bit_count()
-        if rem == 0:
-            return 0
-        biggest = max(((cols[c] & ~cov).bit_count() for c in _bits(live)), default=0)
-        return ceil(rem / biggest) if biggest else U + 1
+    root_lower = max(packing(0, U), ceil(U / max(m.bit_count() for m in cols)), 1)
 
-    root_lower = max(independent_bound(0), ceil_bound(0, (1 << len(cols)) - 1), 1)
-
-    # Search frames (cov, banned, chosen, group), popped depth first. The
-    # group maps the frame's feasible covers onto each other: None stands
+    # Search frames (cov, rcov, banned, chosen, group), popped depth first.
+    # The group maps the frame's feasible covers onto each other: None stands
     # for G, whose orbits are the classes, and a frozenset of element ids
     # for a subgroup. Without an action the group is trivial from the root.
     action = instance.action
     if action is None:
-        stack = [(0, 0, (), _TRIVIAL)]
+        stack = [(0, 0, 0, (), _TRIVIAL)]
     else:
         class_columns = [0] * len(instance.class_labels)
         for c, k in enumerate(instance.column_class):
             class_columns[k] |= 1 << c
-        stack = [(0, 0, (), None)]
+        stack = [(0, 0, 0, (), None)]
     orbits = None
     nodes = 0
     exhausted = False
     while stack:
-        cov, banned, chosen, group = stack.pop()
-        if len(chosen) >= best_size:
+        cov, rcov, banned, chosen, group = stack.pop()
+        depth = len(chosen)
+        if depth >= best_size:
             continue  # best_size only shrinks, so later siblings are cut too
         nodes += 1
         if nodes >= budget.max_nodes or (deadline is not None and time.monotonic() > deadline):
             exhausted = True
             break
-        # unit propagation: elements with one live column are forced
-        while cov != rfull:
-            uncovered = list(_bits(rfull & ~cov))
-            # live columns: not banned, and still covering something
-            live = 0
-            for e in uncovered:
-                live |= sig[e]
-            live &= ~banned
-            # branch on the element with the fewest live columns, the lowest
-            # position on ties
-            branch, fewest = 0, len(cols) + 1
-            for e in uncovered:
-                avail = sig[e] & live
-                k = avail.bit_count()
-                if k < fewest:
-                    branch, fewest = avail, k
-                    if k <= 1:
-                        break
-            if fewest != 1 or len(chosen) + 1 >= best_size:
+        # One pass over the uncovered elements in position order: one with a
+        # single unbanned column forces it, one with none cuts the node, the
+        # rest survive. Covering others leaves an element's unbanned columns
+        # as they are, so this forces what restarting from the lowest would.
+        unbanned = ~banned
+        survivors, avails = [], []  # the elements left, and their unbanned columns
+        for e in _bits(rfull ^ cov):
+            avail = sig[e] & unbanned
+            if avail & (avail - 1):
+                survivors.append(e)
+                avails.append(avail)
+            elif cov >> e & 1:
+                continue  # covered by a column forced in this pass
+            elif not avail or len(chosen) + 1 >= best_size:
+                avails = None  # no live column, or a forced column that cannot win
                 break
-            c = branch.bit_length() - 1
-            chosen += (c,)
-            cov |= cols[c]
-        else:  # everything covered: a new incumbent if smaller
-            if len(chosen) < best_size:
-                best, best_size = list(chosen), len(chosen)
+            else:
+                c = avail.bit_length() - 1
+                chosen += (c,)
+                cov |= cols[c]
+                rcov |= rcols[c]
+        if avails is None:
             continue
-        if fewest <= 1:
-            continue  # an element with no live column, or a forced column that cannot win
-        # max(a, b) >= m exactly when a >= m or b >= m, so the cheaper
-        # independence bound goes first and the ceiling bound only when it
-        # does not prune: the same prunes as the maximum of the two
+        if len(chosen) > depth:
+            avails = [a for e, a in zip(survivors, avails) if not cov >> e & 1]
+        if not avails:  # everything covered: a new incumbent
+            best, best_size = list(chosen), len(chosen)
+            continue
+        # live columns: not banned, and still covering something; the branch
+        # element has the fewest, the lowest position on ties
+        live = 0
+        for avail in avails:
+            live |= avail
+        branch = min(avails, key=int.bit_count)
+        # both bounds as tests against room, the cheaper packing first: it
+        # prunes on reaching room, the ceiling bound unless some live column
+        # has ceil(uncovered / its gain) < room, as the larger bound would
         room = best_size - len(chosen)
-        if independent_bound(cov) >= room or ceil_bound(cov, live) >= room:
+        if packing(rcov, room) >= room:
+            continue
+        uncov = rfull ^ cov
+        need = -(-uncov.bit_count() // (room - 1))  # room > 1, or the packing pruned
+        for c in _bits(live):
+            if (cols[c] & uncov).bit_count() >= need:
+                break
+        else:
             continue
         # the branching order: most newly covered first, the lowest column on ties
         def gain(c: int) -> tuple[int, int]:
-            return -(cols[c] & ~cov).bit_count(), c
+            return -(cols[c] & uncov).bit_count(), c
         if group is None or len(group) > 1:
             # orbital branching: take the first column, or ban its orbit
             c = min(_bits(branch), key=gain)
@@ -409,14 +442,14 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
                     orbits = _Orbits(instance)
                 orbit_c = orbits.of(group, c)
                 stabilizer = group if normalizer is None else group & normalizer
-            stack.append((cov, banned | orbit_c, chosen, group))
-            stack.append((cov | cols[c], banned, chosen + (c,), stabilizer))
+            stack.append((cov, rcov, banned | orbit_c, chosen, group))
+            stack.append((cov | cols[c], rcov | rcols[c], banned, chosen + (c,), stabilizer))
             continue
         # children in branching order, each banning its earlier siblings,
         # pushed so that the first is popped first
         children = []
         for c in sorted(_bits(branch), key=gain):
-            children.append((cov | cols[c], banned, chosen + (c,), group))
+            children.append((cov | cols[c], rcov | rcols[c], banned, chosen + (c,), group))
             banned |= 1 << c
         stack.extend(reversed(children))
 
