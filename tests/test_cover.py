@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from oracle import exhaustive_sigma
 
 from covnum import library
-from covnum.cover import CoverInstance, CoverResult, SolveBudget, _greedy_cover, _Orbits, \
+from covnum.cover import CoverInstance, CoverResult, SolveBudget, _bits, _greedy_cover, _Orbits, \
     _reduce_universe, build_instance, format_instance, format_lp, parse_instance, sigma_exact, \
     solve
 from covnum.errors import CovnumError, CyclicGroup, Infeasible, ParseError
@@ -157,6 +157,18 @@ def test_greedy_incumbent_feeds_solver():
         result = sigma_exact(group, budget, mx=mx)
         assert result == solve(inst, budget, initial_cover=seed)
         assert result.upper <= trace.upper
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(0, 2000).flatmap(
+    lambda n: st.sets(st.integers(0, n), max_size=n // 3 + 1).map(lambda ps: (n, ps))))
+def test_bits_lists_the_set_positions_lowest_first(drawn):
+    """Dense masks and sparse ones, which _bits reads by different means,
+    and the iterator that next() takes the lowest position from."""
+    n, positions = drawn
+    mask = sum(1 << p for p in positions)
+    assert list(_bits(mask)) == sorted(positions)
+    assert next(_bits(mask), None) == min(positions, default=None)
 
 
 def _eager_greedy_cover(masks, full):
@@ -495,8 +507,8 @@ def test_column_orbits_under_proper_subgroups(key, elts, subs):
     ("A5", None, None), ("S5", None, None), ("PGL27", None, None), ("S6", None, None),
     ("A6", None, None), ("AGL32", None, None), *[sel[:3] for sel in CLASS_SELECTIONS]])
 def test_search_of_library_text_matches_the_reference_search(key, elts, subs):
-    """Library instances read back from text, which searches up to 6,166
-    nodes deep where the random instances mostly close at the root."""
+    """Library instances read back from text: their searches take up to
+    6,166 nodes, where the random instances mostly close at the root."""
     inst = parse_instance(format_instance(_instance(key, elts=elts, subs=subs)))
     for nodes in (7, 100, SolveBudget().max_nodes):
         assert solve(inst, SolveBudget(max_nodes=nodes)) == _reference_solve(inst, nodes)
