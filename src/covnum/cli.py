@@ -18,7 +18,7 @@ from pathlib import Path
 from . import library
 from .cover import CoverResult, SolveBudget, build_instance, format_instance, format_lp, \
     sigma_exact, solve
-from .errors import CapExceeded, CovnumError, CyclicGroup
+from .errors import CapExceeded, CovnumError, CyclicGroup, IngestInvalid
 from .greedy import covering_number_bounds, render_trace, verify_minimal_cover
 from .groups import ENUM_CAP, PermGroup, parse_group_file
 from .incidence import IncidenceProfile, incidence_profile, parse_profile, render_profile
@@ -93,9 +93,11 @@ def _budget(args) -> SolveBudget:
 
 def _load_group(args, cyclic_ok: bool = False) -> tuple[PermGroup, MaxClassSet]:
     """The group and its maximal classes: ingested from --maximals or the
-    library's bundled file, otherwise computed within --max-lattice. A
-    cyclic group has no finite covering number, so it is rejected before its
-    maximal classes are read unless ``cyclic_ok`` (its incidence table)."""
+    library's bundled file, otherwise computed within --max-lattice. An
+    ingested list of a group within --max-lattice must match the computed
+    one, so that a list missing a class is refused. A cyclic group has no
+    finite covering number, so it is rejected before its maximal classes
+    are read unless ``cyclic_ok`` (its incidence table)."""
     if bool(args.library) == bool(args.file):
         raise CovnumError("give exactly one of --library or --file")
     if args.library:
@@ -111,7 +113,12 @@ def _load_group(args, cyclic_ok: bool = False) -> tuple[PermGroup, MaxClassSet]:
     elif args.library and library.entry(args.library).maximals_file:
         mx = library.maximals(args.library)
     else:
-        mx = maximal_classes_computed(group, args.max_lattice)
+        return group, maximal_classes_computed(group, args.max_lattice)
+    if group.order <= args.max_lattice:
+        computed = maximal_classes_computed(group, args.max_lattice)
+        if [c.members for c in mx.classes] != [c.members for c in computed.classes]:
+            raise IngestInvalid(f"the ingested maximal classes ({len(mx.classes)}) are not "
+                                f"the computed ones ({len(computed.classes)})")
     return group, mx
 
 

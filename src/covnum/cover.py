@@ -3,13 +3,14 @@
 The instance is element-level: the universe is every element of the selected
 element classes, one column per subgroup (every conjugate of each selected
 class representative), coverage stored as int bitmasks. The solver is plain
-branch and bound: greedy incumbent, a dual bound from a greedily grown set
-of pairwise-independent elements (no two sharing a column), unit propagation
-for elements with a single remaining column, and orbital branching on G's
-conjugation action on the columns (Ostrowski, Linderoth, Rossi and
-Smriglio, "Orbital branching", Math. Programming 126, 2011). The search is
-one loop over an explicit stack of frames, so its depth is not bounded by
-Python's recursion limit.
+branch and bound: the greedy cover as incumbent, or the smallest union of
+whole classes when G acts and it is smaller, a dual bound from a greedily
+grown set of pairwise-independent elements (no two sharing a column), unit
+propagation for elements with a single remaining column, and orbital
+branching on G's conjugation action on the columns (Ostrowski, Linderoth,
+Rossi and Smriglio, "Orbital branching", Math. Programming 126, 2011). The
+search is one loop over an explicit stack of frames, so its depth is not
+bounded by Python's recursion limit.
 
 Each frame carries a subgroup H of G that maps the frame's feasible covers
 onto each other; the root has H = G. While H is nontrivial, a node takes the
@@ -47,7 +48,6 @@ from itertools import compress
 from math import ceil
 
 from .errors import CovnumError, CyclicGroup, Infeasible, ParseError
-from .greedy import covering_number_bounds
 from .groups import ConjClassTable, PermGroup, orbit
 from .perms import format_cycles
 from .subgroups import LATTICE_MAX_ORDER, MaxClassSet, algebra, maximal_classes_computed
@@ -280,6 +280,29 @@ class _Orbits:
         return known[c]
 
 
+def _class_union_cover(class_columns, class_covers, full: int, best: list[int]) -> list[int]:
+    """The smallest union of whole classes that covers, its columns in column
+    order, if it has fewer columns than ``best``; else ``best``. Depth first
+    over the classes in order, each taken before it is skipped: a union grows
+    only while smaller than the best so far, so the first smallest one found
+    is kept, and is cut once the classes left cannot complete it."""
+    reach = [0] * (len(class_covers) + 1)  # reach[k]: what classes k onward cover
+    for k in range(len(class_covers) - 1, -1, -1):
+        reach[k] = reach[k + 1] | class_covers[k]
+    stack = [(0, 0, 0)]  # (next class, covered elements, union's columns)
+    while stack:
+        k, cov, union = stack.pop()
+        if union.bit_count() >= len(best) or cov | reach[k] != full:
+            continue
+        if cov == full:
+            best = list(_bits(union))
+            continue
+        stack.append((k + 1, cov, union))
+        if class_columns[k]:
+            stack.append((k + 1, cov | class_covers[k], union | class_columns[k]))
+    return best
+
+
 def _result(masks, full: int, best: list[int], lower: int, nodes: int,
             exhausted: bool) -> CoverResult:
     """The result, once the incumbent is checked against the whole universe."""
@@ -294,14 +317,16 @@ def _result(masks, full: int, best: list[int], lower: int, nodes: int,
 
 def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
           initial_cover=None) -> CoverResult:
-    """Branch-and-bound minimum cover. A search cut by the budget returns
-    the root dual bound as ``lower``, so the bracket stays sound. The time
-    limit counts from entry, so it includes the greedy incumbent, the
-    universe reduction and the root bounds; it is checked after the greedy
-    incumbent and at every node. An element that no column covers raises
-    Infeasible before any search. The tree is the one that propagates from
-    the lowest element again after each forced column and computes both
-    bounds in full; each node does it in one pass and two early exits."""
+    """Branch-and-bound minimum cover. The incumbent is the greedy cover or
+    a smaller ``initial_cover``; with an action, the smallest union of whole
+    classes when smaller still. A search cut by the budget returns the root
+    dual bound as ``lower``, so the bracket stays sound. The time limit
+    counts from entry, both incumbents, the universe reduction and the root
+    bounds included; it is checked after both incumbents and at every node.
+    An element that no column covers raises Infeasible before any search.
+    The tree is the one that propagates from the lowest element again after
+    each forced column and computes both bounds in full; each node does it
+    in one pass and two early exits."""
     deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit
     masks = instance.column_masks
     full = instance.full_mask()
@@ -321,6 +346,14 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
             cov |= masks[c]
         if cov == full and len(initial_cover) < len(best):
             best = list(initial_cover)
+    action = instance.action
+    if action is not None:
+        class_columns = [0] * len(instance.class_labels)
+        class_covers = class_columns.copy()
+        for c, k in enumerate(instance.column_class):
+            class_columns[k] |= 1 << c
+            class_covers[k] |= masks[c]
+        best = _class_union_cover(class_columns, class_covers, full, best)
     if deadline is not None and time.monotonic() > deadline:
         # out of time before the reduction: the ceiling bound on the whole universe
         lower = ceil(instance.universe_size / max(m.bit_count() for m in masks))
@@ -360,14 +393,7 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
     # The group maps the frame's feasible covers onto each other: None stands
     # for G, whose orbits are the classes, and a frozenset of element ids
     # for a subgroup. Without an action the group is trivial from the root.
-    action = instance.action
-    if action is None:
-        stack = [(0, 0, 0, (), _TRIVIAL)]
-    else:
-        class_columns = [0] * len(instance.class_labels)
-        for c, k in enumerate(instance.column_class):
-            class_columns[k] |= 1 << c
-        stack = [(0, 0, 0, (), None)]
+    stack = [(0, 0, 0, (), _TRIVIAL if action is None else None)]
     orbits = None
     nodes = 0
     exhausted = False
@@ -462,19 +488,14 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
 def sigma_exact(group: PermGroup, budget: SolveBudget = SolveBudget(),
                 mx: MaxClassSet | None = None) -> CoverResult:
     """Exact covering number via set cover over all nonidentity classes and
-    all maximal subgroup classes (minimal covers can always be taken there).
-    The search starts from the greedy cover as its incumbent. Without ``mx``
-    the maximal classes are computed, within the budget's lattice cap."""
+    all maximal subgroup classes (minimal covers can always be taken there),
+    solved without a seed of its own. Without ``mx`` the maximal classes are
+    computed, within the budget's lattice cap."""
     if group.is_cyclic():
         raise CyclicGroup("cyclic groups have infinite covering number")
     if mx is None:
         mx = maximal_classes_computed(group, budget.lattice_max_order)
-    cls = group.conjugacy_classes()
-    instance = build_instance(group, cls, mx)
-    seed = covering_number_bounds(group, mx).chosen_subgroup_classes()
-    wanted = {mx.by_label(lbl) for lbl in seed}
-    initial = [c for c, k in enumerate(instance.column_class) if k in wanted]
-    return solve(instance, budget, initial_cover=initial)
+    return solve(build_instance(group, group.conjugacy_classes(), mx), budget)
 
 
 # ---------------------------------------------------------------------------

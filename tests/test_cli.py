@@ -247,6 +247,25 @@ def test_group_and_maximal_files(tmp_path, capsys):
     assert "sigma=10" in out and "provenance=ingested" in out
 
 
+@pytest.mark.parametrize("command", ["exact", "bounds", "sigma-elementary"])
+def test_incomplete_maximal_list_is_refused(tmp_path, capsys, command):
+    """A5's list without its index-5 class gave sigma 16 certified, where
+    sigma(A5) is 10: within --max-lattice an ingested list must be the
+    computed one."""
+    group = library.group("A5")
+    gfile = tmp_path / "a5.grp"
+    gfile.write_text(format_group_file(group))
+    blocks = format_maximal_file(maximal_classes_computed(group)).split("[class ")
+    kept = [b for b in blocks[1:] if "\nindex 5\n" not in b]
+    assert len(kept) == len(blocks) - 2 == 2
+    mfile = tmp_path / "a5_missing.max"
+    mfile.write_text("".join("[class " + b for b in kept))
+    code, out, err = run(capsys, command, "--file", str(gfile), "--maximals", str(mfile))
+    assert code == 1 and out == ""
+    assert err == "error: IngestInvalid: the ingested maximal classes (2) are not " \
+                  "the computed ones (3)\n"
+
+
 def _whole_group_maximals(tmp_path):
     group = library.group("A5")
     gens = "\n".join(format_cycles(g) for g in group.generators)

@@ -16,7 +16,7 @@ from covnum.errors import CovnumError, CyclicGroup, Infeasible, ParseError
 from covnum.greedy import covering_number_bounds
 from covnum.perms import format_cycles
 from covnum.subgroups import LATTICE_MAX_ORDER, all_subgroups, coset_action, \
-    minimal_normal_subgroups, normal_subgroups
+    maximal_classes_computed, minimal_normal_subgroups, normal_subgroups
 
 
 def _instance(key, elts=None, subs=None):
@@ -144,19 +144,25 @@ def test_zero_time_limit_stops_at_the_first_node():
     assert result.lower == 900 and result.upper == 1200 == len(result.chosen)
 
 
+def _class_greedy_seed(group, mx, inst):
+    """The columns of the greedy cover's classes, in column order."""
+    chosen = covering_number_bounds(group, mx).chosen_subgroup_classes()
+    wanted = {mx.by_label(lbl) for lbl in chosen}
+    return [c for c, k in enumerate(inst.column_class) if k in wanted]
+
+
 def test_greedy_incumbent_feeds_solver():
-    # sigma_exact starts from the columns of the greedy cover's classes, so
-    # it searches exactly as a solve seeded with them by hand
+    # sigma_exact takes no seed, and the smallest union of whole classes
+    # starts its search where the columns of the greedy cover's classes,
+    # seeded by hand, start it
     for key, budget in [("S6", SolveBudget()), ("A6", SolveBudget(max_nodes=2000))]:
         group = library.group(key)
         mx = library.maximals(key)
         inst = _instance(key)
-        trace = covering_number_bounds(group, mx)
-        wanted = {mx.by_label(lbl) for lbl in trace.chosen_subgroup_classes()}
-        seed = [c for c, k in enumerate(inst.column_class) if k in wanted]
         result = sigma_exact(group, budget, mx=mx)
-        assert result == solve(inst, budget, initial_cover=seed)
-        assert result.upper <= trace.upper
+        assert result == solve(inst, budget) == \
+            solve(inst, budget, initial_cover=_class_greedy_seed(group, mx, inst))
+        assert result.upper <= covering_number_bounds(group, mx).upper
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -272,6 +278,23 @@ def parsed_instances(draw):
     columns = [col for col in columns if col]  # instance text has no empty columns
     lines = [f"universe {len(sigs)}", f"columns {len(columns)}"]
     lines += [" ".join(map(str, col)) for col in columns]
+    return parse_instance("\n".join(lines) + "\n"), columns
+
+
+@st.composite
+def branching_instances(draw):
+    """Columns of equal size drawn at random from a seed, redrawn until they
+    cover: 24 elements with 24 columns of 4, or 18 with 30 triples. Unlike
+    ``parsed_instances`` these seldom close at the root. Of the 200
+    derandomized examples, the 104 of the first shape take 1 to 85 nodes
+    (quartiles 14, 21.5 and 35.75; two close at the root), the 96 of the
+    second 3 to 129 (quartiles 32, 42.5 and 58.25)."""
+    universe, ncols, size = draw(st.sampled_from([(24, 24, 4), (18, 30, 3)]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    while len(set().union(*columns)) < universe:
+        columns = [sorted(rng.sample(range(universe), size)) for _ in range(ncols)]
+    lines = [f"universe {universe}", f"columns {ncols}"] + [" ".join(map(str, c)) for c in columns]
     return parse_instance("\n".join(lines) + "\n"), columns
 
 
@@ -392,6 +415,18 @@ def test_search_matches_the_reference_search(drawn, cut_nodes):
     assert solve(inst, SolveBudget(max_nodes=cut_nodes)) == _reference_solve(inst, cut_nodes)
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(branching_instances(), st.integers(1, 40))
+def test_branching_instances_match_the_reference_search_and_oracle(drawn, cut_nodes):
+    """The same tree as the reference, run to the end and cut inside it,
+    and the sigma of the oracle."""
+    inst, columns = drawn
+    result = solve(inst)
+    assert result == _reference_solve(inst, SolveBudget().max_nodes)
+    assert solve(inst, SolveBudget(max_nodes=cut_nodes)) == _reference_solve(inst, cut_nodes)
+    assert result.upper == exhaustive_sigma(set(range(inst.universe_size)), columns, len(columns))
+
+
 @pytest.mark.parametrize("key,size,reduced", [("A6", 359, 121), ("AGL32", 1343, 281)])
 def test_reduced_universe(key, size, reduced):
     inst = _instance(key)
@@ -425,6 +460,43 @@ DIFFERENTIAL_KEYS = [key for key in library.names()
                      and not library.group(key).is_cyclic()]
 
 
+def _check_unseeded_is_seeded(group, mx):
+    """The unseeded solve of the whole instance, sigma_exact and the solve
+    seeded by hand with the greedy cover's classes return one CoverResult,
+    cut at 7 and at 2,000 nodes and run to the end."""
+    inst = build_instance(group, group.conjugacy_classes(), mx)
+    seed = _class_greedy_seed(group, mx, inst)
+    for budget in (SolveBudget(max_nodes=7), SolveBudget(max_nodes=2000), SolveBudget()):
+        result = solve(inst, budget)
+        assert result == sigma_exact(group, budget, mx=mx)
+        assert result == solve(inst, budget, initial_cover=seed)
+
+
+@pytest.mark.parametrize("key", DIFFERENTIAL_KEYS)
+def test_unseeded_solve_is_the_seeded_one(key):
+    """The element greedy starts A6 at 18 and AGL17 at 9 columns; the union
+    of whole classes starts them at sigma, as the greedy classes do."""
+    _check_unseeded_is_seeded(library.group(key), library.maximals(key))
+
+
+def test_unseeded_solve_is_the_seeded_one_on_the_solvable_suite():
+    for group in library.solvable_suite():
+        _check_unseeded_is_seeded(group, maximal_classes_computed(group))
+
+
+def test_class_union_incumbent_beats_the_element_greedy():
+    # S5's 4-cycles and 3-cycles under M1, M2 and M3: the element greedy
+    # takes 6 columns, the whole class M2 five, which is sigma. Read back
+    # from text the instance has no classes to take whole.
+    key, elts, subs = CLASS_SELECTIONS[-1][:3]
+    inst = _instance(key, elts=elts, subs=subs)
+    assert len(_greedy_cover(inst.column_masks, inst.full_mask())) == 6
+    first = solve(inst, SolveBudget(max_nodes=1))
+    assert first.nodes_explored == 1 and first.upper == 5
+    assert first.chosen == tuple(c for c, k in enumerate(inst.column_class) if k == 1)
+    assert solve(parse_instance(format_instance(inst)), SolveBudget(max_nodes=1)).upper == 6
+
+
 @pytest.mark.parametrize("key", DIFFERENTIAL_KEYS)
 def test_orbital_branching_matches_the_search_without_symmetry(key, sigma_of):
     """On the whole instance and on each quotient instance of
@@ -454,6 +526,8 @@ CLASS_SELECTIONS = [
     ("S6", ["cl_2,2", "cl_2,3"], ["M1", "M2", "M3", "M5", "M6"], 4, False, False),
     ("PGL27", ["cl_2,1"], ["M1", "M3", "M4"], 7, False, False),
     ("A6", ["cl_3,2"], ["M1", "M3", "M4", "M5"], 6, False, False),
+    # the union of whole classes is below the element greedy
+    ("S5", ["cl_4", "cl_3"], ["M1", "M2", "M3"], 5, False, False),
 ]
 
 
@@ -519,10 +593,12 @@ def test_search_sizes():
     first and the ceiling bound only when that does not prune; the counts
     are those of pruning on the larger of the two. With the symmetry broken
     only at the root, A6 took 2,303 nodes seeded and 6,152 unseeded, and
-    AGL32 929 either way; orbital branching below the root takes fewer."""
+    AGL32 929 either way; orbital branching below the root takes fewer.
+    Starting from the element greedy's 18 columns, unseeded A6 took 3,920
+    nodes; the smallest union of whole classes starts it at 16."""
     a6 = sigma_exact(library.group("A6"), mx=library.maximals("A6"))
     assert a6.upper == 16 and a6.nodes_explored == 973 < 2303
-    assert solve(_instance("A6")).nodes_explored == 3920 < 6152
+    assert solve(_instance("A6")).nodes_explored == 973 < 3920
     agl32 = sigma_exact(library.group("AGL32"), mx=library.maximals("AGL32"))
     assert agl32.upper == 15 and agl32.nodes_explored == 212 < 929
     assert solve(_instance("AGL32")).nodes_explored == 212
@@ -541,9 +617,9 @@ def test_search_sizes():
 # (lower, upper, chosen, nodes_explored, budget_exhausted) of whole searches
 SEARCH_TREES_A6 = [  # max_nodes, seeded, unseeded
     (7, (10, 16, (0, 1, 2, 3, 4, 5, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21), 7, True),
-     (10, 18, (0, 6, 1, 8, 4, 20, 11, 12, 13, 2, 3, 5, 14, 15, 16, 17, 18, 19), 7, True)),
+     (10, 16, (0, 1, 2, 3, 4, 5, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21), 7, True)),
     (2000, (16, 16, (0, 1, 2, 3, 4, 5, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21), 973, False),
-     (10, 17, (3, 7, 5, 11, 4, 1, 0, 2, 13, 16, 18, 14, 17, 21, 19, 15, 12), 2000, True)),
+     (16, 16, (0, 1, 2, 3, 4, 5, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21), 973, False)),
 ]
 SEARCH_TREES_SIGMA_EXACT = {
     "S6": (13, 13, (0, 1, 7, 2, 9, 3, 11, 4, 5, 6, 8, 10, 12), 39, False),
@@ -556,12 +632,13 @@ SEARCH_TREES_SELECTIONS = [  # in the order of CLASS_SELECTIONS
     (4, 4, (13, 29, 27, 15), 19, False),
     (7, 7, (5, 9, 25, 46, 12, 47, 24), 55, False),
     (6, 6, (15, 18, 21, 20, 24, 19), 15, False),
+    (5, 5, (1, 2, 3, 4, 5), 7, False),
 ]
 
 
 @pytest.mark.parametrize("nodes", [7, 2000])
 def test_cut_search_brackets_sigma(nodes):
-    # A6 seeded closes within 2,000 nodes, unseeded does not
+    # A6 closes within 2,000 nodes, seeded or not, and not within 7
     group, mx = library.group("A6"), library.maximals("A6")
     for result in (sigma_exact(group, SolveBudget(max_nodes=nodes), mx=mx),
                    solve(_instance("A6"), SolveBudget(max_nodes=nodes))):
