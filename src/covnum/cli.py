@@ -150,19 +150,13 @@ def cmd_exact(args) -> int:
     t0 = time.monotonic()
     budget = _budget(args)
     group, mx = _load_group(args)
-    elts = args.classes or None
-    subs = args.subgroup_classes or None
-    if elts or subs or args.write_lp or args.write_instance:
-        # without a class selection this is the instance sigma_exact solves
-        instance = build_instance(group, group.conjugacy_classes(), mx, elts=elts, subs=subs)
-        if args.write_lp:
-            Path(args.write_lp).write_text(format_lp(instance, group.name or "G"))
-        if args.write_instance:
-            Path(args.write_instance).write_text(format_instance(instance))
-    if elts or subs:
-        result = solve(instance, budget)
-    else:
-        result = sigma_exact(group, budget, mx=mx)
+    instance = build_instance(group, group.conjugacy_classes(), mx,
+                              elts=args.classes or None, subs=args.subgroup_classes or None)
+    if args.write_lp:
+        Path(args.write_lp).write_text(format_lp(instance, group.name or "G"))
+    if args.write_instance:
+        Path(args.write_instance).write_text(format_instance(instance))
+    result = solve(instance, budget)
     dt = time.monotonic() - t0
     note = BUDGET_NOTE if result.budget_exhausted else ""
     report = RunReport(

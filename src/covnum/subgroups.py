@@ -181,10 +181,6 @@ class _Algebra:
         gens = range(len(self.conjugation_maps))
         return orbit(ids, lambda s: [self.conjugate_set(s, gi) for gi in gens])
 
-    def set_orbit(self, ids: frozenset[int]) -> list[frozenset[int]]:
-        """Conjugation orbit of a subgroup under the whole group."""
-        return sorted(self.conjugation_orbit(ids), key=sorted)
-
 
 def algebra(group: PermGroup) -> _Algebra:
     """The group's element-id arithmetic, built once and kept on the group."""
@@ -549,7 +545,7 @@ def _supplement_classes(normal: Subgroup,
     seen: set[frozenset[int]] = set()
     for ids in complements(Subgroup(group, frozenset({0})), normal):
         if ids not in seen:
-            candidates.append(alg.set_orbit(ids))
+            candidates.append(list(alg.conjugation_orbit(ids)))
             seen.update(candidates[-1])
     try:
         prime_power(normal.order)
@@ -568,7 +564,7 @@ def _supplement_classes(normal: Subgroup,
         norm = _normalizer(alg, tree)[0]
         if norm not in seen and \
                 len(norm) * normal.order == alg.n * len(norm & normal.elements):
-            candidates.append(alg.set_orbit(norm))
+            candidates.append(list(alg.conjugation_orbit(norm)))
             seen.update(candidates[-1])
     return [orbit for orbit in candidates
             if not any(orbit[0] < m for other in candidates for m in other)]
@@ -646,7 +642,7 @@ def maximal_classes_from_file(group: PermGroup, text: str) -> MaxClassSet:
         if sub.index != claim_index:
             raise IngestInvalid(
                 f"declared index {claim_index}, computed {sub.index}")
-        orbit = alg.set_orbit(sub.elements)  # the least member first
+        orbit = list(alg.conjugation_orbit(sub.elements))
         if len(orbit) != claim_length:
             raise IngestInvalid(
                 f"declared class length {claim_length}, computed {len(orbit)}")
@@ -760,7 +756,7 @@ def normal_core(sub: Subgroup) -> Subgroup:
     all conjugates."""
     alg = algebra(sub.parent)
     core = set(sub.elements)
-    for member in alg.set_orbit(sub.elements):
+    for member in alg.conjugation_orbit(sub.elements):
         core &= member
         if len(core) == 1:
             break

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import covnum
-from covnum import cli
+from covnum import cli, cover
 from covnum.cli import main
 from covnum.cover import CoverResult, SolveBudget, build_instance, format_lp, \
     parse_instance, sigma_exact
@@ -76,6 +76,22 @@ def test_exact_writes_full_instance_without_selection(tmp_path, capsys):
     full = build_instance(group, group.conjugacy_classes(), library.maximals("A5"))
     assert parse_instance(inst.read_text()).column_masks == full.column_masks
     assert lp.read_text() == format_lp(full, group.name)
+
+
+def test_exact_builds_one_instance(tmp_path, capsys, monkeypatch):
+    """Writing the instance and solving it share one build."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].name)
+        return build_instance(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_instance", counting)
+    monkeypatch.setattr(cover, "build_instance", counting)
+    code, out, _ = run(capsys, "exact", "--library", "A5", "--format", "records",
+                       "--write-lp", str(tmp_path / "a5.lp"))
+    assert code == 0 and "sigma=10" in out
+    assert calls == ["A5"]
 
 
 def test_table_contains_a5_entry(capsys):

@@ -67,7 +67,7 @@ def reference_subgroups(group):
             if x not in ids:
                 joined = alg.join(ids, gens + [x])
                 if joined not in found:
-                    found.update(alg.set_orbit(joined))
+                    found.update(alg.conjugation_orbit(joined))
                     reps.append((joined, gens + [x]))
     return found
 
@@ -219,16 +219,12 @@ def test_coset_decomposition_matches_products(key):
         assert subgroups._coset_decomposition(sub) == _product_coset_decomposition(sub)
 
 
-def test_m11_lattice_matches_bundled_maximals():
-    """Above the default lattice cap, M11's lattice walk finds exactly the
-    classes of the bundled maximal file, member for member."""
-    m11 = library.group("M11")
-    group = PermGroup(m11.degree, m11.generators)  # same element ids, own columns
-    computed = maximal_classes_computed(group, lattice_max_order=10000)
-    bundled = library.maximals("M11")
-    assert [(c.label, c.index, c.members) for c in computed] == \
-        [(c.label, c.index, c.members) for c in bundled]
-    assert [c.index for c in computed] == [11, 12, 55, 66, 165]
+def test_m11_bundled_maximals_are_a_fixed_point(data_dir):
+    """Ingesting the bundled M11 list and writing it back gives the file.
+    The build script's test pins that file to the computed list at a 10,000
+    cap, so the ingested classes are the computed ones, rep for rep."""
+    text = (data_dir / "m11.max").read_text()
+    assert format_maximal_file(library.maximals("M11")) == text
 
 
 @pytest.mark.parametrize("key", ["S4", "A5"])
@@ -423,7 +419,7 @@ def check_ingest_against_lattice(group, subs, maximal):
     for sub in subs[:-1]:
         if sub.elements in seen:
             continue
-        orbit = alg.set_orbit(sub.elements)
+        orbit = sorted(alg.conjugation_orbit(sub.elements), key=sorted)
         seen.update(orbit)
         gens = "\n".join(format_cycles(g) for g in sub.generators)
         text = f"[class 1]\nindex {sub.index}\nlength {len(orbit)}\n{gens}\n"
