@@ -16,27 +16,31 @@ Each frame carries a subgroup H of G that maps the frame's feasible covers
 onto each other; the root has H = G. While H is nontrivial, a node takes the
 first column c of its branching order and pushes two children: one takes c,
 with H meet N_G(M_c) (which fixes c), and one bans c's whole H-orbit, with
-H. A cover meeting the orbit is moved by some h in H to one that contains
-c, and the banned columns stay a union of H-orbits. Under G the orbits are
-the classes, so the root's first level pins one column per class; under a
-proper H they are walked over H's generators, and the image of a column
-under h is the column whose mask is its own conjugated by h, each element
-read off h's id column. Once H is trivial a node branches on each live
+H. A cover meeting the orbit is moved by some h in H to one that contains c,
+and the banned columns stay a union of H-orbits. Under G the orbits are the
+classes, so the root's first level pins one column per class; under a proper
+H they are walked over H's generators, each read as a word in G's generators
+up the enumeration's Schreier tree. A column's image under a generator of G
+is the column whose mask is its own conjugated by that generator, built once
+per generator and column. Once H is trivial a node branches on each live
 column of its element, each child banning its earlier siblings. Forced
 columns keep H, since every feasible cover of the frame already contains
 them.
 
 The search runs on a reduced universe: one element per inclusion-minimal
 column set, since a column set covering that element covers every element
-whose column set contains it (x and x^k with gcd(k, |x|) = 1 lie in the
-same subgroups). Each kept element carries its column set as a bitmask over
-columns. A node walks its uncovered elements once, in position order: the
-pass forces the columns of elements down to one unbanned column, takes the
-live columns (not banned, still covering something) and picks the branch
-element, the one with the fewest. Both bounds then only test whether they
-reach the columns to spare, each stopping once it knows; the packing walks
-the uncovered elements rarest first, in coordinates kept per frame. The
-incumbent is checked against the whole universe.
+whose column set contains it (x and x^k with gcd(k, |x|) = 1 lie in the same
+subgroups). G permutes the columns and the elements together, so whether an
+element's column set is minimal depends only on its class: the first element
+of each class decides it, and column sets are built only in the classes
+kept. Each kept element carries its column set as a bitmask over columns. A
+node walks its uncovered elements once, in position order: the pass forces
+the columns of elements down to one unbanned column, takes the live columns
+(not banned, still covering something) and picks the branch element, the one
+with the fewest. Both bounds then only test whether they reach the columns
+to spare, each stopping once it knows; the packing walks the uncovered
+elements rarest first, in coordinates kept per frame. The incumbent is
+checked against the whole universe.
 """
 
 from __future__ import annotations
@@ -59,11 +63,13 @@ _TRIVIAL = frozenset({0})  # the identity subgroup, as element ids
 @dataclass(frozen=True)
 class _ColumnAction:
     """G's conjugation action on an instance's columns: the element classes
-    that make up the universe, and for each column the normalizer of its
-    subgroup as element ids (None for G)."""
+    that make up the universe, the universe's element ids by position, and
+    for each column the normalizer of its subgroup as element ids (None for
+    G)."""
 
     group: PermGroup
     element_classes: frozenset[int]
+    elements: tuple[int, ...]
     normalizers: tuple[frozenset[int] | None, ...]
 
 
@@ -106,12 +112,6 @@ class SolveBudget:
     lattice_max_order: int = LATTICE_MAX_ORDER
 
 
-def _universe(group: PermGroup, element_classes) -> list[int]:
-    """The element ids of the given element classes, in id order."""
-    assignment = group.class_assignment()
-    return [x for x in range(1, algebra(group).n) if assignment[x] in element_classes]
-
-
 def build_instance(group: PermGroup, cls: ConjClassTable, mx: MaxClassSet,
                    elts=None, subs=None) -> CoverInstance:
     """Cover instance for the selected element classes and subgroup classes
@@ -121,7 +121,7 @@ def build_instance(group: PermGroup, cls: ConjClassTable, mx: MaxClassSet,
     alg = algebra(group)
     assignment = group.class_assignment()
     selected = frozenset(cls.by_label(lbl) for lbl in elt_labels)
-    universe = _universe(group, selected)
+    universe = tuple(x for x in range(1, alg.n) if assignment[x] in selected)
     position = {x: p for p, x in enumerate(universe)}
     masks: list[int] = []
     col_class: list[int] = []
@@ -162,7 +162,7 @@ def build_instance(group: PermGroup, cls: ConjClassTable, mx: MaxClassSet,
         column_masks=tuple(masks),
         column_class=tuple(col_class),
         class_labels=tuple(labels),
-        action=_ColumnAction(group, selected, tuple(normalizers)),
+        action=_ColumnAction(group, selected, universe, tuple(normalizers)),
     )
 
 
@@ -189,6 +189,7 @@ def _greedy_cover(masks, full: int) -> list[int]:
 
 
 _FLAGS = bytes.maketrans(b"01", b"\0\1")
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _bits(mask: int):
@@ -207,22 +208,49 @@ def _ones(text: str):
         p = text.find("1", p + 1)
 
 
-def _reduce_universe(masks, universe_size: int) -> tuple[list[int], list[int]]:
+def _minimal_positions(instance: CoverInstance) -> int:
+    """The positions whose column sets are inclusion-minimal, as a mask;
+    without an action, every position. G permutes the columns and the
+    elements together, so minimality holds of whole element classes: a class
+    is kept unless, for the column set s of its first element, some element
+    lies in no column outside s yet misses a column in s."""
+    action, full = instance.action, instance.full_mask()
+    if action is None:
+        return full
+    assignment = action.group.class_assignment()
+    classes = [assignment[x] for x in action.elements]
+    minimal = set()
+    for k in action.element_classes:
+        p = classes.index(k)
+        outside, common = 0, full  # the union of the columns outside s, the meet of those in s
+        for m in instance.column_masks:
+            if m >> p & 1:
+                common &= m
+            else:
+                outside |= m
+        if outside | common == full:
+            minimal.add(k)
+    return int(bytes(map(minimal.__contains__, reversed(classes))).translate(_DIGITS), 2)
+
+
+def _reduce_universe(masks, candidates: int) -> tuple[list[int], list[int]]:
     """Column masks over a reduced universe, and each kept element's column
     set as a mask over columns. One element is kept per inclusion-minimal
-    column set, the lowest position among equals, in position order. Every
-    element's column set contains a kept one, so a set of columns covers the
-    reduced universe exactly when it covers the whole one.
+    column set, the lowest position among equals, in position order; only
+    the ``candidates`` mask's positions are read, and it must hold every
+    position whose set is minimal. Every element's column set contains a
+    kept one, so a set of columns covers the reduced universe exactly when
+    it covers the whole one.
 
     The distinct sets are taken by size, so a kept set is tested only against
     smaller ones; those are filed under their lowest column, and a set can
     contain only those filed under one of its own columns."""
-    sig = [0] * universe_size  # each element's column set
+    sig = dict.fromkeys(_bits(candidates), 0)  # each candidate's column set
     for c, m in enumerate(masks):
-        for p in _bits(m):
+        for p in _bits(m & candidates):
             sig[p] |= 1 << c
     first: dict[int, int] = {}
-    for p, s in enumerate(sig):
+    for p, s in sig.items():
         first.setdefault(s, p)
     kept: list[int] = []
     by_lowest: list[list[int]] = [[] for _ in masks]
@@ -243,37 +271,54 @@ class _Orbits:
     ids, built at the first node that needs one.
 
     G permutes the columns, and no two columns share a mask, so column c's
-    image under h is the column whose mask is c's with every element x
-    replaced by x^h."""
+    image under generator k of G is the column whose mask is c's with every
+    element x replaced by its conjugate under that generator; it is read
+    once per (k, c). An element h of H moves a column along h's word over
+    the generators, read up the enumeration's Schreier tree."""
 
     def __init__(self, instance: CoverInstance):
-        action = instance.action
-        self.alg = algebra(action.group)
-        self.elements = _universe(action.group, action.element_classes)
+        group = instance.action.group
+        self.alg = algebra(group)
+        self.parent, self.letter = group.enumeration.parent, group.enumeration.letter
+        self.maps = group.conjugation_maps
+        self.elements = instance.action.elements
         self.position = {x: p for p, x in enumerate(self.elements)}
         self.masks = instance.column_masks
         self.column_of = {m: c for c, m in enumerate(self.masks)}
-        # per subgroup: its generators' right-multiplication columns, and
-        # the orbit mask of each column met so far
+        self.moves = [[None] * len(self.masks) for _ in self.maps]
+        # per subgroup: its generators' words, and the orbit mask of each
+        # column met so far
         self.known: dict[frozenset[int], tuple[list, dict[int, int]]] = {}
 
-    def _image(self, c: int, col, inv) -> int:
-        """The image of column c under the element whose right-multiplication
-        column is ``col``: x^h = h^-1 x h is col[inv[col[inv[x]]]]."""
-        elements, position = self.elements, self.position
-        mask = 0
-        for p in _bits(self.masks[c]):
-            mask |= 1 << position[col[inv[col[inv[elements[p]]]]]]
-        return self.column_of[mask]
+    def _word(self, h: int) -> list[int]:
+        """The generators whose product is h, first factor first."""
+        word = []
+        while h:
+            word.append(self.letter[h])
+            h = self.parent[h]
+        return word[::-1]
+
+    def _along(self, word: list[int], c: int) -> int:
+        """Column c's image under the product of ``word``, each generator's
+        image of a column built the first time it is asked for."""
+        for k in word:
+            d = self.moves[k][c]
+            if d is None:
+                conj, position, elements = self.maps[k], self.position, self.elements
+                mask = 0
+                for p in _bits(self.masks[c]):
+                    mask |= 1 << position[conj[elements[p]]]
+                d = self.moves[k][c] = self.column_of[mask]
+            c = d
+        return c
 
     def of(self, sub: frozenset[int], c: int) -> int:
         """The orbit of column c under the subgroup ``sub``, as a mask."""
         if sub not in self.known:
-            self.known[sub] = [self.alg.column(h) for h in self.alg.generating_ids(sub)], {}
-        cols, known = self.known[sub]
+            self.known[sub] = [self._word(h) for h in self.alg.generating_ids(sub)], {}
+        words, known = self.known[sub]
         if c not in known:
-            inv = self.alg.inv
-            found = orbit(c, lambda d: [self._image(d, col, inv) for col in cols])
+            found = orbit(c, lambda d: [self._along(word, d) for word in words])
             mask = sum(1 << d for d in found)
             for d in found:
                 known[d] = mask
@@ -364,7 +409,7 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
     # sig[e] the columns of element e. The packing takes elements rarest
     # first, in rarity coordinates (element rarity_order[i] at bit i): rcols[c]
     # is column c, rblock[i] the elements sharing a column with element i.
-    cols, sig = _reduce_universe(masks, instance.universe_size)
+    cols, sig = _reduce_universe(masks, _minimal_positions(instance))
     U = len(sig)
     rfull = (1 << U) - 1
     rarity_order = sorted(range(U), key=lambda e: (sig[e].bit_count(), e))

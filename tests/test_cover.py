@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from oracle import exhaustive_sigma
 
 from covnum import library
-from covnum.cover import CoverInstance, CoverResult, SolveBudget, _bits, _greedy_cover, _Orbits, \
-    _reduce_universe, build_instance, format_instance, format_lp, parse_instance, sigma_exact, \
-    solve
+from covnum.cover import CoverInstance, CoverResult, SolveBudget, _bits, _greedy_cover, \
+    _minimal_positions, _Orbits, _reduce_universe, build_instance, format_instance, format_lp, \
+    parse_instance, sigma_exact, solve
 from covnum.errors import CovnumError, CyclicGroup, Infeasible, ParseError
 from covnum.greedy import covering_number_bounds
 from covnum.perms import format_cycles
@@ -32,6 +32,7 @@ def test_a5_full_instance_shape():
     # G acts on the columns; A4, D10 and S3 are their own normalizers
     assert [len(n) for n in inst.action.normalizers] == [12] * 5 + [10] * 6 + [6] * 10
     assert inst.action.element_classes == frozenset(range(4))
+    assert inst.action.elements == tuple(range(1, 60))
 
 
 def test_cyclic_instance_infeasible():
@@ -338,7 +339,7 @@ def _quadratic_reduce_universe(masks, universe_size):
 @given(parsed_instances())
 def test_reduced_universe_matches_the_quadratic_filter(drawn):
     inst, _ = drawn
-    assert _reduce_universe(inst.column_masks, inst.universe_size) == \
+    assert _reduce_universe(inst.column_masks, inst.full_mask()) == \
         _quadratic_reduce_universe(inst.column_masks, inst.universe_size)
 
 
@@ -425,17 +426,6 @@ def test_branching_instances_match_the_reference_search_and_oracle(drawn, cut_no
     assert result == _reference_solve(inst, SolveBudget().max_nodes)
     assert solve(inst, SolveBudget(max_nodes=cut_nodes)) == _reference_solve(inst, cut_nodes)
     assert result.upper == exhaustive_sigma(set(range(inst.universe_size)), columns, len(columns))
-
-
-@pytest.mark.parametrize("key,size,reduced", [("A6", 359, 121), ("AGL32", 1343, 281)])
-def test_reduced_universe(key, size, reduced):
-    inst = _instance(key)
-    cols, sig = _reduce_universe(inst.column_masks, inst.universe_size)
-    assert inst.universe_size == size and len(sig) == reduced
-    assert len(set(sig)) == reduced
-    assert not any(a != b and a & b == a for a in sig for b in sig)
-    for c, m in enumerate(cols):
-        assert m == sum(1 << e for e, s in enumerate(sig) if s >> c & 1)
 
 
 def _check_against_no_action(inst):
@@ -529,6 +519,41 @@ CLASS_SELECTIONS = [
     # the union of whole classes is below the element greedy
     ("S5", ["cl_4", "cl_3"], ["M1", "M2", "M3"], 5, False, False),
 ]
+
+
+@pytest.mark.parametrize("key,elts,subs", [(key, None, None) for key in DIFFERENTIAL_KEYS]
+                         + [sel[:3] for sel in CLASS_SELECTIONS])
+def test_reduced_universe(key, elts, subs):
+    """Column sets built only in the element classes that _minimal_positions
+    keeps reduce the universe as the quadratic reference does over every
+    position: distinct sets, none inside another, and A6 and AGL32 keep 121
+    of 359 and 281 of 1,343 elements."""
+    inst = _instance(key, elts=elts, subs=subs)
+    cols, sig = _reduce_universe(inst.column_masks, _minimal_positions(inst))
+    assert (cols, sig) == _quadratic_reduce_universe(inst.column_masks, inst.universe_size)
+    assert len(set(sig)) == len(sig)
+    assert not any(a != b and a & b == a for a in sig for b in sig)
+    for c, m in enumerate(cols):
+        assert m == sum(1 << e for e, s in enumerate(sig) if s >> c & 1)
+    pinned = {"A6": (359, 121), "AGL32": (1343, 281)}
+    if elts is None and key in pinned:
+        assert (inst.universe_size, len(sig)) == pinned[key]
+
+
+def test_class_filter_on_m11():
+    """On M11's bundled instance the filter keeps the 3,420 elements of
+    orders 8 and 11, of 7,919, and reduces as reading every position does."""
+    group = library.group("M11")
+    inst = _instance("M11")
+    labels = [c.label for c in group.conjugacy_classes()]
+    assignment = group.class_assignment()
+    kept = {"cl_11,1", "cl_11,2", "cl_8,1", "cl_8,2"}
+    candidates = _minimal_positions(inst)
+    assert inst.universe_size == 7919 and candidates.bit_count() == 3420
+    assert candidates == sum(1 << p for p, x in enumerate(inst.action.elements)
+                             if labels[assignment[x]] in kept)
+    assert _reduce_universe(inst.column_masks, candidates) == \
+        _reduce_universe(inst.column_masks, inst.full_mask())
 
 
 @pytest.mark.parametrize("key,elts,subs,sigma,within,cross", CLASS_SELECTIONS)

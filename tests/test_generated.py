@@ -8,11 +8,13 @@ ingest maximality check against the whole lattice, on subgroups of S_n
 
 from hypothesis import HealthCheck, Phase, assume, given, settings, strategies as st
 from oracle import exhaustive_sigma
+from test_cover import _quadratic_reduce_universe
 from test_registry import image_quotient_sigmas
 from test_subgroups import check_ingest_against_lattice, lattice_maximal_classes, \
     max_class_set_key, reference_subgroups
 
-from covnum.cover import SolveBudget, build_instance, sigma_exact, solve
+from covnum.cover import SolveBudget, _minimal_positions, _reduce_universe, build_instance, \
+    sigma_exact, solve
 from covnum.greedy import covering_number_bounds
 from covnum.groups import PermGroup
 from covnum.perms import Permutation
@@ -75,6 +77,22 @@ def test_generated_group_agrees_with_oracle(group):
             sum(c & above == below and len(c) * len(above) == group.order * len(below)
                 for c in members)
             for below, above in zip(series, series[1:])]
+
+
+@GENERATED
+@given(small_groups(), st.data())
+def test_generated_group_class_filter_matches_the_quadratic_reference(group, data):
+    """The universe reduced over the element classes that _minimal_positions
+    keeps is the quadratic reference's, with every element class and with a
+    drawn subset of them, which can leave out the element whose column set
+    lies inside another's."""
+    cls, mx = group.conjugacy_classes(), maximal_classes_computed(group)
+    subset = data.draw(st.lists(st.sampled_from([c.label for c in cls]), min_size=1,
+                                unique=True))
+    for elts in (None, subset):
+        inst = build_instance(group, cls, mx, elts=elts)
+        assert _reduce_universe(inst.column_masks, _minimal_positions(inst)) == \
+            _quadratic_reduce_universe(inst.column_masks, inst.universe_size)
 
 
 @GENERATED
