@@ -115,10 +115,6 @@ def m11() -> PermGroup:
     return _checked(parse_group_file(text, name="M11"), 7920)
 
 
-def m11_maximals_text() -> str:
-    return resources.files("covnum.data").joinpath("m11.max").read_text()
-
-
 @dataclass(frozen=True)
 class LibraryEntry:
     key: str                      # CLI name

@@ -253,12 +253,13 @@ def subgroup_from_gens(group: PermGroup, gens) -> Subgroup:
 # Subgroup lattice by breadth-first join closure
 # ---------------------------------------------------------------------------
 
-def _atoms(alg: _Algebra) -> tuple[list[tuple[frozenset[int], int]], dict[int, int]]:
-    """All cyclic subgroups of prime-power order, with one generator id each,
-    and the map from each element id generating one of them to its index."""
+def _atoms(alg: _Algebra, subject) -> tuple[list[tuple[frozenset[int], int]], dict[int, int]]:
+    """The cyclic subgroups of prime-power order among the sorted ids
+    ``subject``, with one generator id each, and the map from each element
+    id generating one of them to its index."""
     seen: dict[frozenset[int], int] = {}
     generates: dict[int, frozenset[int]] = {}
-    for x in range(1, alg.n):
+    for x in subject:
         if x in generates:
             continue
         g = alg.elems[x]
@@ -322,9 +323,10 @@ def _normalizer(alg: _Algebra, tree: dict) -> tuple[frozenset[int], list[tuple[i
     return current, words
 
 
-def _lattice_classes(group: PermGroup, lattice_max_order: int = LATTICE_MAX_ORDER
+def _lattice_classes(group: PermGroup, lattice_max_order: int = LATTICE_MAX_ORDER,
+                     within: frozenset[int] | None = None
                      ) -> list[tuple[list[frozenset[int]], bool]]:
-    """Every conjugacy class of subgroups as (orbit, maximal).
+    """Every conjugacy class of subgroups as (orbit, maximal), or those in N.
 
     Breadth-first join closure: start from the cyclic prime-power subgroups
     (the atoms), join the conjugate H each class was admitted with to one
@@ -354,11 +356,17 @@ def _lattice_classes(group: PermGroup, lattice_max_order: int = LATTICE_MAX_ORDE
     and one skipped while an atom class is joined goes into its full set.
     A skipped join would have bailed, and a bailing join admits no class
     and clears no flag, so the walk's output is unchanged.
+    Each class keeps the generators of the join that found it, so nothing
+    is spanned again from the identity. Given the ids of a normal subgroup
+    N as ``within``, the walk gives the G-classes of N's subgroups on G's
+    algebra: the atoms are N's, every join stays in N, N_G(H) permutes them,
+    and the overgroup bound, atom-pair sets and flag (maximal in N) read |N|.
     """
     if group.order > lattice_max_order:
         raise BudgetExceeded(f"lattice budget: order {group.order} > {lattice_max_order}")
     alg = algebra(group)
-    atoms, atom_of = _atoms(alg)
+    subject = range(alg.n) if within is None else sorted(within)
+    atoms, atom_of = _atoms(alg, subject)
     # letter k of a normalizer word moves the atoms as generator k does,
     # letter k + m as its inverse (m generators)
     moves = [[atom_of[cmap[gen]] for _, gen in atoms] for cmap in alg.conjugation_maps]
@@ -375,16 +383,16 @@ def _lattice_classes(group: PermGroup, lattice_max_order: int = LATTICE_MAX_ORDE
         if ids not in seen:
             tree = alg.conjugation_orbit(ids)
             seen.update(tree)
-            classes.append([ids, gen_ids, tree, len(ids) < alg.n])
+            classes.append([ids, gen_ids, tree, len(ids) < len(subject)])
 
     admit(frozenset({0}), [])
     for ids, gen in atoms:
         admit(ids, [gen])
     atom_classes = len(classes)
-    full = [0] * len(atoms)  # bit b of full[a]: <atom a, atom b> = G
+    full = [0] * len(atoms)  # bit b of full[a]: <atom a, atom b> = G, or N
     for pos, cls in enumerate(classes):  # grows as joins admit new classes
         ids, gens, tree = cls[0], cls[1], cls[2]
-        proper_cap = alg.n // smallest_prime_factor(alg.n // len(ids))
+        proper_cap = len(subject) // smallest_prime_factor(len(subject) // len(ids))
         actions = []
         for word in _normalizer(alg, tree)[1]:
             action = list(range(len(atoms)))
@@ -392,7 +400,7 @@ def _lattice_classes(group: PermGroup, lattice_max_order: int = LATTICE_MAX_ORDE
                 action = list(map(moves[letter].__getitem__, action))
             actions.append(action)
         inside = sum(1 << a for a, (_, atom_gen) in enumerate(atoms) if atom_gen in ids)
-        reach = []  # the atoms whose join with H is G
+        reach = []  # the atoms whose join with H is G, or N
         covered: set[int] = set()
         for a, (atom, atom_gen) in enumerate(atoms):
             if a in covered or atom_gen in ids:
@@ -409,7 +417,7 @@ def _lattice_classes(group: PermGroup, lattice_max_order: int = LATTICE_MAX_ORDE
                 continue
             cls[3] = False
             if joined not in seen:
-                admit(joined, alg.generating_ids(joined))
+                admit(joined, gens + [atom_gen])
         if 0 < pos < atom_classes:  # H = <b> is an atom: full[b^g] = full[b]^g
             at = {ids: atom_of[gens[0]]}
             full[at[ids]] = sum(1 << x for x in reach)
@@ -418,7 +426,7 @@ def _lattice_classes(group: PermGroup, lattice_max_order: int = LATTICE_MAX_ORDE
                     b = at[s] = moves[edge[1]][at[edge[0]]]
                     text = format(full[at[edge[0]]], width)
                     full[b] = int("".join(map(text.__getitem__, bit_moves[edge[1]])), 2)
-    admit(frozenset(range(alg.n)), alg.gen_ids)
+    admit(frozenset(subject), [])  # nothing joins from the top class
     return [(list(tree), maximal) for _, _, tree, maximal in classes]
 
 
@@ -538,7 +546,7 @@ def _supplement_classes(normal: Subgroup,
     N_G(K) by maximality, with N_G(K)N = G. Every such candidate lies in a
     maximal subgroup with the same property, and that is a candidate too, so
     the maximal ones are the candidates inside no other candidate. One K is
-    taken per G-class of N's subgroups, from N's own lattice."""
+    taken per G-class of N's subgroups, walked within N on G's algebra."""
     group = normal.parent
     alg = algebra(group)
     candidates: list[list[frozenset[int]]] = []
@@ -552,16 +560,11 @@ def _supplement_classes(normal: Subgroup,
         return candidates  # N is abelian
     except OutOfRange:
         pass
-    sub = PermGroup(group.degree, [alg.elems[x] for x in alg.generating_ids(normal.elements)])
-    to_group = [alg.index[p.images] for p in sub.elements()]
-    conjugates: set[frozenset[int]] = set()
-    for orbit, _ in _lattice_classes(sub, lattice_max_order):
-        k = frozenset(map(to_group.__getitem__, orbit[0]))
-        if not 1 < len(k) < normal.order or k in conjugates:
+    for orbit, _ in _lattice_classes(group, lattice_max_order, normal.elements):
+        k = orbit[0]
+        if not 1 < len(k) < normal.order:
             continue
-        tree = alg.conjugation_orbit(k)
-        conjugates.update(tree)
-        norm = _normalizer(alg, tree)[0]
+        norm = _normalizer(alg, alg.conjugation_orbit(k))[0]
         if norm not in seen and \
                 len(norm) * normal.order == alg.n * len(norm & normal.elements):
             candidates.append(list(alg.conjugation_orbit(norm)))

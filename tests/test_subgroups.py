@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from importlib import resources
 from operator import itemgetter
 
 import pytest
@@ -101,12 +102,12 @@ def test_lattice_walk_joins_once_per_normalizer_orbit(monkeypatch, key, joins, b
     assert (len(made), sum(made)) == (joins, bailed)
 
 
-@pytest.mark.parametrize("key, calls", [("S6", 46), ("AGL32", 85)])
-def test_all_subgroups_builds_generators_only_for_the_walk(monkeypatch, key, calls):
-    """A subgroup's generating set is built when it is first read, so
-    all_subgroups builds only those the walk joins from: one per class a
-    join admits, against 1,501 (S6) and 3,384 (AGL32) when every subgroup
-    it returns got one."""
+@pytest.mark.parametrize("key", ["S6", "AGL32"])
+def test_all_subgroups_builds_generators_only_for_the_walk(monkeypatch, key):
+    """A subgroup's generating set is built when it is first read, and the
+    walk joins from the generators of the join that admitted each class, so
+    all_subgroups builds none, against 1,501 (S6) and 3,384 (AGL32) when
+    every subgroup it returns got one."""
     made = []
     generating_ids = subgroups._Algebra.generating_ids
 
@@ -115,8 +116,28 @@ def test_all_subgroups_builds_generators_only_for_the_walk(monkeypatch, key, cal
         return generating_ids(self, ids)
 
     monkeypatch.setattr(subgroups._Algebra, "generating_ids", counting)
-    all_subgroups(library.group(key))
-    assert len(made) == calls
+    subs = all_subgroups(library.group(key))
+    assert made == []
+    assert subs[1].generators and len(made) == 1
+
+
+@pytest.mark.parametrize("key", ["S5", "S6", "PGL27", "A5xA5"])
+def test_walk_within_a_normal_subgroup_gives_its_g_classes(key):
+    """Walked within G's first minimal normal subgroup N, on G's algebra,
+    the lattice is the G-conjugacy classes of the subgroups of N, each as
+    its whole orbit, and a class is flagged maximal exactly when it is
+    maximal in N."""
+    group = library.group(key) if key in library.names() else PRODUCTS[key]()
+    alg = algebra(group)
+    normal = minimal_normal_subgroups(group)[0].elements
+    inside = [s.elements for s in all_subgroups(group) if s.elements <= normal]
+    expected = {}
+    for ids in inside:
+        orbit = frozenset(alg.conjugation_orbit(ids))
+        expected[orbit] = ids != normal and not any(ids < k < normal for k in inside)
+    walked = subgroups._lattice_classes(group, within=normal)
+    assert {frozenset(orbit): maximal for orbit, maximal in walked} == expected
+    assert len(walked) == len(expected)
 
 
 def _generated_group():
@@ -178,7 +199,7 @@ def test_coset_join_is_the_closure(key):
     group = library.group(key)
     alg = algebra(group)
     subs = all_subgroups(group)
-    atoms = [gen for _, gen in subgroups._atoms(alg)[0]]
+    atoms = [gen for _, gen in subgroups._atoms(alg, range(alg.n))[0]]
     rng = random.Random(11)
     for _ in range(150):
         sub, a = rng.choice(subs), rng.choice(atoms)
@@ -337,6 +358,25 @@ def test_maximal_classes_match_the_lattice_walk(key):
         max_class_set_key(lattice_maximal_classes(group))
 
 
+@pytest.mark.parametrize("key, built", [("S5", 1), ("S6", 1), ("PGL27", 1),
+                                        ("AGL32", 1), ("A6", 0)])
+def test_maximal_route_builds_one_group_per_descent_step(monkeypatch, key, built):
+    """The maximal route builds the quotient G/N at each step down and no
+    other group: N's subgroups are walked on G's own algebra. S5, S6 and
+    PGL27 have a nonabelian N with a quotient of order 2, AGL32 an abelian
+    N, and A6 is simple."""
+    made = []
+
+    def counting(*args, **kwargs):
+        made.append(None)
+        return PermGroup(*args, **kwargs)
+
+    group = library.group(key)
+    monkeypatch.setattr(subgroups, "PermGroup", counting)
+    maximal_classes_computed(group)
+    assert len(made) == built
+
+
 def test_complements():
     s4 = library.group("S4")
     (v4,) = minimal_normal_subgroups(s4)
@@ -465,7 +505,8 @@ def test_maximality_check_probes_once_per_double_coset(monkeypatch):
     one per coset (304) if each coset were probed. It builds no group and
     multiplies no permutations, and the joins extend the generators read
     from the file, so no generating set is rebuilt."""
-    group, text = library.group("M11"), library.m11_maximals_text()
+    group = library.group("M11")
+    text = resources.files("covnum.data").joinpath("m11.max").read_text()
     made = []
     rebuilt = []
     join = subgroups._Algebra.join
