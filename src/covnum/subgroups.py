@@ -12,6 +12,7 @@ coset under one generator column. All orderings are deterministic.
 from __future__ import annotations
 
 from array import array
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -354,8 +355,17 @@ def _lattice_classes(group: PermGroup, lattice_max_order: int = LATTICE_MAX_ORDE
     full[b]^g fills the rest of b's class once b is done. The skipped atoms
     are N_G(H)-invariant, so the test comes before a's orbit is computed,
     and one skipped while an atom class is joined goes into its full set.
-    A skipped join would have bailed, and a bailing join admits no class
-    and clears no flag, so the walk's output is unchanged.
+    Two more rules decide joins whose subgroup is already seen. While an
+    atom class <b> is joined, an atom a of an earlier atom class is skipped
+    unless full[a] holds b: <b, a> is then proper and conjugate to a join
+    made from a's class. A join with an atom that lies in a proper join J
+    already made from H, the smallest such, is capped at |J|/p, p the least
+    prime dividing [J:H]: a subgroup of J that contains H and is not J has
+    an index in J that divides [J:H], so a join that passes the cap is J.
+    Of the joins skipped or stopped early, only those skipped by full would
+    reach G, and those admit no class and clear no flag; the others are
+    proper, so they clear the flag and admit nothing new. The walk's output
+    is the same as with every join made.
     Each class keeps the generators of the join that found it, so nothing
     is spanned again from the identity. Given the ids of a normal subgroup
     N as ``within``, the walk gives the G-classes of N's subgroups on G's
@@ -390,6 +400,7 @@ def _lattice_classes(group: PermGroup, lattice_max_order: int = LATTICE_MAX_ORDE
         admit(ids, [gen])
     atom_classes = len(classes)
     full = [0] * len(atoms)  # bit b of full[a]: <atom a, atom b> = G, or N
+    done: set[int] = set()  # the atoms of the atom classes already joined
     for pos, cls in enumerate(classes):  # grows as joins admit new classes
         ids, gens, tree = cls[0], cls[1], cls[2]
         proper_cap = len(subject) // smallest_prime_factor(len(subject) // len(ids))
@@ -402,20 +413,33 @@ def _lattice_classes(group: PermGroup, lattice_max_order: int = LATTICE_MAX_ORDE
         inside = sum(1 << a for a, (_, atom_gen) in enumerate(atoms) if atom_gen in ids)
         reach = []  # the atoms whose join with H is G, or N
         covered: set[int] = set()
+        overs: list[frozenset[int]] = []  # the proper joins made from H, smallest first
         for a, (atom, atom_gen) in enumerate(atoms):
             if a in covered or atom_gen in ids:
                 continue
             if full[a] & inside:
                 reach.append(a)
                 continue
-            cover = orbit(a, lambda b: [act[b] for act in actions])
-            covered.update(cover)
-            joined = alg.join(max(ids, atom, key=len), gens + [atom_gen],
-                              bail_above=proper_cap)
+            if a in done and pos < atom_classes:  # <b, a> was met from a's class
+                cls[3] = False
+                continue
+            covered.add(a)
+            cover = [a]
+            for c in cover:  # a's N_G(H)-orbit, breadth first
+                for act in actions:
+                    if act[c] not in covered:
+                        covered.add(act[c])
+                        cover.append(act[c])
+            over = next((j for j in overs if atom_gen in j), None)
+            cap = proper_cap if over is None else \
+                len(over) // smallest_prime_factor(len(over) // len(ids))
+            joined = alg.join(max(ids, atom, key=len), gens + [atom_gen], bail_above=cap)
             if joined is None:
-                reach += cover
+                if over is None:
+                    reach += cover
                 continue
             cls[3] = False
+            insort(overs, joined, key=len)
             if joined not in seen:
                 admit(joined, gens + [atom_gen])
         if 0 < pos < atom_classes:  # H = <b> is an atom: full[b^g] = full[b]^g
@@ -426,6 +450,7 @@ def _lattice_classes(group: PermGroup, lattice_max_order: int = LATTICE_MAX_ORDE
                     b = at[s] = moves[edge[1]][at[edge[0]]]
                     text = format(full[at[edge[0]]], width)
                     full[b] = int("".join(map(text.__getitem__, bit_moves[edge[1]])), 2)
+            done.update(at.values())
     admit(frozenset(subject), [])  # nothing joins from the top class
     return [(list(tree), maximal) for _, _, tree, maximal in classes]
 

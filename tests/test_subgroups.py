@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import weakref
 from importlib import resources
@@ -73,33 +74,138 @@ def reference_subgroups(group):
     return found
 
 
-@pytest.mark.parametrize("key", ["S4", "A5", "S5", "PSL27", "A6", "PGL27"])
+@pytest.mark.parametrize("key", ["S4", "A5", "S5", "PSL27", "A6", "PGL27", "S6", "A5xC2"])
 def test_lattice_matches_unpruned_reference(key):
     group = library.group(key)
     assert [sub.elements for sub in all_subgroups(group)] == \
         sorted(reference_subgroups(group), key=lambda s: (len(s), sorted(s)))
 
 
-@pytest.mark.parametrize("key, joins, bailed", [("S6", 1181, 272), ("AGL32", 2734, 221)])
-def test_lattice_walk_joins_once_per_normalizer_orbit(monkeypatch, key, joins, bailed):
-    """The walk joins each class representative H with one atom per
-    N_G(H)-orbit of atoms outside H, against 12,498 (S6) and 43,362 (AGL32)
-    joins with every atom outside H, and skips the join with a when an atom
-    inside H already joins a to the whole group: 1,411 and 3,663 joins
-    without that rule, 502 and 1,150 of them bailing at G. A join is the
-    one join call that stops at the whole group."""
-    made = []
+def _record_walk_joins(monkeypatch, group):
+    """Walk the group's lattice and return its capped join calls as
+    (H's generator ids, ids, gen_ids, bail_above, H's proper-overgroup cap,
+    result). H, the class representative being joined, is keyed by the
+    generators it was admitted with: every generator but the atom's."""
     join = subgroups._Algebra.join
+    orders = {}
+    calls = []
 
-    def counting(self, ids, gen_ids, bail_above=None):
+    def recording(self, ids, gen_ids, bail_above=None):
         joined = join(self, ids, gen_ids, bail_above)
         if bail_above is not None:
-            made.append(joined is None)
+            h = tuple(gen_ids[:-1])
+            if h not in orders:
+                orders[h] = len(join(self, [0], list(h)))
+            cap = self.n // subgroups.smallest_prime_factor(self.n // orders[h])
+            calls.append((h, ids, gen_ids, bail_above, cap, joined))
         return joined
 
-    monkeypatch.setattr(subgroups._Algebra, "join", counting)
-    subgroups._lattice_classes(library.group(key))
-    assert (len(made), sum(made)) == (joins, bailed)
+    monkeypatch.setattr(subgroups._Algebra, "join", recording)
+    subgroups._lattice_classes(group)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("key, completed, at_top, inside", [
+    pytest.param("S6", 343, 272, 472, id="S6"),
+    pytest.param("AGL32", 873, 221, 1494, id="AGL32")])
+def test_lattice_walk_joins_once_per_normalizer_orbit(monkeypatch, key, completed,
+                                                      at_top, inside):
+    """The walk joins each class representative H with one atom per
+    N_G(H)-orbit of atoms outside H, against 12,498 (S6) and 43,362 (AGL32)
+    joins with every atom outside H. It skips the join with a when an atom
+    inside H already joins a to the whole group: 1,411 and 3,663 joins
+    without that rule, 502 and 1,150 of them stopping at G. It skips the
+    atoms of earlier atom classes while an atom class is joined, and caps a
+    join by the smallest proper join from H that holds a: without these two
+    rules, 1,181 and 2,734 joins, of which 909 and 2,513 completed and 272
+    and 221 stopped at G. A join either completes, stops at G (the cap of
+    H's proper overgroups), or stops inside a known overgroup; the stops at
+    G are the same with and without the two rules."""
+    calls = _record_walk_joins(monkeypatch, library.group(key))
+    outcomes = [0, 0, 0]
+    for *_, bail_above, cap, joined in calls:
+        outcomes[0 if joined is not None else 1 if bail_above == cap else 2] += 1
+    assert outcomes == [completed, at_top, inside]
+
+
+@pytest.mark.parametrize("key", ["S5", "PSL27", "A6", "PGL27", "S6", "A5xC2"])
+def test_join_stopped_inside_an_overgroup_is_that_overgroup(monkeypatch, key):
+    """A join that stops below H's proper-overgroup cap is, with no cap, a
+    join that the same H completed earlier: the overgroup it was capped by."""
+    group = library.group(key)
+    alg = algebra(group)
+    completed = {}
+    stops = 0
+    for h, ids, gen_ids, bail_above, cap, joined in _record_walk_joins(monkeypatch, group):
+        if joined is not None:
+            completed.setdefault(h, []).append(joined)
+        elif bail_above < cap:
+            stops += 1
+            assert alg.join(ids, gen_ids) in completed.get(h, [])
+    assert stops > 0
+
+
+# sha256 of [([sorted(ids) for ids in orbit], maximal) for orbit, maximal in walk]
+WALK_SHA256 = {
+    "V4": "2bb83aab1e951cf17610f5df98065563eb1bc2dbf849e8532c09c50bc162171f",
+    "S3": "8bbc584cdb3775aa80ea0a1ead9ba23292a9581dfeefa9129d5e4d9894697dd1",
+    "S4": "22e05566e3418afbb1fded94e567d11c339c6f7cf4607425dc428185650d9fed",
+    "S5": "135ba996197ecb17702b53cfcbaace849827d3b003bef97ca2fe9a701449ed8a",
+    "S6": "622f97d7e30e083fe395cc39d3f3042d8c3a4102fbe8ac37d4abee03ab34439d",
+    "A4": "8f939dd279365b339a298d79836ce93990c9824677b0efd9294ce58eb1aedfaf",
+    "A5": "c2a51655b2625e0b355565507e8e3f246bdbf3755de817d3f647146683f9d87e",
+    "A6": "f0fe9eb46c879fd62d05ddc6da27008592e032fc614389efa960bf1f6a920a9d",
+    "C5": "2978fc13150f00e28edf8c48de6f7695c2e8d6c0ddd6ab597e3718ea65867744",
+    "C6": "b84de15b8797b90f39aa423cfb2a6b87e5d00e9650b56f7aa39b598615b8e3e3",
+    "D8": "b939dc65181971ab3f9e4dc3fb6adfe41ec8aa3e06f8d38edb0c2e79a1fee061",
+    "D10": "26f4cc90518f989718128627cf02b3d8a8ba524681aab4ab19ec9ddd07637b4f",
+    "D12": "cca11614821a3480eb26d01545539a818b0232bf1d771c8769ea5581b14ae231",
+    "Q8": "b0866f679bac8dd7e10176e57d2128e0019b2c2b483aca6941a42e03287b5b97",
+    "F21": "e668d950f4517ae03809e4e58aaf74c5bf954d5d3421a1a3570a0606a4bf4e0a",
+    "C3xC3": "8f8379891544fe90df93860c7a2e46a233797e731e8c858e52ff55d2be6d4fb3",
+    "PSL27": "bf3db87b6742546451a72be2bae32a04a5043fb390fb129f475aeec279c38fb9",
+    "PGL27": "c224c9d9d095865408729623eac95810e93f94734c653c18557c5360f1608ece",
+    "AGL13": "8bbc584cdb3775aa80ea0a1ead9ba23292a9581dfeefa9129d5e4d9894697dd1",
+    "AGL14": "9c3b655b8472b5412a9a606846d141e10fec43c62688287dc3c9b478b9c29fdd",
+    "AGL15": "89d9df26c73134ebe0ced8327d75c3a716b98edba9f042b039faa84e63bddf6a",
+    "AGL17": "72176a65975a648b22d7e58f00448edcab1977e087f5f339e1b2e8e689863b35",
+    "AGL18": "5b7166c23c735b1ebb7ecf0bef8efef3034bcda6951502cab3d454414dcd5792",
+    "AGL19": "08fbf94c5c6db32e965dcecf47670dc4f407a17a1457ddfb5898d3c00573f65c",
+    "AGL32": "223c7ddb4b1abc37a7f691d552862c9ea86469d4ffca1060eac65940142ae44c",
+    "A5xC2": "721324d55d5787d00bfaeac141d0be07329f5956ad82336c7ab311d05280046e",
+}
+WITHIN_SHA256 = {
+    "S5": "601769024135e18727ac94e43eb74907a61d20392e649c9580a87de80d948c09",
+    "S6": "4ac873c9912f77ae55007998e9d0a6321225105cbdd6975b0cd7d845c7ba1d87",
+    "PGL27": "cc4750203ad3f2ca52f2c358edc53991c0311f44c200e80cefbee906c4a5fd91",
+}
+
+
+def _walk_sha256(walk):
+    key = [([sorted(ids) for ids in orbit], maximal) for orbit, maximal in walk]
+    return hashlib.sha256(repr(key).encode()).hexdigest()
+
+
+def test_walk_pins_cover_every_library_group_within_the_cap():
+    assert sorted(WALK_SHA256) == sorted(
+        k for k in library.names() if library.group(k).order <= LATTICE_MAX_ORDER)
+
+
+@pytest.mark.parametrize("key", list(WALK_SHA256))
+def test_lattice_walk_output_is_pinned(key):
+    """The walk's classes, their order, their members and their maximal
+    flags, byte for byte, on every library group within the lattice cap."""
+    assert _walk_sha256(subgroups._lattice_classes(library.group(key))) == WALK_SHA256[key]
+
+
+@pytest.mark.parametrize("key", list(WITHIN_SHA256))
+def test_walk_within_a_normal_subgroup_is_pinned(key):
+    """The same pin for the walk within G's first minimal normal subgroup."""
+    group = library.group(key)
+    normal = minimal_normal_subgroups(group)[0].elements
+    assert _walk_sha256(subgroups._lattice_classes(group, within=normal)) == \
+        WITHIN_SHA256[key]
 
 
 @pytest.mark.parametrize("key", ["S6", "AGL32"])
