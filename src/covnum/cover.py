@@ -53,7 +53,7 @@ from math import ceil
 
 from .errors import CovnumError, CyclicGroup, Infeasible, ParseError
 from .groups import ConjClassTable, PermGroup, orbit
-from .perms import format_cycles
+from .perms import format_cycles, take
 from .subgroups import LATTICE_MAX_ORDER, MaxClassSet, algebra, maximal_classes_computed
 
 
@@ -218,7 +218,7 @@ def _minimal_positions(instance: CoverInstance) -> int:
     if action is None:
         return full
     assignment = action.group.class_assignment()
-    classes = [assignment[x] for x in action.elements]
+    classes = take(action.elements)(assignment)
     minimal = set()
     for k in action.element_classes:
         p = classes.index(k)

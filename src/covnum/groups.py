@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CapExceeded, CovnumError, DegreeMismatch, ParseError, Unknown
-from .perms import Permutation, format_cycles, parse_permutation
+from .perms import Permutation, format_cycles, parse_permutation, take
 
 ENUM_CAP = 10**6  # largest group whose elements are ever listed
 
@@ -179,8 +179,9 @@ class PermGroup:
         parent, letter = [0], [0]
         cols: list[list[int]] = [[] for _ in gens]
         for x, p in enumerate(elems):  # grows as new elements are met
+            times = take(p.images)  # times(g) is the image tuple of p * g
             for k, g in enumerate(gens):
-                images = tuple(map(g.__getitem__, p.images))
+                images = times(g)
                 y = index.get(images)
                 if y is None:
                     y = len(elems)
@@ -202,9 +203,10 @@ class PermGroup:
     @cached_property
     def conjugation_maps(self) -> list[list[int]]:
         """For each generator g, the element-id map x -> g^-1 x g, read off
-        g's column col (x -> x*g) as col[inv[col[inv[x]]]]."""
-        inv = self.inverses
-        return [[col[inv[col[y]]] for y in inv] for col in self.enumeration.columns]
+        g's column col (x -> x*g) as col[inv[col[inv[x]]]]: the map
+        f = x -> col[inv[x]] applied twice."""
+        at_inverses = take(self.inverses)  # at_inverses(col) is f
+        return [list(take(f)(f)) for f in map(at_inverses, self.enumeration.columns)]
 
     def is_cyclic(self) -> bool:
         if self.order == 1:

@@ -3,7 +3,8 @@
 Composition convention, fixed once for the whole package: products act
 left-to-right, so ``(a * b)(x) == b(a(x))`` and ``x ** (a * b) == (x ** a) ** b``.
 Text I/O (cycle notation) is 1-based to match the usual group-theory
-convention; everything in memory is 0-based.
+convention; everything in memory is 0-based. ``take`` is the one way the
+package applies an index map to a sequence, here and in the layers above.
 """
 
 from __future__ import annotations
@@ -11,10 +12,27 @@ from __future__ import annotations
 import math
 import re
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import DegreeMismatch, ParseError
 
 _CYCLE_RE = re.compile(r"\(\s*(\d+(?:\s*,\s*\d+)*)?\s*\)")
+
+
+def take(idx):
+    """A callable that maps a sequence to the tuple of its entries at the
+    indices ``idx``, in the order of ``idx``: take(idx)(seq) equals
+    tuple(seq[i] for i in idx). It is operator.itemgetter(*idx), which reads
+    the entries at C speed, except that it returns a tuple for every length
+    of idx: itemgetter returns a bare item for one index and cannot be built
+    for none. ``idx`` is any sized iterable of indices (or of keys, for a
+    mapping); the getter can be applied to many sequences."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    if idx:
+        (i,) = idx
+        return lambda seq: (seq[i],)
+    return lambda seq: ()
 
 
 class Permutation:
@@ -64,7 +82,7 @@ class Permutation:
         a, b = self.images, other.images
         if len(a) != len(b):
             raise DegreeMismatch(f"degree {len(a)} vs {len(b)}")
-        return Permutation._trusted(tuple(map(b.__getitem__, a)))
+        return Permutation._trusted(take(a)(b))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
@@ -77,9 +95,8 @@ class Permutation:
 
     def conjugated_by(self, g: "Permutation") -> "Permutation":
         """Return g^-1 * self * g (left-to-right convention)."""
-        gi = g.images
         inv = g.inverse().images
-        return Permutation._trusted(tuple(gi[self.images[inv[x]]] for x in range(self.degree)))
+        return Permutation._trusted(take(take(inv)(self.images))(g.images))
 
     def is_identity(self) -> bool:
         return all(i == x for x, i in enumerate(self.images))

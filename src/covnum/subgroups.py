@@ -3,10 +3,13 @@
 Everything here works on element-id sets: the parent group is enumerated
 once, each subgroup is carried as a frozenset of element indices, and the
 expensive operations (joins, conjugation orbits, intersections) become
-integer lookups and set arithmetic. Right multiplication by an element is an
-id column composed from the enumeration's generator columns, and a join
-<H, a> is grown as a union of right cosets of H, each the image of a known
-coset under one generator column. All orderings are deterministic.
+index maps and set arithmetic. Right multiplication by an element is an id
+column composed from the enumeration's generator columns, and a join <H, a>
+is grown as a union of right cosets of H, each the image of a known coset
+under one generator column. Every index map, from a column composition to a
+coset image, a conjugate subgroup or an atom permutation, is applied whole
+by perms.take at C speed, not entry by entry. All orderings are
+deterministic.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import (
     ParseError,
 )
 from .groups import PermGroup, label_index, orbit
-from .perms import Permutation, format_cycles, parse_permutation
+from .perms import Permutation, format_cycles, parse_permutation, take
 
 
 LATTICE_MAX_ORDER = 5000  # largest group whose subgroup lattice is walked
@@ -72,11 +75,12 @@ class _Algebra:
 
         Each g > 0 is p*s for its tree parent p and one generator s, so
         x*g = (x*p)*s and column(g) is generator s's column read at every
-        entry of column(p): n integer lookups and no permutation product.
-        The walk goes up to the nearest cached ancestor and composes back
-        down in scratch lists; only column(g) is cached, as a compact id
-        array. Caching every column on the path as well held more than twice
-        the columns for no measurable gain in time."""
+        entry of column(p): one take of n entries and no permutation
+        product. The walk goes up to the nearest cached ancestor and
+        composes back down in temporary tuples; only column(g) is cached,
+        as a compact id array, which holds far less than a tuple of n ints.
+        Caching every column on the path as well held more than twice the
+        columns for no measurable gain in time."""
         columns = self._columns
         col = columns.get(g)
         if col is None:
@@ -87,7 +91,7 @@ class _Algebra:
                 x = self._parent[x]
             col = columns[x]
             for s in reversed(letters):
-                col = list(map(self.gen_cols[s].__getitem__, col))
+                col = take(col)(self.gen_cols[s])
             col = columns[g] = _id_array(self.n, col)
         return col
 
@@ -106,10 +110,12 @@ class _Algebra:
         reached from H by right multiplication with its generators, and the
         image of a coset C under the generator column col is the coset
         [col[x] for x in C], which is new exactly when col[C[0]] is. So each
-        element of K costs one lookup, and only one per coset and generator
-        is tested against the set. Each coset keeps the order of ``base``:
-        when ``base`` starts with the identity, every coset starts with its
-        representative, and the representatives come in breadth-first order.
+        element of K costs one lookup, done for a whole coset by one take
+        built at the coset's first new image, and only one element per coset
+        and generator is tested against the set. Each coset keeps the order
+        of ``base``: when ``base`` starts with the identity, every coset
+        starts with its representative, and the representatives come in
+        breadth-first order.
         With bail_above set, returns None as soon as K has more elements
         than that."""
         cap = self.n if bail_above is None else bail_above
@@ -119,9 +125,12 @@ class _Algebra:
         seen = set(base)
         out = [base]
         for coset in out:  # grows as new cosets are met
+            image_of = None  # built at the coset's first new image
             for col in cols:
                 if col[coset[0]] not in seen:
-                    image = list(map(col.__getitem__, coset))
+                    if image_of is None:
+                        image_of = take(coset)
+                    image = image_of(col)
                     seen.update(image)
                     out.append(image)
                     if len(seen) > cap:
@@ -174,7 +183,7 @@ class _Algebra:
         return self._span(ids)[0]
 
     def conjugate_set(self, ids: frozenset[int], gen_index: int) -> frozenset[int]:
-        return frozenset(map(self.conjugation_maps[gen_index].__getitem__, ids))
+        return frozenset(take(ids)(self.conjugation_maps[gen_index]))
 
     def conjugation_orbit(self, ids: frozenset[int]) -> dict:
         """Conjugation orbit of a subgroup under the whole group, as the
@@ -232,7 +241,7 @@ class Subgroup:
     def generators(self) -> tuple[Permutation, ...]:
         """A small deterministic generating set, built when first read."""
         alg = algebra(self.parent)
-        return tuple(alg.elems[i] for i in alg.generating_ids(self.elements) or [0])
+        return take(alg.generating_ids(self.elements) or [0])(alg.elems)
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, index={self.index})"
@@ -343,7 +352,8 @@ def _lattice_classes(group: PermGroup, lattice_max_order: int = LATTICE_MAX_ORDE
     are constant on an N_G(H)-orbit, so the pruning keeps both the classes
     and the flag exact. N_G(H) acts on the atoms by table lookups only: each
     generator's permutation of the atoms comes from its conjugation map, and
-    a normalizer generator acts as its word in those permutations.
+    a normalizer generator acts as its word in those permutations, composed
+    with take.
     Each join <H, a> is grown by coset images (_Algebra.cosets; Butler,
     Fundamental Algorithms for Permutation Groups, 1991) from the larger of
     H and <a>, and it stops as soon as it outgrows every proper overgroup of
@@ -384,7 +394,7 @@ def _lattice_classes(group: PermGroup, lattice_max_order: int = LATTICE_MAX_ORDE
     # bit x of an atom set is character last - x of its binary text, and
     # generator k moves the text by bit_moves[k]
     last, width = len(atoms) - 1, f"0{len(atoms)}b"
-    bit_moves = [[last - inverse[last - i] for i in range(len(atoms))]
+    bit_moves = [take([last - inverse[last - i] for i in range(len(atoms))])
                  for inverse in moves[len(alg.conjugation_maps):]]
     seen: set[frozenset[int]] = set()
     classes: list[list] = []  # [ids, generator ids, orbit tree, maximal]
@@ -406,9 +416,9 @@ def _lattice_classes(group: PermGroup, lattice_max_order: int = LATTICE_MAX_ORDE
         proper_cap = len(subject) // smallest_prime_factor(len(subject) // len(ids))
         actions = []
         for word in _normalizer(alg, tree)[1]:
-            action = list(range(len(atoms)))
-            for letter in word:
-                action = list(map(moves[letter].__getitem__, action))
+            action = moves[word[0]]
+            for letter in word[1:]:
+                action = take(action)(moves[letter])
             actions.append(action)
         inside = sum(1 << a for a, (_, atom_gen) in enumerate(atoms) if atom_gen in ids)
         reach = []  # the atoms whose join with H is G, or N
@@ -449,7 +459,7 @@ def _lattice_classes(group: PermGroup, lattice_max_order: int = LATTICE_MAX_ORDE
                 if edge is not None:
                     b = at[s] = moves[edge[1]][at[edge[0]]]
                     text = format(full[at[edge[0]]], width)
-                    full[b] = int("".join(map(text.__getitem__, bit_moves[edge[1]])), 2)
+                    full[b] = int("".join(bit_moves[edge[1]](text)), 2)
             done.update(at.values())
     admit(frozenset(subject), [])  # nothing joins from the top class
     return [(list(tree), maximal) for _, _, tree, maximal in classes]
@@ -552,7 +562,7 @@ def maximal_classes_computed(group: PermGroup,
               if maximal]
     for quotient, cosets, supplements in reversed(levels):
         preimage = [cosets[q.images[0]] for q in quotient.elements()]
-        orbits = [[frozenset(chain.from_iterable(map(preimage.__getitem__, member)))
+        orbits = [[frozenset(chain.from_iterable(take(member)(preimage)))
                    for member in orbit] for orbit in orbits] + supplements
     return _package_max_classes(group, orbits, "computed")
 
@@ -800,8 +810,8 @@ def coset_action(sub: Subgroup) -> tuple[PermGroup, Subgroup]:
         raise IndexTooLarge(f"index {index} exceeds {COSET_DEGREE_MAX}")
     alg = algebra(group)
     rep_ids, coset_of = _coset_decomposition(sub)
-    image_gens = [Permutation(tuple(coset_of[col[r]] for r in rep_ids))
-                  for col in alg.gen_cols]
+    at_reps = take(rep_ids)  # r -> coset_of[col[r]] is a generator's image
+    image_gens = [Permutation(take(at_reps(col))(coset_of)) for col in alg.gen_cols]
     image = PermGroup(index, image_gens,
                       name=f"{group.name or 'G'}/cosets({sub.order})")
     kernel = normal_core(sub)

@@ -1,8 +1,11 @@
+import random
+from array import array
+
 import pytest
 from hypothesis import given, strategies as st
 
 from covnum.errors import DegreeMismatch, ParseError
-from covnum.perms import Permutation, format_cycles, parse_permutation
+from covnum.perms import Permutation, format_cycles, parse_permutation, take
 
 
 def P(text, degree):
@@ -115,3 +118,37 @@ def test_from_cycles_validates():
         Permutation.from_cycles(3, [(0, 5)])
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))
+
+
+TAKE_SOURCES = {  # 60 entries each
+    "list": [7 * x + 3 for x in range(60)],
+    "tuple": tuple(range(60, 0, -1)),
+    "array": array("H", (x * x for x in range(60))),
+    "str": "".join(chr(ord("a") + x % 26) for x in range(60)),
+}
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 50])
+@pytest.mark.parametrize("kind", sorted(TAKE_SOURCES))
+def test_take_returns_the_tuple_of_entries(kind, length):
+    """take(idx)(seq) is tuple(seq[i] for i in idx) for every length of idx,
+    the lengths 0 and 1 included, where operator.itemgetter would fail or
+    return a bare item."""
+    seq = TAKE_SOURCES[kind]
+    rng = random.Random(length)
+    for idx in ([rng.randrange(60) for _ in range(length)],
+                tuple(range(length)), array("H", range(59, 59 - length, -1))):
+        got = take(idx)(seq)
+        assert type(got) is tuple
+        assert got == tuple(seq[i] for i in idx)
+    assert take(frozenset({5}))(seq) == (seq[5],)
+    assert take({4: None, 9: None})(seq) == (seq[4], seq[9])
+
+
+def test_degree_one_and_two_products():
+    e = Permutation.identity(1)
+    assert (e * e).images == (0,)
+    assert e.conjugated_by(e) == e
+    t = Permutation((1, 0))
+    assert (t * t).images == (0, 1)
+    assert t.conjugated_by(t) == t

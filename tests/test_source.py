@@ -101,3 +101,31 @@ def test_modules_use_every_name_they_import():
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert len(SOURCES) > 10
     assert unused == []
+
+
+def test_index_maps_go_through_take():
+    """One map kernel: every index map is applied by ``perms.take``, which
+    reads the entries at C speed. No ``map(<x>.__getitem__, ...)`` call, and
+    ``itemgetter`` is imported and used only in perms.py for ``take``."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        if path.name == "perms.py":
+            allowed = {id(node) for top in tree.body
+                       if isinstance(top, ast.FunctionDef) and top.name == "take"
+                       or isinstance(top, ast.ImportFrom) and top.module == "operator"
+                       for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "map" and node.args \
+                    and isinstance(node.args[0], ast.Attribute) \
+                    and node.args[0].attr == "__getitem__":
+                found.append(f"{path.name}:{node.lineno} map(__getitem__)")
+            named = node.id if isinstance(node, ast.Name) else \
+                node.attr if isinstance(node, ast.Attribute) else \
+                node.name if isinstance(node, ast.alias) else None
+            if named == "itemgetter" and id(node) not in allowed:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')} itemgetter")
+    assert len(SOURCES) > 10
+    assert found == []

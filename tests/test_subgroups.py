@@ -464,6 +464,29 @@ def test_maximal_classes_match_the_lattice_walk(key):
         max_class_set_key(lattice_maximal_classes(group))
 
 
+@pytest.mark.parametrize("key", ["C2", "C3", "S5"])
+def test_walk_and_route_on_groups_with_a_single_atom(key):
+    """The walk and the maximal route where an id map has one entry: the
+    one atom of C2 and of S5's descent quotient S5/A5 = C2, C3's one atom,
+    and the trivial maximal subgroup that each route maps back."""
+    group = {"C2": lambda: library.cyclic(2), "C3": lambda: library.cyclic(3),
+             "S5": lambda: library.group("S5")}[key]()
+    route = maximal_classes_computed(group)
+    assert max_class_set_key(route) == max_class_set_key(lattice_maximal_classes(group))
+    if key == "S5":
+        assert [(c.index, c.class_length) for c in route] == [(2, 1), (5, 5), (6, 6), (10, 10)]
+        quotient = coset_action(minimal_normal_subgroups(group)[0])[0]
+        assert quotient.order == 2
+        group = quotient
+    atoms = subgroups._atoms(algebra(group), range(group.order))[0]
+    assert [len(ids) for ids, _ in atoms] == [group.order]
+    walk = subgroups._lattice_classes(group)
+    assert walk == [([frozenset({0})], True), ([frozenset(range(group.order))], False)]
+    if key != "S5":
+        assert [(c.index, c.members, c.rep.generators) for c in route] == \
+            [(group.order, (frozenset({0}),), (Permutation.identity(group.order),))]
+
+
 @pytest.mark.parametrize("key, built", [("S5", 1), ("S6", 1), ("PGL27", 1),
                                         ("AGL32", 1), ("A6", 0)])
 def test_maximal_route_builds_one_group_per_descent_step(monkeypatch, key, built):
