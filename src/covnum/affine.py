@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import BudgetExceeded, CovnumError, OutOfRange
 from .groups import PermGroup
 from .perms import Permutation
-from .subgroups import Subgroup, algebra, prime_power
+from .subgroups import Subgroup, prime_power
 
 # Reduction rules x^d = <poly in lower powers> for the non-prime sizes we
 # construct; coefficients listed for x^0, x^1, ...
@@ -208,7 +208,7 @@ def agl_cover(n: int, q: int, max_order: int = 100_000) -> AffineCover:
     """The explicit cover of AGL(n, q) from the module docstring, verified
     member-by-member by a direct element scan."""
     group, space = affine_group(n, q, max_order=max_order)
-    alg = algebra(group)
+    alg = group.enumeration
     zero = 0  # index of the zero vector
     stabs = []
     for v in range(space.size):

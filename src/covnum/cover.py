@@ -20,7 +20,7 @@ H. A cover meeting the orbit is moved by some h in H to one that contains c,
 and the banned columns stay a union of H-orbits. Under G the orbits are the
 classes, so the root's first level pins one column per class; under a proper
 H they are walked over H's generators, each read as a word in G's generators
-up the enumeration's Schreier tree. A column's image under a generator of G
+by the enumeration (groups.Enumeration.word). A column's image under a generator of G
 is the column whose mask is its own conjugated by that generator, built once
 per generator and column. Once H is trivial a node branches on each live
 column of its element, each child banning its earlier siblings. Forced
@@ -54,7 +54,7 @@ from math import ceil
 from .errors import CovnumError, CyclicGroup, Infeasible, ParseError
 from .groups import ConjClassTable, PermGroup, orbit
 from .perms import format_cycles, take
-from .subgroups import LATTICE_MAX_ORDER, MaxClassSet, algebra, maximal_classes_computed
+from .subgroups import LATTICE_MAX_ORDER, MaxClassSet, maximal_classes_computed
 
 
 _TRIVIAL = frozenset({0})  # the identity subgroup, as element ids
@@ -118,7 +118,7 @@ def build_instance(group: PermGroup, cls: ConjClassTable, mx: MaxClassSet,
     (labels; None selects everything)."""
     elt_labels = [c.label for c in cls.classes] if elts is None else list(elts)
     sub_labels = [m.label for m in mx.classes] if subs is None else list(subs)
-    alg = algebra(group)
+    alg = group.enumeration
     assignment = group.class_assignment()
     selected = frozenset(cls.by_label(lbl) for lbl in elt_labels)
     universe = tuple(x for x in range(1, alg.n) if assignment[x] in selected)
@@ -274,29 +274,18 @@ class _Orbits:
     image under generator k of G is the column whose mask is c's with every
     element x replaced by its conjugate under that generator; it is read
     once per (k, c). An element h of H moves a column along h's word over
-    the generators, read up the enumeration's Schreier tree."""
+    the generators, which the enumeration reads off its Schreier tree."""
 
     def __init__(self, instance: CoverInstance):
-        group = instance.action.group
-        self.alg = algebra(group)
-        self.parent, self.letter = group.enumeration.parent, group.enumeration.letter
-        self.maps = group.conjugation_maps
+        self.enum = instance.action.group.enumeration
         self.elements = instance.action.elements
         self.position = {x: p for p, x in enumerate(self.elements)}
         self.masks = instance.column_masks
         self.column_of = {m: c for c, m in enumerate(self.masks)}
-        self.moves = [[None] * len(self.masks) for _ in self.maps]
+        self.moves = [[None] * len(self.masks) for _ in self.enum.gen_cols]
         # per subgroup: its generators' words, and the orbit mask of each
         # column met so far
         self.known: dict[frozenset[int], tuple[list, dict[int, int]]] = {}
-
-    def _word(self, h: int) -> list[int]:
-        """The generators whose product is h, first factor first."""
-        word = []
-        while h:
-            word.append(self.letter[h])
-            h = self.parent[h]
-        return word[::-1]
 
     def _along(self, word: list[int], c: int) -> int:
         """Column c's image under the product of ``word``, each generator's
@@ -304,7 +293,8 @@ class _Orbits:
         for k in word:
             d = self.moves[k][c]
             if d is None:
-                conj, position, elements = self.maps[k], self.position, self.elements
+                conj = self.enum.conjugation_maps[k]
+                position, elements = self.position, self.elements
                 mask = 0
                 for p in _bits(self.masks[c]):
                     mask |= 1 << position[conj[elements[p]]]
@@ -315,7 +305,7 @@ class _Orbits:
     def of(self, sub: frozenset[int], c: int) -> int:
         """The orbit of column c under the subgroup ``sub``, as a mask."""
         if sub not in self.known:
-            self.known[sub] = [self._word(h) for h in self.alg.generating_ids(sub)], {}
+            self.known[sub] = [self.enum.word(h) for h in self.enum.generating_ids(sub)], {}
         words, known = self.known[sub]
         if c not in known:
             found = orbit(c, lambda d: [self._along(word, d) for word in words])

@@ -1,15 +1,21 @@
-"""Permutation groups with a deterministic stabilizer chain.
+"""Permutation groups with a deterministic stabilizer chain, and their
+element ids.
 
 The chain gives exact order and membership for any group generated here.
 Base points are always chosen as the smallest currently-moved point, and
 orbits are explored smallest-point-first, so element enumeration, class
-tables and everything downstream are reproducible run to run.
+tables and everything downstream are reproducible run to run. A group's
+Enumeration numbers its elements and owns everything done on those numbers:
+the Schreier tree, the id columns, the inverse table, the conjugation maps,
+and the joins and closures that the subgroup and cover modules build on.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .errors import CapExceeded, CovnumError, DegreeMismatch, ParseError, Unknown
 from .perms import Permutation, format_cycles, parse_permutation, take
@@ -41,18 +47,199 @@ def label_index(labels: list[str], label: str, kind: str) -> int:
         raise Unknown(f"no {kind} {label!r} (known: {', '.join(labels)})") from None
 
 
-@dataclass(frozen=True)
+def _id_array(n: int, ids) -> array:
+    """Element ids of a group of order n, two bytes each up to 65536
+    elements and four above."""
+    return array("H" if n <= 65536 else "I", ids)
+
+
 class Enumeration:
-    """A group's elements with the Schreier tree of their enumeration.
+    """A group's elements as element ids, and the arithmetic on those ids.
 
-    Element x > 0 was first reached as parent[x] * generator letter[x], and
-    columns[k][x] is the id of x * generator k."""
+    The elements are the breadth-first orbit of the identity under right
+    multiplication by the generators: element x > 0 was first reached as
+    _parent[x] * generator _letter[x], and gen_cols[k][x] is the id of
+    x * generator k. column(g) is the map x -> x*g for any g, composed from
+    the generator columns along that Schreier tree and cached; cosets, join
+    and closure grow subgroups from columns, and the conjugation action is
+    read off them with the inverse table. Only this class reads the tree.
+    It keeps the generators but no reference to their group."""
 
-    elements: list[Permutation]
-    index: dict[tuple[int, ...], int]
-    parent: list[int]
-    letter: list[int]
-    columns: list[list[int]]
+    def __init__(self, degree: int, generators):
+        self.generators = tuple(generators)
+        gens = [g.images for g in self.generators]
+        elems = [Permutation.identity(degree)]
+        index = {elems[0].images: 0}
+        parent, letter = [0], [0]
+        cols: list[list[int]] = [[] for _ in gens]
+        for x, p in enumerate(elems):  # grows as new elements are met
+            times = take(p.images)  # times(g) is the image tuple of p * g
+            for k, g in enumerate(gens):
+                images = times(g)
+                y = index.get(images)
+                if y is None:
+                    y = len(elems)
+                    index[images] = y
+                    elems.append(Permutation._trusted(images))
+                    parent.append(x)
+                    letter.append(k)
+                cols[k].append(y)
+        self.elems = elems
+        self.index = index
+        self.n = len(elems)
+        self.gen_cols = cols
+        self._parent, self._letter = parent, letter
+        self._columns = {0: _id_array(self.n, range(self.n))}
+        for g, col in zip(gens, cols):
+            self._columns.setdefault(index[g], col)
+
+    @cached_property
+    def inv(self) -> list[int]:
+        """The id of each element's inverse."""
+        return [self.index[p.inverse().images] for p in self.elems]
+
+    @cached_property
+    def conjugation_maps(self) -> list[list[int]]:
+        """For each generator g, the element-id map x -> g^-1 x g, read off
+        g's column col (x -> x*g) as col[inv[col[inv[x]]]]: the map
+        f = x -> col[inv[x]] applied twice."""
+        at_inverses = take(self.inv)  # at_inverses(col) is f
+        return [list(take(f)(f)) for f in map(at_inverses, self.gen_cols)]
+
+    @cached_property
+    def inv_gen_cols(self) -> list[list[int] | array]:
+        """The column of each generator's inverse."""
+        return [self.column(self.inv[self.index[g.images]]) for g in self.generators]
+
+    @cached_property
+    def gen_ids(self) -> list[int]:
+        return sorted({self.index[g.images] for g in self.generators} - {0})
+
+    def word(self, h: int) -> list[int]:
+        """The generators whose product is h, first factor first."""
+        word = []
+        while h:
+            word.append(self._letter[h])
+            h = self._parent[h]
+        return word[::-1]
+
+    def column(self, g: int) -> list[int] | array:
+        """The right-multiplication map x -> x*g, composed from generator
+        columns along the Schreier tree.
+
+        Each g > 0 is p*s for its tree parent p and one generator s, so
+        x*g = (x*p)*s and column(g) is generator s's column read at every
+        entry of column(p): one take of n entries and no permutation
+        product. The walk goes up to the nearest cached ancestor and
+        composes back down in temporary tuples; only column(g) is cached,
+        as a compact id array, which holds far less than a tuple of n ints.
+        Caching every column on the path as well held more than twice the
+        columns for no measurable gain in time."""
+        columns = self._columns
+        col = columns.get(g)
+        if col is None:
+            letters = []
+            x = g
+            while x not in columns:
+                letters.append(self._letter[x])
+                x = self._parent[x]
+            col = columns[x]
+            for s in reversed(letters):
+                col = take(col)(self.gen_cols[s])
+            col = columns[g] = _id_array(self.n, col)
+        return col
+
+    def cosets(self, base: list[int], gen_ids,
+               bail_above: int | None = None) -> list[list[int]] | None:
+        """The right cosets of the subgroup H listed in ``base`` that make up
+        the subgroup K generated by ``gen_ids``; these must generate K on
+        their own, so they include generators of H.
+
+        Dimino's coset extension (Butler, Fundamental Algorithms for
+        Permutation Groups, LNCS 559, 1991): K is the union of the cosets
+        reached from H by right multiplication with its generators, and the
+        image of a coset C under the generator column col is the coset
+        [col[x] for x in C], which is new exactly when col[C[0]] is. So each
+        element of K costs one lookup, done for a whole coset by one take
+        built at the coset's first new image, and only one element per coset
+        and generator is tested against the set. Each coset keeps the order
+        of ``base``: when ``base`` starts with the identity, every coset
+        starts with its representative, and the representatives come in
+        breadth-first order.
+        With bail_above set, returns None as soon as K has more elements
+        than that."""
+        cap = self.n if bail_above is None else bail_above
+        if len(base) > cap:
+            return None
+        cols = [self.column(g) for g in gen_ids]
+        seen = set(base)
+        out = [base]
+        for coset in out:  # grows as new cosets are met
+            image_of = None  # built at the coset's first new image
+            for col in cols:
+                if col[coset[0]] not in seen:
+                    if image_of is None:
+                        image_of = take(coset)
+                    image = image_of(col)
+                    seen.update(image)
+                    out.append(image)
+                    if len(seen) > cap:
+                        return None
+        return out
+
+    def join(self, ids, gen_ids, bail_above: int | None = None) -> frozenset[int] | None:
+        """The subgroup generated by the subgroup ``ids`` and ``gen_ids``, as
+        the union of its cosets; gen_ids must generate it on their own.
+        With bail_above set, returns None once it exceeds that size."""
+        out = self.cosets(list(ids), gen_ids, bail_above)
+        return None if out is None else frozenset(chain.from_iterable(out))
+
+    def _span(self, seed_ids) -> tuple[list[int], frozenset[int]]:
+        """The subgroup generated by the given element ids, and the ids it
+        was grown from: in increasing order, each id outside the subgroup
+        of those before it is joined onto that subgroup."""
+        gens: list[int] = []
+        have: frozenset[int] = frozenset({0})
+        for x in sorted(set(seed_ids)):
+            if x not in have:
+                gens.append(x)
+                have = self.join(have, gens)
+        return gens, have
+
+    def closure(self, seed_ids) -> frozenset[int]:
+        """Subgroup generated by the given element ids."""
+        return self._span(seed_ids)[1]
+
+    def normal_closure(self, seed_ids) -> frozenset[int]:
+        """Smallest normal subgroup containing seed_ids.
+
+        A subgroup is normal once each generator of the group conjugates
+        each of its generators into it, so each round conjugates only the
+        generators added in the round before and joins them onto the
+        subgroup."""
+        gens = set(seed_ids) - {0}
+        current = self.closure(gens)
+        fresh = gens
+        while fresh:
+            fresh = {y for x in fresh for cmap in self.conjugation_maps
+                     if (y := cmap[x]) not in current}
+            if fresh:
+                gens |= fresh
+                current = self.join(current, gens)
+        return current
+
+    def generating_ids(self, ids: frozenset[int]) -> list[int]:
+        """A small deterministic generating set for the subgroup ``ids``."""
+        return self._span(ids)[0]
+
+    def conjugate_set(self, ids: frozenset[int], gen_index: int) -> frozenset[int]:
+        return frozenset(take(ids)(self.conjugation_maps[gen_index]))
+
+    def conjugation_orbit(self, ids: frozenset[int]) -> dict:
+        """Conjugation orbit of a subgroup under the whole group, as the
+        Schreier tree of orbit: move k conjugates by generator k."""
+        gens = range(len(self.conjugation_maps))
+        return orbit(ids, lambda s: [self.conjugate_set(s, gi) for gi in gens])
 
 
 class _ChainLevel:
@@ -159,7 +346,7 @@ class PermGroup:
 
     def elements(self) -> list[Permutation]:
         """All elements, identity first, in a deterministic closure order."""
-        return self.enumeration.elements
+        return self.enumeration.elems
 
     @property
     def element_index(self) -> dict[tuple[int, ...], int]:
@@ -167,46 +354,15 @@ class PermGroup:
 
     @cached_property
     def enumeration(self) -> Enumeration:
-        """The elements as the breadth-first orbit of the identity under
-        right multiplication by the generators, keeping the Schreier tree
-        and the generator columns that the orbit computes on the way."""
+        """The elements as element ids, with their Schreier tree, columns
+        and arithmetic, listed once and checked against the chain's order."""
         n = self.order
         if n > ENUM_CAP:
             raise CapExceeded(f"group order {n} exceeds cap {ENUM_CAP}")
-        gens = [g.images for g in self.generators]
-        elems = [self.identity()]
-        index = {elems[0].images: 0}
-        parent, letter = [0], [0]
-        cols: list[list[int]] = [[] for _ in gens]
-        for x, p in enumerate(elems):  # grows as new elements are met
-            times = take(p.images)  # times(g) is the image tuple of p * g
-            for k, g in enumerate(gens):
-                images = times(g)
-                y = index.get(images)
-                if y is None:
-                    y = len(elems)
-                    index[images] = y
-                    elems.append(Permutation._trusted(images))
-                    parent.append(x)
-                    letter.append(k)
-                cols[k].append(y)
-        if len(elems) != n:
-            raise CovnumError(f"enumerated {len(elems)} elements, chain order {n}")
-        return Enumeration(elems, index, parent, letter, cols)
-
-    @cached_property
-    def inverses(self) -> list[int]:
-        """The id of each element's inverse."""
-        index = self.element_index
-        return [index[p.inverse().images] for p in self.elements()]
-
-    @cached_property
-    def conjugation_maps(self) -> list[list[int]]:
-        """For each generator g, the element-id map x -> g^-1 x g, read off
-        g's column col (x -> x*g) as col[inv[col[inv[x]]]]: the map
-        f = x -> col[inv[x]] applied twice."""
-        at_inverses = take(self.inverses)  # at_inverses(col) is f
-        return [list(take(f)(f)) for f in map(at_inverses, self.enumeration.columns)]
+        enum = Enumeration(self.degree, self.generators)
+        if enum.n != n:
+            raise CovnumError(f"enumerated {enum.n} elements, chain order {n}")
+        return enum
 
     def is_cyclic(self) -> bool:
         if self.order == 1:
@@ -281,7 +437,7 @@ def class_labels(pairs: list[tuple[int, int]]) -> list[str]:
 
 def _conjugacy_classes(group: PermGroup) -> tuple[ConjClassTable, list[int]]:
     elems = group.elements()
-    maps = group.conjugation_maps
+    maps = group.enumeration.conjugation_maps
     n = len(elems)
     assigned = [False] * n
     assigned[0] = True  # identity excluded

@@ -126,7 +126,7 @@ class Permutation:
 
     @cached_property
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return math.lcm(*map(len, self.cycles()))  # lcm() of nothing is 1
 
     def moved(self) -> list[int]:
         return [x for x, y in enumerate(self.images) if x != y]

@@ -18,7 +18,6 @@ from .errors import CovnumError, CyclicGroup, OutOfRange, Undecided, Unknown
 from .groups import PermGroup
 from .subgroups import (
     MaxClassSet,
-    algebra,
     all_subgroups,  # not called here: perfbench/workloads.py patches registry.all_subgroups
     chief_series,
     complements,
@@ -179,7 +178,7 @@ def is_sigma_elementary(group: PermGroup,
         if not result.optimal:
             raise Undecided("sigma(G) did not close within budget")
         sigma = result.upper
-    alg = algebra(group)
+    alg = group.enumeration
     cls = group.conjugacy_classes()
     reps = [alg.index[c.rep.images] for c in cls.classes]
     spans = [alg.closure([x]) for x in [0] + reps]

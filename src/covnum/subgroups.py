@@ -1,20 +1,17 @@
 """Subgroup-level structure for enumerable permutation groups.
 
-Everything here works on element-id sets: the parent group is enumerated
-once, each subgroup is carried as a frozenset of element indices, and the
-expensive operations (joins, conjugation orbits, intersections) become
-index maps and set arithmetic. Right multiplication by an element is an id
-column composed from the enumeration's generator columns, and a join <H, a>
-is grown as a union of right cosets of H, each the image of a known coset
-under one generator column. Every index map, from a column composition to a
-coset image, a conjugate subgroup or an atom permutation, is applied whole
-by perms.take at C speed, not entry by entry. All orderings are
-deterministic.
+Everything here works on element-id sets: each subgroup is carried as a
+frozenset of its parent's element ids, and the expensive operations (joins,
+conjugation orbits, intersections) become index maps and set arithmetic on
+the parent's groups.Enumeration, which grows a join <H, a> as a union of
+right cosets of H, each the image of a known coset under one id column.
+Every index map, from a coset image to a conjugate subgroup or an atom
+permutation, is applied whole by perms.take at C speed, not entry by entry.
+All orderings are deterministic.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -29,175 +26,12 @@ from .errors import (
     OutOfRange,
     ParseError,
 )
-from .groups import PermGroup, label_index, orbit
+from .groups import Enumeration, PermGroup, label_index, orbit
 from .perms import Permutation, format_cycles, parse_permutation, take
 
 
 LATTICE_MAX_ORDER = 5000  # largest group whose subgroup lattice is walked
 COSET_DEGREE_MAX = 20000  # largest coset action that coset_action builds
-
-
-def _id_array(n: int, ids) -> array:
-    """Element ids of a group of order n, two bytes each up to 65536
-    elements and four above."""
-    return array("H" if n <= 65536 else "I", ids)
-
-
-class _Algebra:
-    """Element-id arithmetic for one enumerated group, done on integer
-    columns: column(g) is the map x -> x*g on element ids. The generator
-    columns come with the enumeration; every other column is composed from
-    them and cached. The group's inverse table and conjugation maps are read
-    once; the algebra keeps no reference to the group itself."""
-
-    def __init__(self, group: PermGroup):
-        enum = group.enumeration
-        self.generators = group.generators
-        self.elems = enum.elements
-        self.index = enum.index
-        self.n = len(self.elems)
-        self.inv = group.inverses
-        self.conjugation_maps = group.conjugation_maps
-        self.gen_cols = enum.columns
-        self._parent, self._letter = enum.parent, enum.letter
-        self._columns = {0: _id_array(self.n, range(self.n))}
-        for g, col in zip(self.generators, self.gen_cols):
-            self._columns.setdefault(self.index[g.images], col)
-
-    @cached_property
-    def inv_gen_cols(self) -> list[list[int] | array]:
-        """The column of each generator's inverse."""
-        return [self.column(self.inv[self.index[g.images]]) for g in self.generators]
-
-    def column(self, g: int) -> list[int] | array:
-        """The right-multiplication map x -> x*g, composed from generator
-        columns along the enumeration's Schreier tree.
-
-        Each g > 0 is p*s for its tree parent p and one generator s, so
-        x*g = (x*p)*s and column(g) is generator s's column read at every
-        entry of column(p): one take of n entries and no permutation
-        product. The walk goes up to the nearest cached ancestor and
-        composes back down in temporary tuples; only column(g) is cached,
-        as a compact id array, which holds far less than a tuple of n ints.
-        Caching every column on the path as well held more than twice the
-        columns for no measurable gain in time."""
-        columns = self._columns
-        col = columns.get(g)
-        if col is None:
-            letters = []
-            x = g
-            while x not in columns:
-                letters.append(self._letter[x])
-                x = self._parent[x]
-            col = columns[x]
-            for s in reversed(letters):
-                col = take(col)(self.gen_cols[s])
-            col = columns[g] = _id_array(self.n, col)
-        return col
-
-    @cached_property
-    def gen_ids(self) -> list[int]:
-        return sorted({self.index[g.images] for g in self.generators} - {0})
-
-    def cosets(self, base: list[int], gen_ids,
-               bail_above: int | None = None) -> list[list[int]] | None:
-        """The right cosets of the subgroup H listed in ``base`` that make up
-        the subgroup K generated by ``gen_ids``; these must generate K on
-        their own, so they include generators of H.
-
-        Dimino's coset extension (Butler, Fundamental Algorithms for
-        Permutation Groups, LNCS 559, 1991): K is the union of the cosets
-        reached from H by right multiplication with its generators, and the
-        image of a coset C under the generator column col is the coset
-        [col[x] for x in C], which is new exactly when col[C[0]] is. So each
-        element of K costs one lookup, done for a whole coset by one take
-        built at the coset's first new image, and only one element per coset
-        and generator is tested against the set. Each coset keeps the order
-        of ``base``: when ``base`` starts with the identity, every coset
-        starts with its representative, and the representatives come in
-        breadth-first order.
-        With bail_above set, returns None as soon as K has more elements
-        than that."""
-        cap = self.n if bail_above is None else bail_above
-        if len(base) > cap:
-            return None
-        cols = [self.column(g) for g in gen_ids]
-        seen = set(base)
-        out = [base]
-        for coset in out:  # grows as new cosets are met
-            image_of = None  # built at the coset's first new image
-            for col in cols:
-                if col[coset[0]] not in seen:
-                    if image_of is None:
-                        image_of = take(coset)
-                    image = image_of(col)
-                    seen.update(image)
-                    out.append(image)
-                    if len(seen) > cap:
-                        return None
-        return out
-
-    def join(self, ids, gen_ids, bail_above: int | None = None) -> frozenset[int] | None:
-        """The subgroup generated by the subgroup ``ids`` and ``gen_ids``, as
-        the union of its cosets; gen_ids must generate it on their own.
-        With bail_above set, returns None once it exceeds that size."""
-        out = self.cosets(list(ids), gen_ids, bail_above)
-        return None if out is None else frozenset(chain.from_iterable(out))
-
-    def _span(self, seed_ids) -> tuple[list[int], frozenset[int]]:
-        """The subgroup generated by the given element ids, and the ids it
-        was grown from: in increasing order, each id outside the subgroup
-        of those before it is joined onto that subgroup."""
-        gens: list[int] = []
-        have: frozenset[int] = frozenset({0})
-        for x in sorted(set(seed_ids)):
-            if x not in have:
-                gens.append(x)
-                have = self.join(have, gens)
-        return gens, have
-
-    def closure(self, seed_ids) -> frozenset[int]:
-        """Subgroup generated by the given element ids."""
-        return self._span(seed_ids)[1]
-
-    def normal_closure(self, seed_ids) -> frozenset[int]:
-        """Smallest normal subgroup containing seed_ids.
-
-        A subgroup is normal once each generator of the group conjugates
-        each of its generators into it, so each round conjugates only the
-        generators added in the round before and joins them onto the
-        subgroup."""
-        gens = set(seed_ids) - {0}
-        current = self.closure(gens)
-        fresh = gens
-        while fresh:
-            fresh = {y for x in fresh for cmap in self.conjugation_maps
-                     if (y := cmap[x]) not in current}
-            if fresh:
-                gens |= fresh
-                current = self.join(current, gens)
-        return current
-
-    def generating_ids(self, ids: frozenset[int]) -> list[int]:
-        """A small deterministic generating set for the subgroup ``ids``."""
-        return self._span(ids)[0]
-
-    def conjugate_set(self, ids: frozenset[int], gen_index: int) -> frozenset[int]:
-        return frozenset(take(ids)(self.conjugation_maps[gen_index]))
-
-    def conjugation_orbit(self, ids: frozenset[int]) -> dict:
-        """Conjugation orbit of a subgroup under the whole group, as the
-        Schreier tree of groups.orbit: move k conjugates by generator k."""
-        gens = range(len(self.conjugation_maps))
-        return orbit(ids, lambda s: [self.conjugate_set(s, gi) for gi in gens])
-
-
-def algebra(group: PermGroup) -> _Algebra:
-    """The group's element-id arithmetic, built once and kept on the group."""
-    alg = getattr(group, "_algebra", None)
-    if alg is None:
-        alg = group._algebra = _Algebra(group)
-    return alg
 
 
 def smallest_prime_factor(n: int) -> int:
@@ -240,7 +74,7 @@ class Subgroup:
     @cached_property
     def generators(self) -> tuple[Permutation, ...]:
         """A small deterministic generating set, built when first read."""
-        alg = algebra(self.parent)
+        alg = self.parent.enumeration
         return take(alg.generating_ids(self.elements) or [0])(alg.elems)
 
     def __repr__(self) -> str:
@@ -250,7 +84,7 @@ class Subgroup:
 def subgroup_from_gens(group: PermGroup, gens) -> Subgroup:
     """The subgroup generated by outside permutations, checked to lie in the
     group. Its ``generators`` are built from its elements, not kept."""
-    alg = algebra(group)
+    alg = group.enumeration
     seed = []
     for g in gens:
         if g.images not in alg.index:
@@ -263,7 +97,7 @@ def subgroup_from_gens(group: PermGroup, gens) -> Subgroup:
 # Subgroup lattice by breadth-first join closure
 # ---------------------------------------------------------------------------
 
-def _atoms(alg: _Algebra, subject) -> tuple[list[tuple[frozenset[int], int]], dict[int, int]]:
+def _atoms(alg: Enumeration, subject) -> tuple[list[tuple[frozenset[int], int]], dict[int, int]]:
     """The cyclic subgroups of prime-power order among the sorted ids
     ``subject``, with one generator id each, and the map from each element
     id generating one of them to its index."""
@@ -292,7 +126,7 @@ def _atoms(alg: _Algebra, subject) -> tuple[list[tuple[frozenset[int], int]], di
     return atoms, {x: position[ids] for x, ids in generates.items()}
 
 
-def _normalizer(alg: _Algebra, tree: dict) -> tuple[frozenset[int], list[tuple[int, ...]]]:
+def _normalizer(alg: Enumeration, tree: dict) -> tuple[frozenset[int], list[tuple[int, ...]]]:
     """N_G(H) for the root H of a conjugation-orbit tree, with a generating
     set given as words in the group generators.
 
@@ -354,7 +188,7 @@ def _lattice_classes(group: PermGroup, lattice_max_order: int = LATTICE_MAX_ORDE
     generator's permutation of the atoms comes from its conjugation map, and
     a normalizer generator acts as its word in those permutations, composed
     with take.
-    Each join <H, a> is grown by coset images (_Algebra.cosets; Butler,
+    Each join <H, a> is grown by coset images (Enumeration.cosets; Butler,
     Fundamental Algorithms for Permutation Groups, 1991) from the larger of
     H and <a>, and it stops as soon as it outgrows every proper overgroup of
     H: such an overgroup has index a proper divisor of [G:H], so at most
@@ -379,12 +213,12 @@ def _lattice_classes(group: PermGroup, lattice_max_order: int = LATTICE_MAX_ORDE
     Each class keeps the generators of the join that found it, so nothing
     is spanned again from the identity. Given the ids of a normal subgroup
     N as ``within``, the walk gives the G-classes of N's subgroups on G's
-    algebra: the atoms are N's, every join stays in N, N_G(H) permutes them,
+    element ids: the atoms are N's, every join stays in N, N_G(H) permutes them,
     and the overgroup bound, atom-pair sets and flag (maximal in N) read |N|.
     """
     if group.order > lattice_max_order:
         raise BudgetExceeded(f"lattice budget: order {group.order} > {lattice_max_order}")
-    alg = algebra(group)
+    alg = group.enumeration
     subject = range(alg.n) if within is None else sorted(within)
     atoms, atom_of = _atoms(alg, subject)
     # letter k of a normalizer word moves the atoms as generator k does,
@@ -554,7 +388,7 @@ def maximal_classes_computed(group: PermGroup,
             supplements = _supplement_classes(normal, lattice_max_order)
         except BudgetExceeded:
             break
-        alg = algebra(current)
+        alg = current.enumeration
         cosets = alg.cosets(sorted(normal.elements), alg.gen_ids)
         current = coset_action(normal)[0]
         levels.append((current, cosets, supplements))
@@ -581,9 +415,9 @@ def _supplement_classes(normal: Subgroup,
     N_G(K) by maximality, with N_G(K)N = G. Every such candidate lies in a
     maximal subgroup with the same property, and that is a candidate too, so
     the maximal ones are the candidates inside no other candidate. One K is
-    taken per G-class of N's subgroups, walked within N on G's algebra."""
+    taken per G-class of N's subgroups, walked within N on G's element ids."""
     group = normal.parent
-    alg = algebra(group)
+    alg = group.enumeration
     candidates: list[list[frozenset[int]]] = []
     seen: set[frozenset[int]] = set()
     for ids in complements(Subgroup(group, frozenset({0})), normal):
@@ -625,7 +459,7 @@ def complements(low: Subgroup, high: Subgroup) -> list[frozenset[int]]:
     extended. Each join stops above |G||low|/|high| elements, and
     BudgetExceeded comes before more than |G||high|/|low| joins, which
     bounds the search by about |G|^2 element steps."""
-    alg = algebra(high.parent)
+    alg = high.parent.enumeration
     xs: list[int] = []
     orders: list[int] = []  # |P_i| = |L_i||low|/|high|
     span = high.elements
@@ -671,7 +505,7 @@ def maximal_classes_from_file(group: PermGroup, text: str) -> MaxClassSet:
     check of _verify_maximal, the lattice walk's test: joining any coset
     representative to the listed generators must generate the whole group.
     """
-    alg = algebra(group)
+    alg = group.enumeration
     entries = _parse_maximal_file(text, group.degree)
     orbits = []
     seen_sets: set[frozenset[int]] = set()
@@ -697,7 +531,7 @@ def _coset_decomposition(sub: Subgroup) -> tuple[list[int], dict[int, int]]:
     breadth-first order under the group generators) and the map element
     id -> coset number. Each coset is the image of an earlier one under a
     generator column, so no permutation is multiplied."""
-    alg = algebra(sub.parent)
+    alg = sub.parent.enumeration
     cosets = alg.cosets(sorted(sub.elements), alg.gen_ids)
     rep_ids = [coset[0] for coset in cosets]
     coset_of = {x: c for c, coset in enumerate(cosets) for x in coset}
@@ -717,7 +551,7 @@ def _verify_maximal(sub: Subgroup, gen_ids: list[int]) -> None:
     overgroup of H is larger."""
     if sub.index == 1:
         raise IngestInvalid("not maximal: the listed subgroup is the whole group")
-    alg = algebra(sub.parent)
+    alg = sub.parent.enumeration
     rep_ids, coset_of = _coset_decomposition(sub)
     hcols = [alg.column(g) for g in gen_ids]
     proper_cap = alg.n // smallest_prime_factor(sub.index)
@@ -792,7 +626,7 @@ def format_maximal_file(mx: MaxClassSet) -> str:
 def normal_core(sub: Subgroup) -> Subgroup:
     """Largest normal subgroup of the parent inside sub: the intersection of
     all conjugates."""
-    alg = algebra(sub.parent)
+    alg = sub.parent.enumeration
     core = set(sub.elements)
     for member in alg.conjugation_orbit(sub.elements):
         core &= member
@@ -808,7 +642,7 @@ def coset_action(sub: Subgroup) -> tuple[PermGroup, Subgroup]:
     index = sub.index
     if index > COSET_DEGREE_MAX:
         raise IndexTooLarge(f"index {index} exceeds {COSET_DEGREE_MAX}")
-    alg = algebra(group)
+    alg = group.enumeration
     rep_ids, coset_of = _coset_decomposition(sub)
     at_reps = take(rep_ids)  # r -> coset_of[col[r]] is a generator's image
     image_gens = [Permutation(take(at_reps(col))(coset_of)) for col in alg.gen_cols]
@@ -830,7 +664,7 @@ def normal_subgroups(group: PermGroup) -> list[Subgroup]:
     the same joins, so one is kept per closure. The join of N with the
     closure of x is the normal closure of x and the representatives N was
     built from."""
-    alg = algebra(group)
+    alg = group.enumeration
     singles = _class_closures(group)
     found = [(ids, [x]) for ids, x in singles.items()]
     seen = {frozenset({0}), *singles}
@@ -847,7 +681,7 @@ def normal_subgroups(group: PermGroup) -> list[Subgroup]:
 def _class_closures(group: PermGroup) -> dict[frozenset[int], int]:
     """The normal closure of each conjugacy class representative, keyed by
     its elements, with the first representative that gives it."""
-    alg = algebra(group)
+    alg = group.enumeration
     singles: dict[frozenset[int], int] = {}
     for cls in group.conjugacy_classes():
         x = alg.index[cls.rep.images]

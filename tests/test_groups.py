@@ -124,9 +124,10 @@ def test_conjugation_maps_and_inverses_match_permutations():
     atom moves in the lattice walk."""
     for group in [library.group(key) for key in library.names()] + library.solvable_suite():
         elems, index = group.elements(), group.element_index
-        assert group.inverses == [index[p.inverse().images] for p in elems]
-        assert group.conjugation_maps == [[index[p.conjugated_by(g).images] for p in elems]
-                                          for g in group.generators]
+        enum = group.enumeration
+        assert enum.inv == [index[p.inverse().images] for p in elems]
+        assert enum.conjugation_maps == [[index[p.conjugated_by(g).images] for p in elems]
+                                         for g in group.generators]
 
 
 def test_orbit_keeps_discovery_order():

@@ -3,7 +3,6 @@ import pytest
 from covnum import library
 from covnum.errors import ParseError
 from covnum.incidence import incidence_profile, parse_profile, render_profile
-from covnum.subgroups import algebra
 
 
 def _profile(key):
@@ -40,7 +39,7 @@ def test_counts_match_direct_membership(key):
     group = library.group(key)
     mx = library.maximals(key)
     prof = _profile(key)
-    alg = algebra(group)
+    alg = group.enumeration
     assignment = group.class_assignment()
     elems = group.elements()
     brute_classes = [{x.conjugated_by(g).images for g in elems}

@@ -129,3 +129,24 @@ def test_index_maps_go_through_take():
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')} itemgetter")
     assert len(SOURCES) > 10
     assert found == []
+
+
+def test_only_groups_reads_the_enumeration_tree():
+    """One owner for element ids: only groups.py reads the Schreier tree of
+    an enumeration (``_parent``, ``_letter``), as an attribute or by name,
+    and no module names the retired ``_Algebra`` or ``algebra``."""
+    tree, retired = {"_parent", "_letter"}, {"_Algebra", "algebra"}
+    found = []
+    owner_reads = 0
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            named = node.attr if isinstance(node, ast.Attribute) else \
+                node.id if isinstance(node, ast.Name) else \
+                node.name if isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef)) \
+                else node.value if isinstance(node, ast.Constant) else None
+            if named in tree and path.name == "groups.py":
+                owner_reads += 1
+            elif named in tree or named in retired:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {named}")
+    assert owner_reads > 0
+    assert found == []

@@ -8,13 +8,12 @@ from operator import itemgetter
 import pytest
 
 from covnum import library, subgroups
-from covnum.errors import BudgetExceeded, IngestInvalid, NoSupplement, ParseError
-from covnum.groups import PermGroup, format_group_file, parse_group_file
+from covnum.errors import BudgetExceeded, IndexTooLarge, IngestInvalid, NoSupplement, ParseError
+from covnum.groups import Enumeration, PermGroup, format_group_file, parse_group_file
 from covnum.perms import Permutation, format_cycles, parse_permutation
 from covnum.subgroups import (
     LATTICE_MAX_ORDER,
     Subgroup,
-    algebra,
     all_subgroups,
     complements,
     coset_action,
@@ -52,7 +51,7 @@ def reference_subgroups(group):
     bail-out, and each new join adds its whole conjugation orbit. A subgroup
     is the join of the prime-power cyclic subgroups inside it, one at a
     time, so some representative reaches each class."""
-    alg = algebra(group)
+    alg = group.enumeration
     atoms = {}
     for x in range(1, alg.n):
         k, p = alg.elems[x].order, 2
@@ -86,7 +85,7 @@ def _record_walk_joins(monkeypatch, group):
     (H's generator ids, ids, gen_ids, bail_above, H's proper-overgroup cap,
     result). H, the class representative being joined, is keyed by the
     generators it was admitted with: every generator but the atom's."""
-    join = subgroups._Algebra.join
+    join = Enumeration.join
     orders = {}
     calls = []
 
@@ -100,7 +99,7 @@ def _record_walk_joins(monkeypatch, group):
             calls.append((h, ids, gen_ids, bail_above, cap, joined))
         return joined
 
-    monkeypatch.setattr(subgroups._Algebra, "join", recording)
+    monkeypatch.setattr(Enumeration, "join", recording)
     subgroups._lattice_classes(group)
     monkeypatch.undo()
     return calls
@@ -134,7 +133,7 @@ def test_join_stopped_inside_an_overgroup_is_that_overgroup(monkeypatch, key):
     """A join that stops below H's proper-overgroup cap is, with no cap, a
     join that the same H completed earlier: the overgroup it was capped by."""
     group = library.group(key)
-    alg = algebra(group)
+    alg = group.enumeration
     completed = {}
     stops = 0
     for h, ids, gen_ids, bail_above, cap, joined in _record_walk_joins(monkeypatch, group):
@@ -180,6 +179,8 @@ WITHIN_SHA256 = {
     "S6": "4ac873c9912f77ae55007998e9d0a6321225105cbdd6975b0cd7d845c7ba1d87",
     "PGL27": "cc4750203ad3f2ca52f2c358edc53991c0311f44c200e80cefbee906c4a5fd91",
 }
+# the same key within N = A5 x A5 of A5 wr 2, at a 10,000 cap
+A5_WR_2_WITHIN_SHA256 = "3c8508f959fade0bcc78a6b42170ceb5f83a851fe0c8f6b1eab6069a25b7624b"
 
 
 def _walk_sha256(walk):
@@ -208,6 +209,21 @@ def test_walk_within_a_normal_subgroup_is_pinned(key):
         WITHIN_SHA256[key]
 
 
+def a5_wr_2():
+    """A5 wr 2 on 10 points, of order 7200: its one minimal normal subgroup
+    is A5 x A5, a direct power, whose subgroups include diagonals."""
+    gens = ["(1,2,3,4,5)", "(1,2,3)", "(1,6)(2,7)(3,8)(4,9)(5,10)"]
+    return PermGroup(10, [parse_permutation(t, 10) for t in gens], name="A5 wr 2")
+
+
+def test_walk_within_the_socle_of_a5_wr_2_is_pinned():
+    """The same pin within a minimal normal subgroup that is not simple."""
+    group = a5_wr_2()
+    (normal,) = minimal_normal_subgroups(group)
+    walk = subgroups._lattice_classes(group, 10_000, normal.elements)
+    assert _walk_sha256(walk) == A5_WR_2_WITHIN_SHA256
+
+
 @pytest.mark.parametrize("key", ["S6", "AGL32"])
 def test_all_subgroups_builds_generators_only_for_the_walk(monkeypatch, key):
     """A subgroup's generating set is built when it is first read, and the
@@ -215,13 +231,13 @@ def test_all_subgroups_builds_generators_only_for_the_walk(monkeypatch, key):
     all_subgroups builds none, against 1,501 (S6) and 3,384 (AGL32) when
     every subgroup it returns got one."""
     made = []
-    generating_ids = subgroups._Algebra.generating_ids
+    generating_ids = Enumeration.generating_ids
 
     def counting(self, ids):
         made.append(None)
         return generating_ids(self, ids)
 
-    monkeypatch.setattr(subgroups._Algebra, "generating_ids", counting)
+    monkeypatch.setattr(Enumeration, "generating_ids", counting)
     subs = all_subgroups(library.group(key))
     assert made == []
     assert subs[1].generators and len(made) == 1
@@ -229,12 +245,12 @@ def test_all_subgroups_builds_generators_only_for_the_walk(monkeypatch, key):
 
 @pytest.mark.parametrize("key", ["S5", "S6", "PGL27", "A5xA5"])
 def test_walk_within_a_normal_subgroup_gives_its_g_classes(key):
-    """Walked within G's first minimal normal subgroup N, on G's algebra,
+    """Walked within G's first minimal normal subgroup N, on G's element ids,
     the lattice is the G-conjugacy classes of the subgroups of N, each as
     its whole orbit, and a class is flagged maximal exactly when it is
     maximal in N."""
     group = library.group(key) if key in library.names() else PRODUCTS[key]()
-    alg = algebra(group)
+    alg = group.enumeration
     normal = minimal_normal_subgroups(group)[0].elements
     inside = [s.elements for s in all_subgroups(group) if s.elements <= normal]
     expected = {}
@@ -288,7 +304,7 @@ def test_composed_columns_are_right_multiplication(make):
     ancestors at every depth."""
     group = make()
     group = PermGroup(group.degree, group.generators)  # a fresh column cache
-    alg = algebra(group)
+    alg = group.enumeration
     elems, index = group.elements(), group.element_index
     order = list(range(alg.n))
     random.Random(3).shuffle(order)
@@ -303,7 +319,7 @@ def test_coset_join_is_the_closure(key):
     by coset images is the closure of H's generators and a, and it is None
     exactly when that closure has more than bail_above elements."""
     group = library.group(key)
-    alg = algebra(group)
+    alg = group.enumeration
     subs = all_subgroups(group)
     atoms = [gen for _, gen in subgroups._atoms(alg, range(alg.n))[0]]
     rng = random.Random(11)
@@ -357,7 +373,7 @@ def test_m11_bundled_maximals_are_a_fixed_point(data_dir):
 @pytest.mark.parametrize("key", ["S4", "A5"])
 def test_subgroup_generators_generate_it(key):
     group = library.group(key)
-    alg = algebra(group)
+    alg = group.enumeration
     for sub in all_subgroups(group):
         assert alg.closure([group.element_index[g.images] for g in sub.generators]) \
             == sub.elements
@@ -371,7 +387,7 @@ def test_walk_normalizer_is_brute_force_normalizer(key):
     permutations, and the words it returns evaluate to elements that
     generate it."""
     group = library.group(key)
-    alg = algebra(group)
+    alg = group.enumeration
     elems = group.elements()
     gens = list(group.generators)
     letters = gens + [g.inverse() for g in gens]
@@ -408,7 +424,7 @@ def test_lattice_closed_under_conjugation_and_intersections():
     group = library.group("S4")
     subs = all_subgroups(group)
     sets = {s.elements for s in subs}
-    alg = algebra(group)
+    alg = group.enumeration
     for s in subs:
         for gi in range(len(group.generators)):
             assert alg.conjugate_set(s.elements, gi) in sets
@@ -478,7 +494,7 @@ def test_walk_and_route_on_groups_with_a_single_atom(key):
         quotient = coset_action(minimal_normal_subgroups(group)[0])[0]
         assert quotient.order == 2
         group = quotient
-    atoms = subgroups._atoms(algebra(group), range(group.order))[0]
+    atoms = subgroups._atoms(group.enumeration, range(group.order))[0]
     assert [len(ids) for ids, _ in atoms] == [group.order]
     walk = subgroups._lattice_classes(group)
     assert walk == [([frozenset({0})], True), ([frozenset(range(group.order))], False)]
@@ -491,7 +507,7 @@ def test_walk_and_route_on_groups_with_a_single_atom(key):
                                         ("AGL32", 1), ("A6", 0)])
 def test_maximal_route_builds_one_group_per_descent_step(monkeypatch, key, built):
     """The maximal route builds the quotient G/N at each step down and no
-    other group: N's subgroups are walked on G's own algebra. S5, S6 and
+    other group: N's subgroups are walked on G's own element ids. S5, S6 and
     PGL27 have a nonabelian N with a quotient of order 2, AGL32 an abelian
     N, and A6 is simple."""
     made = []
@@ -583,7 +599,7 @@ def check_ingest_against_lattice(group, subs, maximal):
     among ``subs`` (the whole lattice) as a one-class file: the check accepts
     it, as the class of its conjugates, exactly when it is in ``maximal``,
     and rejects it as not maximal otherwise."""
-    alg = algebra(group)
+    alg = group.enumeration
     seen = set()
     for sub in subs[:-1]:
         if sub.elements in seen:
@@ -638,7 +654,7 @@ def test_maximality_check_probes_once_per_double_coset(monkeypatch):
     text = resources.files("covnum.data").joinpath("m11.max").read_text()
     made = []
     rebuilt = []
-    join = subgroups._Algebra.join
+    join = Enumeration.join
 
     def counting(self, ids, gen_ids, bail_above=None):
         if bail_above is not None:
@@ -650,8 +666,8 @@ def test_maximality_check_probes_once_per_double_coset(monkeypatch):
 
     monkeypatch.setattr(subgroups, "PermGroup", forbidden)
     monkeypatch.setattr(Permutation, "__mul__", forbidden)
-    monkeypatch.setattr(subgroups._Algebra, "join", counting)
-    monkeypatch.setattr(subgroups._Algebra, "generating_ids",
+    monkeypatch.setattr(Enumeration, "join", counting)
+    monkeypatch.setattr(Enumeration, "generating_ids",
                         lambda self, ids: rebuilt.append(None))
     maximal_classes_from_file(group, text)
     assert len(made) == 14
@@ -691,12 +707,24 @@ def test_coset_action_examples():
     assert image.degree == 5 and image.order == 60 and kernel.order == 1
 
 
+def test_coset_action_refuses_a_degree_over_the_cap(monkeypatch):
+    """coset_action builds actions of degree up to COSET_DEGREE_MAX and
+    raises IndexTooLarge above it, before any coset is listed."""
+    c3 = _subgroup(library.group("S4"), "(1,2,3)")  # index 8
+    monkeypatch.setattr(subgroups, "COSET_DEGREE_MAX", 8)
+    image, kernel = coset_action(c3)
+    assert image.degree == 8 and image.order == 24 and kernel.order == 1
+    monkeypatch.setattr(subgroups, "COSET_DEGREE_MAX", 7)
+    with pytest.raises(IndexTooLarge, match="index 8 exceeds 7"):
+        coset_action(c3)
+
+
 def test_kernel_equals_normal_core_for_maximals():
     # reference: x lies in the kernel when r*x*r^-1 lies in H for every r in
     # G, so that x fixes every right coset H*r
     for key in ["S4", "A5", "D12", "PSL27"]:
         group = library.group(key)
-        alg = algebra(group)
+        alg = group.enumeration
         mult = _product_mult(group)
         for cls in maximal_classes_computed(group):
             image, kernel = coset_action(cls.rep)
@@ -822,7 +850,7 @@ def test_normal_closure_is_least_normal_overgroup(key):
             normals.append(images)
     assert [frozenset(elems[i].images for i in sub.elements)
             for sub in normal_subgroups(group)] == normals
-    alg = algebra(group)
+    alg = group.enumeration
     for cls in group.conjugacy_classes():
         expected = frozenset.intersection(
             *(n for n in normals if cls.rep.images in n))
