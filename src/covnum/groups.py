@@ -2,12 +2,14 @@
 element ids.
 
 The chain gives exact order and membership for any group generated here.
-Base points are always chosen as the smallest currently-moved point, and
-orbits are explored smallest-point-first, so element enumeration, class
-tables and everything downstream are reproducible run to run. A group's
-Enumeration numbers its elements and owns everything done on those numbers:
-the Schreier tree, the id columns, the inverse table, the conjugation maps,
-and the joins and closures that the subgroup and cover modules build on.
+It works on image tuples through ``perms.take`` and keeps only the inverse
+of each transversal element. Base points are always chosen as the smallest
+currently-moved point, and orbits are explored smallest-point-first, so
+element enumeration, class tables and everything downstream are
+reproducible run to run. A group's Enumeration numbers its elements and
+owns everything done on those numbers: the Schreier tree, the id columns,
+the conjugation maps, and the joins and closures that the subgroup and
+cover modules build on.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import cached_property
 from itertools import chain
 
 from .errors import CapExceeded, CovnumError, DegreeMismatch, ParseError, Unknown
-from .perms import Permutation, format_cycles, parse_permutation, take
+from .perms import Permutation, _inverse, format_cycles, parse_permutation, take
 
 ENUM_CAP = 10**6  # largest group whose elements are ever listed
 
@@ -62,7 +64,8 @@ class Enumeration:
     x * generator k. column(g) is the map x -> x*g for any g, composed from
     the generator columns along that Schreier tree and cached; cosets, join
     and closure grow subgroups from columns, and the conjugation action is
-    read off them with the inverse table. Only this class reads the tree.
+    read off the generator columns down the same tree. Only this class reads
+    the tree.
     It keeps the generators but no reference to their group."""
 
     def __init__(self, degree: int, generators):
@@ -94,22 +97,25 @@ class Enumeration:
             self._columns.setdefault(index[g], col)
 
     @cached_property
-    def inv(self) -> list[int]:
-        """The id of each element's inverse."""
-        return [self.index[p.inverse().images] for p in self.elems]
-
-    @cached_property
     def conjugation_maps(self) -> list[list[int]]:
-        """For each generator g, the element-id map x -> g^-1 x g, read off
-        g's column col (x -> x*g) as col[inv[col[inv[x]]]]: the map
-        f = x -> col[inv[x]] applied twice."""
-        at_inverses = take(self.inv)  # at_inverses(col) is f
-        return [list(take(f)(f)) for f in map(at_inverses, self.gen_cols)]
+        """For each generator g, the element-id map x -> g^-1 x g: g's column
+        read at left[x], the id of g^-1 x. left is read down the Schreier
+        tree: x is p*s for its tree parent p and one generator s, so
+        g^-1 x = (g^-1 p)*s and left[x] = gen_cols[s][left[p]], starting
+        from the id of g^-1 at the identity."""
+        parent, letter, cols = self._parent, self._letter, self.gen_cols
+        maps = []
+        for g, col in zip(self.generators, cols):
+            left = [self.index[g.inverse().images]]
+            for x in range(1, self.n):
+                left.append(cols[letter[x]][left[parent[x]]])
+            maps.append(list(take(left)(col)))
+        return maps
 
     @cached_property
     def inv_gen_cols(self) -> list[list[int] | array]:
         """The column of each generator's inverse."""
-        return [self.column(self.inv[self.index[g.images]]) for g in self.generators]
+        return [self.column(self.index[g.inverse().images]) for g in self.generators]
 
     @cached_property
     def gen_ids(self) -> list[int]:
@@ -244,72 +250,97 @@ class Enumeration:
 
 class _ChainLevel:
     """One stabilizer-chain level: a base point, the strong generators that
-    fix all earlier base points, and a transversal of the base orbit."""
+    fix all earlier base points, and the base orbit's inverse transversal.
 
-    __slots__ = ("base", "degree", "gens", "transversal")
+    Everything is an image tuple. Each strong generator is kept with its
+    inverse, and each orbit point p with u_p^-1 only, where u_p is the
+    transversal element that sends the base point to p: a sift step and a
+    Schreier-generator test each need u_p^-1, and u_p itself is needed only
+    for the rare Schreier generators that are not trivial."""
 
-    def __init__(self, base: int, degree: int):
+    __slots__ = ("base", "identity", "gens", "gen_invs", "inv_transversal")
+
+    def __init__(self, base: int, identity: tuple[int, ...]):
         self.base = base
-        self.degree = degree
-        self.gens: list[Permutation] = []
-        self.transversal: dict[int, Permutation] = {}
-        self.rebuild_orbit()
+        self.identity = identity
+        self.gens: list[tuple[int, ...]] = []
+        self.gen_invs: list[tuple[int, ...]] = []
+        self.inv_transversal = {base: identity}
 
-    def rebuild_orbit(self) -> None:
-        """The transversal down the Schreier tree of the base orbit."""
-        self.transversal = {}
-        for point, edge in orbit(self.base, lambda x: [g(x) for g in self.gens]).items():
-            self.transversal[point] = (Permutation.identity(self.degree) if edge is None
-                                       else self.transversal[edge[0]] * self.gens[edge[1]])
+    def extend(self, gens, gen_invs) -> None:
+        """Add strong generators, given with their inverses, and rebuild the
+        transversal down the Schreier tree of the base orbit: u_p = u_q*s
+        for p's tree parent q and generator s, so u_p^-1 = s^-1 * u_q^-1,
+        one take from the stored inverse of s."""
+        self.gens += gens
+        self.gen_invs += gen_invs
+        gens, invs = self.gens, self.gen_invs
+        inv_transversal: dict[int, tuple[int, ...]] = {}
+        for point, edge in orbit(self.base, lambda x: [s[x] for s in gens]).items():
+            inv_transversal[point] = (self.identity if edge is None
+                                      else take(invs[edge[1]])(inv_transversal[edge[0]]))
+        self.inv_transversal = inv_transversal
 
 
-def _sift(levels: list[_ChainLevel], g: Permutation, start: int = 0):
-    """Strip g through levels[start:]; return (residue, stop_level).
+def _sift(levels: list[_ChainLevel], g: tuple[int, ...], start: int = 0):
+    """Strip the image tuple g through levels[start:]; return (residue,
+    stop_level). Each step is g -> g * u^-1, one take.
 
     stop_level == len(levels) means g passed every transversal; the residue
     is then the identity exactly when g is a member.
     """
     for i in range(start, len(levels)):
         level = levels[i]
-        u = level.transversal.get(g(level.base))
-        if u is None:
+        u_inv = level.inv_transversal.get(g[level.base])
+        if u_inv is None:
             return g, i
-        g = g * u.inverse()
+        g = take(g)(u_inv)
     return g, len(levels)
 
 
-def _schreier_sims(degree: int, generators: list[Permutation]) -> list[_ChainLevel]:
-    gens = [g for g in generators if not g.is_identity()]
+def _schreier_sims(degree: int, generators: list[tuple[int, ...]]) -> list[_ChainLevel]:
+    """The stabilizer chain of the group generated by the image tuples
+    ``generators`` (Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, 2005, section 4.4). The Schreier generator u_p * g * u_{g(p)}^-1
+    is trivial exactly when g * u_{g(p)}^-1 equals u_p^-1, so only the
+    nontrivial ones are formed and sifted."""
+    identity = tuple(range(degree))
+    gens = [g for g in generators if g != identity]
     if not gens:
         return []
-    levels = [_ChainLevel(min(min(g.moved()) for g in gens), degree)]
-    levels[0].gens = list(gens)
-    levels[0].rebuild_orbit()
+    levels = [_ChainLevel(min(map(_first_moved, gens)), identity)]
+    levels[0].extend(gens, [_inverse(g) for g in gens])
     dirty = {0}
     while dirty:
         i = max(dirty)
         level = levels[i]
-        level.rebuild_orbit()
+        inv_transversal = level.inv_transversal
         clean = True
-        for point in sorted(level.transversal):
-            u = level.transversal[point]
-            for g in list(level.gens):
-                schreier = u * g * level.transversal[g(point)].inverse()
-                if schreier.is_identity():
+        for point in sorted(inv_transversal):
+            u_inv = inv_transversal[point]
+            for g in level.gens:
+                g_t_inv = take(g)(inv_transversal[g[point]])
+                if g_t_inv == u_inv:
                     continue
-                residue, j = _sift(levels, schreier, i + 1)
-                if residue.is_identity():
+                residue, j = _sift(levels, take(_inverse(u_inv))(g_t_inv), i + 1)
+                if residue == identity:
                     continue
                 clean = False
                 if j == len(levels):
-                    levels.append(_ChainLevel(min(residue.moved()), degree))
+                    levels.append(_ChainLevel(_first_moved(residue), identity))
+                residue_inv = _inverse(residue)
                 for k in range(i + 1, j + 1):
-                    levels[k].gens.append(residue)
-                    levels[k].rebuild_orbit()
+                    levels[k].extend([residue], [residue_inv])
                 dirty.update(range(j + 1))
         if clean:
             dirty.discard(i)
     return levels
+
+
+def _first_moved(images: tuple[int, ...]) -> int:
+    """The smallest point a nonidentity image tuple moves: the next base
+    point."""
+    return next(x for x, y in enumerate(images) if x != y)
 
 
 class PermGroup:
@@ -326,20 +357,20 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(generators)
         self.name = name
-        self._levels = _schreier_sims(degree, generators)
+        self._levels = _schreier_sims(degree, [g.images for g in generators])
 
     @cached_property
     def order(self) -> int:
         n = 1
         for level in self._levels:
-            n *= len(level.transversal)
+            n *= len(level.inv_transversal)
         return n
 
     def __contains__(self, g: Permutation) -> bool:
         if not isinstance(g, Permutation) or g.degree != self.degree:
             return False
-        residue, stop = _sift(self._levels, g)
-        return stop == len(self._levels) and residue.is_identity()
+        residue, stop = _sift(self._levels, g.images)
+        return stop == len(self._levels) and residue == tuple(range(self.degree))
 
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)

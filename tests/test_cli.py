@@ -16,6 +16,7 @@ from covnum.groups import format_group_file
 from covnum.perms import format_cycles
 from covnum.subgroups import format_maximal_file, maximal_classes_computed
 from covnum import library
+from test_subgroups import a5_wr_2
 
 
 def run(capsys, *argv):
@@ -261,6 +262,19 @@ def test_group_and_maximal_files(tmp_path, capsys):
                        "--maximals", str(mfile), "--format", "records")
     assert code == 0
     assert "sigma=10" in out and "provenance=ingested" in out
+
+
+def test_exact_a5_wr_2_from_a_file_brackets_57(tmp_path, capsys):
+    """The paper's A5 wr 2 (sigma 57, order 7200) lies over the default
+    lattice cap. At a 10,000 cap and a 2,000-node budget, exact computes its
+    maximal classes and prints a bracket that holds 57."""
+    gfile = tmp_path / "a5wr2.grp"
+    gfile.write_text(format_group_file(a5_wr_2()))
+    code, out, _ = run(capsys, "exact", "--file", str(gfile), "--max-lattice", "10000",
+                       "--max-nodes", "2000", "--format", "records")
+    assert code == 0
+    low, high = re.search(r" sigma=(\d+)(?:\.\.(\d+))? ", out).groups()
+    assert int(low) <= 57 <= int(high or low)
 
 
 @pytest.mark.parametrize("command", ["exact", "bounds", "sigma-elementary"])

@@ -1,9 +1,14 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from covnum import groups, library
 from covnum.errors import CapExceeded, ParseError
 from covnum.groups import PermGroup, format_group_file, orbit, parse_group_file
 from covnum.perms import Permutation, parse_permutation
+from covnum.subgroups import coset_action, minimal_normal_subgroups
+from test_subgroups import a5_wr_2
 
 
 def P(text, degree):
@@ -71,6 +76,57 @@ def test_membership_agrees_with_brute_force_closure(key):
         assert (odd in group) == (odd.images in closure)
 
 
+def _agl32_quotient():
+    """AGL(3,2)/N for its minimal normal subgroup N, the regular group of
+    degree 168 that the maximal route descends into."""
+    agl = library.group("AGL32")
+    return coset_action(minimal_normal_subgroups(agl)[0])[0]
+
+
+@pytest.mark.parametrize("make", [lambda: library.group("M11"), a5_wr_2, _agl32_quotient],
+                         ids=["M11", "A5wr2", "AGL32-quotient-168"])
+def test_chain_membership_past_the_closure_cap(make):
+    """Chains that the closure check above skips: two groups over its order
+    cap, and the regular quotient of degree 168, one level of 168
+    transversal tuples. The chain's order is the enumeration's size, every
+    element is a member, and a transposition, or a permutation drawn from
+    S_d with a fixed seed, is a member exactly when the enumeration lists
+    it."""
+    group = make()
+    enum = group.enumeration
+    assert group.order == enum.n
+    assert all(p in group for p in enum.elems)
+    d = group.degree
+    for a, b in combinations(range(d), 2):
+        images = list(range(d))
+        images[a], images[b] = b, a
+        assert (Permutation(images) in group) == (tuple(images) in enum.index)
+    rng = random.Random(2018)
+    for _ in range(300):
+        images = rng.sample(range(d), d)
+        assert (Permutation(images) in group) == (tuple(images) in enum.index)
+
+
+def test_chain_ignores_identity_and_repeated_generators():
+    a, b = P("(1,2,3,4,5)", 5), P("(1,2,3)", 5)
+    one = Permutation.identity(5)
+    a5 = PermGroup(5, [a, b])
+    for gens in ([one, a, one, b], [a, a, b, a, b]):
+        group = PermGroup(5, gens)
+        assert group.order == 60
+        assert {p.images for p in group.elements()} == {p.images for p in a5.elements()}
+        assert all((p in group) == (p in a5) for p in PermGroup(5, [a, P("(1,2)", 5)]).elements())
+
+
+def test_chain_of_degree_one():
+    for gens in ([], [Permutation.identity(1)], [Permutation.identity(1)] * 2):
+        group = PermGroup(1, gens)
+        assert group.order == 1
+        assert Permutation.identity(1) in group
+        assert group.elements() == [Permutation.identity(1)]
+        assert Permutation.identity(2) not in group
+
+
 def test_conjugacy_classes_a5():
     table = library.group("A5").conjugacy_classes()
     data = [(c.element_order, c.size) for c in table]
@@ -121,11 +177,13 @@ def test_conjugation_maps_and_inverses_match_permutations():
     """The maps read off the id columns send x to g^-1 x g, as
     Permutation.conjugated_by gives it, for each generator g. The flip
     x -> g x g^-1 gives the same classes, but wrong normalizer words and
-    atom moves in the lattice walk."""
+    atom moves in the lattice walk. Each inverse generator column sends x
+    to x g^-1."""
     for group in [library.group(key) for key in library.names()] + library.solvable_suite():
         elems, index = group.elements(), group.element_index
         enum = group.enumeration
-        assert enum.inv == [index[p.inverse().images] for p in elems]
+        assert [list(col) for col in enum.inv_gen_cols] == \
+            [[index[(p * g.inverse()).images] for p in elems] for g in group.generators]
         assert enum.conjugation_maps == [[index[p.conjugated_by(g).images] for p in elems]
                                          for g in group.generators]
 

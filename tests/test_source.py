@@ -150,3 +150,26 @@ def test_only_groups_reads_the_enumeration_tree():
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {named}")
     assert owner_reads > 0
     assert found == []
+
+
+def test_stabilizer_chain_works_on_image_tuples():
+    """The stabilizer chain keeps permutations out of its hot path: its
+    level, sift and Schreier-Sims call no ``.inverse()`` or
+    ``.is_identity()`` and name no ``Permutation``; and the conjugation
+    maps are read off the generator columns, not off an inverse table or
+    the element permutations."""
+    path = Path(covnum.__file__).parent / "groups.py"
+    defs = {node.name: node for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    found = []
+    for name in ("_ChainLevel", "_sift", "_schreier_sims"):
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in ("inverse", "is_identity"):
+                found.append(f"{name}:{node.lineno} .{node.func.attr}()")
+            if isinstance(node, ast.Name) and node.id == "Permutation":
+                found.append(f"{name}:{node.lineno} Permutation")
+    for node in ast.walk(defs["conjugation_maps"]):
+        if isinstance(node, ast.Attribute) and node.attr in ("inv", "elems"):
+            found.append(f"conjugation_maps:{node.lineno} .{node.attr}")
+    assert found == []

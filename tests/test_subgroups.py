@@ -726,10 +726,11 @@ def test_kernel_equals_normal_core_for_maximals():
         group = library.group(key)
         alg = group.enumeration
         mult = _product_mult(group)
+        inv = [alg.index[p.inverse().images] for p in alg.elems]
         for cls in maximal_classes_computed(group):
             image, kernel = coset_action(cls.rep)
             brute = {x for x in range(alg.n)
-                     if all(mult(mult(r, x), alg.inv[r]) in cls.rep.elements
+                     if all(mult(mult(r, x), inv[r]) in cls.rep.elements
                             for r in range(alg.n))}
             assert kernel.elements == brute
             assert image.order * kernel.order == group.order
