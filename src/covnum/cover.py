@@ -33,14 +33,14 @@ whose column set contains it (x and x^k with gcd(k, |x|) = 1 lie in the same
 subgroups). G permutes the columns and the elements together, so whether an
 element's column set is minimal depends only on its class: the first element
 of each class decides it, and column sets are built only in the classes
-kept. Each kept element carries its column set as a bitmask over columns. A
-node walks its uncovered elements once, in position order: the pass forces
-the columns of elements down to one unbanned column, takes the live columns
-(not banned, still covering something) and picks the branch element, the one
-with the fewest. Both bounds then only test whether they reach the columns
-to spare, each stopping once it knows; the packing walks the uncovered
-elements rarest first, in coordinates kept per frame. The incumbent is
-checked against the whole universe.
+kept. Each kept element carries its column set as a bitmask over columns,
+and they are numbered rarest first. A node walks its uncovered elements once,
+in that order: the pass forces the columns of elements down to one unbanned
+column, takes the live columns (not banned, still covering something) and
+picks the branch element, the one with the fewest. Both bounds then only
+test whether they reach the columns to spare, each stopping once it knows;
+the packing reads the same order, so a frame carries one covered set. The
+incumbent is checked against the whole universe.
 """
 
 from __future__ import annotations
@@ -236,15 +236,16 @@ def _minimal_positions(instance: CoverInstance) -> int:
 def _reduce_universe(masks, candidates: int) -> tuple[list[int], list[int]]:
     """Column masks over a reduced universe, and each kept element's column
     set as a mask over columns. One element is kept per inclusion-minimal
-    column set, the lowest position among equals, in position order; only
-    the ``candidates`` mask's positions are read, and it must hold every
-    position whose set is minimal. Every element's column set contains a
-    kept one, so a set of columns covers the reduced universe exactly when
-    it covers the whole one.
+    column set, the lowest position among equals, rarest first (by set size,
+    then position); only the ``candidates`` mask's positions are read, and
+    it must hold every position whose set is minimal. Every element's column
+    set contains a kept one, so a set of columns covers the reduced universe
+    exactly when it covers the whole one.
 
-    The distinct sets are taken by size, so a kept set is tested only against
-    smaller ones; those are filed under their lowest column, and a set can
-    contain only those filed under one of its own columns."""
+    The distinct sets are taken by size, in a stable sort of position order,
+    so a kept set is tested only against smaller ones; those are filed under
+    their lowest column, and a set can contain only those filed under one of
+    its own columns."""
     sig = dict.fromkeys(_bits(candidates), 0)  # each candidate's column set
     for c, m in enumerate(masks):
         for p in _bits(m & candidates):
@@ -258,7 +259,6 @@ def _reduce_universe(masks, candidates: int) -> tuple[list[int], list[int]]:
         if not any(k & s == k for c in _bits(s) for k in by_lowest[c]):
             kept.append(s)
             by_lowest[(s & -s).bit_length() - 1].append(s)
-    kept.sort(key=first.__getitem__)
     reduced = [0] * len(masks)
     for r, s in enumerate(kept):
         for c in _bits(s):
@@ -395,45 +395,39 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
         return _result(masks, full, best, lower, 0, True)
     best_size = len(best)
 
-    # the search runs on the reduced universe: cols[c] is column c over it,
-    # sig[e] the columns of element e. The packing takes elements rarest
-    # first, in rarity coordinates (element rarity_order[i] at bit i): rcols[c]
-    # is column c, rblock[i] the elements sharing a column with element i.
+    # the search runs on the reduced universe, rarest element first: cols[c]
+    # is column c over it, sig[e] the columns of element e, block[e] the
+    # elements sharing a column with e.
     cols, sig = _reduce_universe(masks, _minimal_positions(instance))
     U = len(sig)
     rfull = (1 << U) - 1
-    rarity_order = sorted(range(U), key=lambda e: (sig[e].bit_count(), e))
-    rcols = [0] * len(cols)
-    for i, e in enumerate(rarity_order):
-        for c in _bits(sig[e]):
-            rcols[c] |= 1 << i
-    rblock = [0] * U
-    for i, e in enumerate(rarity_order):
-        for c in _bits(sig[e]):
-            rblock[i] |= rcols[c]
+    block = [0] * U
+    for e, s in enumerate(sig):
+        for c in _bits(s):
+            block[e] |= cols[c]
 
-    def packing(rcov: int, room: int) -> int:
+    def packing(cov: int, room: int) -> int:
         """Uncovered elements no two of which share a column, taken greedily
         rarest first and counted up to ``room``: a lower bound on the
         columns still needed."""
-        free, count = rfull ^ rcov, 0
+        free, count = rfull ^ cov, 0
         while free and count < room:
             count += 1
-            free &= ~rblock[(free & -free).bit_length() - 1]
+            free &= ~block[(free & -free).bit_length() - 1]
         return count
 
     root_lower = max(packing(0, U), ceil(U / max(m.bit_count() for m in cols)), 1)
 
-    # Search frames (cov, rcov, banned, chosen, group), popped depth first.
+    # Search frames (cov, banned, chosen, group), popped depth first.
     # The group maps the frame's feasible covers onto each other: None stands
     # for G, whose orbits are the classes, and a frozenset of element ids
     # for a subgroup. Without an action the group is trivial from the root.
-    stack = [(0, 0, 0, (), _TRIVIAL if action is None else None)]
+    stack = [(0, 0, (), _TRIVIAL if action is None else None)]
     orbits = None
     nodes = 0
     exhausted = False
     while stack:
-        cov, rcov, banned, chosen, group = stack.pop()
+        cov, banned, chosen, group = stack.pop()
         depth = len(chosen)
         if depth >= best_size:
             continue  # best_size only shrinks, so later siblings are cut too
@@ -441,7 +435,7 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
         if nodes >= budget.max_nodes or (deadline is not None and time.monotonic() > deadline):
             exhausted = True
             break
-        # One pass over the uncovered elements in position order: one with a
+        # One pass over the uncovered elements, rarest first: one with a
         # single unbanned column forces it, one with none cuts the node, the
         # rest survive. Covering others leaves an element's unbanned columns
         # as they are, so this forces what restarting from the lowest would.
@@ -461,7 +455,6 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
                 c = avail.bit_length() - 1
                 chosen += (c,)
                 cov |= cols[c]
-                rcov |= rcols[c]
         if avails is None:
             continue
         if len(chosen) > depth:
@@ -470,7 +463,7 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
             best, best_size = list(chosen), len(chosen)
             continue
         # live columns: not banned, and still covering something; the branch
-        # element has the fewest, the lowest position on ties
+        # element has the fewest, the rarest on ties
         live = 0
         for avail in avails:
             live |= avail
@@ -479,7 +472,7 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
         # prunes on reaching room, the ceiling bound unless some live column
         # has ceil(uncovered / its gain) < room, as the larger bound would
         room = best_size - len(chosen)
-        if packing(rcov, room) >= room:
+        if packing(cov, room) >= room:
             continue
         uncov = rfull ^ cov
         need = -(-uncov.bit_count() // (room - 1))  # room > 1, or the packing pruned
@@ -503,14 +496,14 @@ def solve(instance: CoverInstance, budget: SolveBudget = SolveBudget(),
                     orbits = _Orbits(instance)
                 orbit_c = orbits.of(group, c)
                 stabilizer = group if normalizer is None else group & normalizer
-            stack.append((cov, rcov, banned | orbit_c, chosen, group))
-            stack.append((cov | cols[c], rcov | rcols[c], banned, chosen + (c,), stabilizer))
+            stack.append((cov, banned | orbit_c, chosen, group))
+            stack.append((cov | cols[c], banned, chosen + (c,), stabilizer))
             continue
         # children in branching order, each banning its earlier siblings,
         # pushed so that the first is popped first
         children = []
         for c in sorted(_bits(branch), key=gain):
-            children.append((cov | cols[c], rcov | rcols[c], banned, chosen + (c,), group))
+            children.append((cov | cols[c], banned, chosen + (c,), group))
             banned |= 1 << c
         stack.extend(reversed(children))
 

@@ -523,8 +523,6 @@ def parse_group_file(text: str, name: str | None = None) -> PermGroup:
             raise ParseError(str(exc), lineno) from None
     if degree is None:
         raise ParseError("missing 'degree <n>' header")
-    if not gens:
-        gens = [Permutation.identity(degree)]
     return PermGroup(degree, gens, name=name)
 
 

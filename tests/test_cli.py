@@ -161,6 +161,55 @@ def test_known_command(capsys):
     assert code == 1 and "Unknown" in err
 
 
+def test_known_prints_brackets_and_open_ended_bounds(capsys):
+    code, out, _ = run(capsys, "known", "A7 wr 2")
+    assert code == 0
+    assert out == "A7 wr 2\tsigma 447..667\tdegree 49\t" \
+                  "registry(incidence counting bound and greedy)\n"
+    code, out, _ = run(capsys, "known", "PSL(5,3)")
+    assert code == 0
+    assert out == "PSL(5,3)\tsigma >= 393030144\tdegree 121\t" \
+                  "registry(Singer-cycle containment count)\n"
+
+
+HUMAN_HEADER = [
+    "group            order  method         sigma  certified provenance                  time  note",
+    "-" * 94,
+]
+
+
+def _mask_times(out):
+    """The human report's lines, each time column (7 wide, then 's') masked."""
+    return re.sub(r"[ \d]{3}\d\.\d\ds", "   T.TTs", out).splitlines()
+
+
+def test_exact_human_format(capsys):
+    code, out, _ = run(capsys, "exact", "--library", "A5")
+    assert code == 0
+    assert _mask_times(out) == HUMAN_HEADER + [
+        "A5                  60  exact             10  true      computed                   T.TTs  "]
+
+
+def test_batch_golden_small_human_format(capsys):
+    code, out, _ = run(capsys, "batch", "golden-small")
+    assert code == 0
+    head = "{:<14}{:>8}  exact   {:>12}  true      "
+    assert _mask_times(out) == HUMAN_HEADER + [
+        head.format(name, order, sigma) + f"{provenance:<24}   T.TTs  ok"
+        for name, order, sigma, provenance in [
+            ("V4", 4, 3, "registry(Scorza)"),
+            ("S3", 6, 4, "registry(Tomkinson chief-factor formula)"),
+            ("A5", 60, 10, "registry(Cohn)"),
+            ("S5", 120, 16, "registry(Cohn)"),
+            ("A6", 360, 16, "registry(Bryce-Fedri-Serena)"),
+            ("S6", 720, 13, "registry(Abdollahi-Ashraf-Shaker)"),
+            ("PSL27", 168, 15, "registry(Bryce-Fedri-Serena)"),
+            ("PGL27", 336, 29, "registry(Bryce-Fedri-Serena)"),
+        ] + [(f"AGL1{q}", q * (q - 1), q + 1, "registry(affine cover, dimension one)")
+             for q in (3, 4, 5, 7, 8)]
+    ] + ["13/13 passed"]
+
+
 def test_batch_affine_suite(capsys):
     code, out, _ = run(capsys, "batch", "affine-small", "--format", "records")
     assert code == 0
@@ -379,6 +428,27 @@ BAD_FILES = {
     "zero_n.tsv": "\tM1(2)\tM2(2)\ncl_2\t1,P\t0_3\n",
     "index.max": "[class 1]\nindex x\nlength 5\n(1,2,3)\n",
     "length.max": "[class 1]\nlength x\nindex 5\n(1,2,3)\n",
+    # A4 on {1,2,3,4}, then its conjugate on {1,2,3,5}
+    "conjugate.max": "[class 1]\nindex 5\nlength 5\n(1,2,3)\n(2,3,4)\n"
+                     "[class 2]\nindex 5\nlength 5\n(1,2,3)\n(2,3,5)\n",
+    "no_gens.max": "[class 1]\nindex 5\nlength 5\n",
+    "section.max": "[group]\nindex 5\n",
+    "before.max": "index 5\n[class 1]\nindex 5\nlength 5\n(1,2,3)\n",
+    "generator.max": "[class 1]\nindex 5\nlength 5\n(1,2,9)\n",
+    "empty.max": "# no classes\n\n",
+    "degree_x.grp": "degree x\n(1,2)\n",
+    "degree_0.grp": "degree 0\n",
+}
+# the message each of these files must be refused with
+BAD_FILE_MESSAGES = {
+    "conjugate.max": "two listed subgroups are conjugate",
+    "no_gens.max": "line 1: class section has no generators",
+    "section.max": "line 1: unexpected section '[group]'",
+    "before.max": "line 1: content before first [class] section",
+    "generator.max": "line 4: point out of range 1..5 in '(1,2,9)'",
+    "empty.max": "no [class] sections found",
+    "degree_x.grp": "line 1: bad degree 'x'",
+    "degree_0.grp": "line 1: degree must be positive",
 }
 
 
@@ -414,6 +484,14 @@ BAD_FILES = {
     (["bounds", "--library", "C6", "--max-lattice", "3"], "CyclicGroup"),
     (["sigma-elementary", "--library", "C6", "--max-lattice", "3"], "CyclicGroup"),
     (["table", "--library", "C6", "--max-lattice", "3"], "BudgetExceeded"),
+    (["exact", "--library", "A5", "--maximals", "{tmp}/conjugate.max"], "IngestInvalid"),
+    (["exact", "--library", "A5", "--maximals", "{tmp}/no_gens.max"], "ParseError"),
+    (["exact", "--library", "A5", "--maximals", "{tmp}/section.max"], "ParseError"),
+    (["exact", "--library", "A5", "--maximals", "{tmp}/before.max"], "ParseError"),
+    (["exact", "--library", "A5", "--maximals", "{tmp}/generator.max"], "ParseError"),
+    (["exact", "--library", "A5", "--maximals", "{tmp}/empty.max"], "ParseError"),
+    (["exact", "--file", "{tmp}/degree_x.grp"], "ParseError"),
+    (["exact", "--file", "{tmp}/degree_0.grp"], "ParseError"),
 ])
 def test_bad_input_exits_with_error_line(argv, error, capsys, tmp_path):
     for name, text in BAD_FILES.items():
@@ -423,5 +501,9 @@ def test_bad_input_exits_with_error_line(argv, error, capsys, tmp_path):
     name = re.fullmatch(r"error: (\w+): .*\n", err).group(1)
     assert name == error and issubclass(getattr(covnum, name), covnum.CovnumError)
     assert "Traceback" not in err
-    if error == "ParseError":
+    files = [a.rsplit("/", 1)[-1] for a in argv if a.startswith("{tmp}/")]
+    for file in files:
+        if file in BAD_FILE_MESSAGES:
+            assert err == f"error: {error}: {BAD_FILE_MESSAGES[file]}\n"
+    if error == "ParseError" and files != ["empty.max"]:  # no section, so no line to name
         assert re.match(r"error: ParseError: line \d+: ", err)

@@ -229,6 +229,14 @@ def test_group_file_round_trip():
     assert format_group_file(again) == text
 
 
+def test_header_only_group_file_is_the_trivial_group():
+    g = parse_group_file("degree 4\n")
+    assert g.degree == 4 and g.order == 1 and g.elements() == [Permutation.identity(4)]
+    text = format_group_file(g)
+    assert text == "degree 4\n()\n"
+    assert format_group_file(parse_group_file(text)) == text
+
+
 def test_group_file_comments_and_blanks():
     g = parse_group_file("# a comment\n\ndegree 3\n(1,2,3)  # rotation\n\n(1,2)\n")
     assert g.order == 6

@@ -189,6 +189,29 @@ def test_quotient_sigma_matches_the_image_group(sigma_of):
     assert noncyclic >= 20
 
 
+@pytest.mark.parametrize("key, value", [("S5", True), ("A5xC2", False), ("AGL32", False)])
+def test_quotient_sigma_hook_gives_the_hook_free_report(key, value, monkeypatch):
+    """With sigma(G) and the ``quotient_sigma`` hook given, each noncyclic
+    quotient's sigma comes from its image group, and G's maximal list is
+    never computed; the report is the hook-free one."""
+    group = library.group(key)
+    report = is_sigma_elementary(group)
+    assert report.value is value
+    images = []
+
+    def image_sigma(image):
+        images.append(image.order)
+        return sigma_exact(image).upper
+
+    def no_maximal_list(*args):
+        raise AssertionError("G's maximal list was computed")
+
+    monkeypatch.setattr("covnum.registry.maximal_classes_computed", no_maximal_list)
+    assert is_sigma_elementary(group, sigma=report.sigma, quotient_sigma=image_sigma) == report
+    assert images == [group.order // c.normal_order for c in report.checks
+                      if c.verdict != "cyclic"]
+
+
 @pytest.mark.parametrize("key", ["AGL32", "A5xC2"])
 def test_default_route_builds_and_solves_no_quotient(key, monkeypatch):
     """Once sigma(G) is known, the default route neither builds a quotient

@@ -522,6 +522,24 @@ def test_maximal_route_builds_one_group_per_descent_step(monkeypatch, key, built
     assert len(made) == built
 
 
+@pytest.mark.parametrize("key", ["S6", "PGL27", "AGL32", "A5xC2"])
+def test_complement_budget_falls_back_to_the_walk(monkeypatch, key):
+    """When N's complements are over budget, the maximal route stops its
+    descent and walks the lattice of the quotient reached, with the same
+    classes, labels, members and provenance as the full descent."""
+    group = library.group(key)
+    unpatched = max_class_set_key(maximal_classes_computed(group))
+    calls = []
+
+    def over_budget(low, high):
+        calls.append(high.order)
+        raise BudgetExceeded("complement budget")
+
+    monkeypatch.setattr(subgroups, "complements", over_budget)
+    assert max_class_set_key(maximal_classes_computed(group)) == unpatched
+    assert calls == [minimal_normal_subgroups(group)[0].order]
+
+
 def test_complements():
     s4 = library.group("S4")
     (v4,) = minimal_normal_subgroups(s4)
