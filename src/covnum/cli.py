@@ -18,7 +18,7 @@ from pathlib import Path
 from . import library
 from .cover import CoverResult, SolveBudget, build_instance, format_instance, format_lp, \
     sigma_exact, solve
-from .errors import CapExceeded, CovnumError, CyclicGroup, IngestInvalid
+from .errors import CapExceeded, CovnumError, CyclicGroup
 from .greedy import covering_number_bounds, render_trace, verify_minimal_cover
 from .groups import ENUM_CAP, PermGroup, parse_group_file
 from .incidence import IncidenceProfile, incidence_profile, parse_profile, render_profile
@@ -57,13 +57,14 @@ def _render_reports(reports: list[RunReport], fmt: str) -> str:
                 parts.append(f"note={r.note}")
             lines.append(" ".join(parts))
         return "\n".join(lines) + "\n"
+    width = max([24] + [len(r.provenance) for r in reports])
     header = f"{'group':<14}{'order':>8}  {'method':<8}{'sigma':>12}  " \
-             f"{'certified':<10}{'provenance':<24}{'time':>8}  note"
+             f"{'certified':<10}{'provenance':<{width}}{'time':>8}  note"
     lines = [header, "-" * len(header)]
     for r in reports:
         lines.append(
             f"{r.group_name:<14}{r.order:>8}  {r.method:<8}{r.result_text():>12}  "
-            f"{str(r.certified).lower():<10}{r.provenance:<24}{r.wall_time:>7.2f}s  {r.note}")
+            f"{str(r.certified).lower():<10}{r.provenance:<{width}}{r.wall_time:>7.2f}s  {r.note}")
     return "\n".join(lines) + "\n"
 
 
@@ -93,10 +94,10 @@ def _budget(args) -> SolveBudget:
 
 def _load_group(args, cyclic_ok: bool = False) -> tuple[PermGroup, MaxClassSet]:
     """The group and its maximal classes: ingested from --maximals or the
-    library's bundled file, otherwise computed within --max-lattice. An
-    ingested list of a group within --max-lattice must match the computed
-    one, so that a list missing a class is refused. A cyclic group has no
-    finite covering number, so it is rejected before its maximal classes
+    library's bundled file, otherwise computed within --max-lattice. This
+    only picks the source: maximal_classes_from_file decides, under the
+    same cap, what an ingested list is checked against. A cyclic group has
+    no finite covering number, so it is rejected before its maximal classes
     are read unless ``cyclic_ok`` (its incidence table)."""
     if bool(args.library) == bool(args.file):
         raise CovnumError("give exactly one of --library or --file")
@@ -109,23 +110,17 @@ def _load_group(args, cyclic_ok: bool = False) -> tuple[PermGroup, MaxClassSet]:
     if not cyclic_ok and group.is_cyclic():
         raise CyclicGroup("cyclic groups have infinite covering number")
     if args.maximals:
-        mx = maximal_classes_from_file(group, Path(args.maximals).read_text())
-    elif args.library and library.entry(args.library).maximals_file:
-        mx = library.maximals(args.library)
-    else:
-        return group, maximal_classes_computed(group, args.max_lattice)
-    if group.order <= args.max_lattice:
-        computed = maximal_classes_computed(group, args.max_lattice)
-        if [c.members for c in mx.classes] != [c.members for c in computed.classes]:
-            raise IngestInvalid(f"the ingested maximal classes ({len(mx.classes)}) are not "
-                                f"the computed ones ({len(computed.classes)})")
-    return group, mx
+        return group, maximal_classes_from_file(group, Path(args.maximals).read_text(),
+                                                args.max_lattice)
+    if args.library and library.entry(args.library).maximals_file:
+        return group, library.maximals(args.library, args.max_lattice)
+    return group, maximal_classes_computed(group, args.max_lattice)
 
 
 def _profile(args) -> tuple[IncidenceProfile, str]:
     """The --profile table, or the group's incidence profile, and its name."""
     if args.profile:
-        if args.library or args.file:
+        if args.library or args.file or args.maximals:
             raise CovnumError("give either --profile or a group (--library or --file)")
         return parse_profile(Path(args.profile).read_text()), Path(args.profile).stem
     group, mx = _load_group(args, cyclic_ok=True)

@@ -372,16 +372,9 @@ class PermGroup:
         residue, stop = _sift(self._levels, g.images)
         return stop == len(self._levels) and residue == tuple(range(self.degree))
 
-    def identity(self) -> Permutation:
-        return Permutation.identity(self.degree)
-
     def elements(self) -> list[Permutation]:
         """All elements, identity first, in a deterministic closure order."""
         return self.enumeration.elems
-
-    @property
-    def element_index(self) -> dict[tuple[int, ...], int]:
-        return self.enumeration.index
 
     @cached_property
     def enumeration(self) -> Enumeration:

@@ -11,7 +11,8 @@ from .affine import affine_group
 from .errors import CovnumError, Unknown
 from .groups import PermGroup, parse_group_file
 from .perms import Permutation, parse_permutation
-from .subgroups import MaxClassSet, maximal_classes_computed, maximal_classes_from_file
+from .subgroups import LATTICE_MAX_ORDER, MaxClassSet, maximal_classes_computed, \
+    maximal_classes_from_file
 
 
 def _perm(degree: int, text: str) -> Permutation:
@@ -179,13 +180,15 @@ def group(key: str) -> PermGroup:
 
 
 @cache
-def maximals(key: str) -> MaxClassSet:
+def maximals(key: str, lattice_max_order: int = LATTICE_MAX_ORDER) -> MaxClassSet:
+    """The group's maximal classes: its bundled file, ingested and checked by
+    maximal_classes_from_file under the lattice cap, or else computed."""
     e = entry(key)
     g = group(key)
     if e.maximals_file is not None:
         text = resources.files("covnum.data").joinpath(e.maximals_file).read_text()
-        return maximal_classes_from_file(g, text)
-    return maximal_classes_computed(g)
+        return maximal_classes_from_file(g, text, lattice_max_order)
+    return maximal_classes_computed(g, lattice_max_order)
 
 
 def solvable_suite() -> list[PermGroup]:

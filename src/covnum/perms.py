@@ -135,9 +135,6 @@ class Permutation:
     def order(self) -> int:
         return math.lcm(*map(len, self.cycles()))  # lcm() of nothing is 1
 
-    def moved(self) -> list[int]:
-        return [x for x, y in enumerate(self.images) if x != y]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 

@@ -497,13 +497,17 @@ def complements(low: Subgroup, high: Subgroup) -> list[frozenset[int]]:
     return found
 
 
-def maximal_classes_from_file(group: PermGroup, text: str) -> MaxClassSet:
+def maximal_classes_from_file(group: PermGroup, text: str,
+                              lattice_max_order: int = LATTICE_MAX_ORDER) -> MaxClassSet:
     """Ingest maximal subgroup classes and verify them.
 
-    Each listed subgroup is checked to be a genuine subgroup, its index and
-    class length are recomputed, and maximality is verified by the local
-    check of _verify_maximal, the lattice walk's test: joining any coset
-    representative to the listed generators must generate the whole group.
+    Each listed subgroup is checked to be a genuine proper subgroup, and its
+    index and class length are recomputed. A group within lattice_max_order
+    must then list exactly the classes of maximal_classes_computed, which
+    proves every class maximal and the list complete. Above the cap only
+    maximality is checked, class by class, by the local check of
+    _verify_maximal: joining any coset representative to the listed
+    generators must generate the whole group.
     """
     alg = group.enumeration
     entries = _parse_maximal_file(text, group.degree)
@@ -514,6 +518,8 @@ def maximal_classes_from_file(group: PermGroup, text: str) -> MaxClassSet:
         if sub.index != claim_index:
             raise IngestInvalid(
                 f"declared index {claim_index}, computed {sub.index}")
+        if sub.index == 1:
+            raise IngestInvalid("not maximal: the listed subgroup is the whole group")
         orbit = list(alg.conjugation_orbit(sub.elements))
         if len(orbit) != claim_length:
             raise IngestInvalid(
@@ -522,8 +528,15 @@ def maximal_classes_from_file(group: PermGroup, text: str) -> MaxClassSet:
             raise IngestInvalid("two listed subgroups are conjugate")
         seen_sets.update(orbit)
         orbits.append(orbit)
-        _verify_maximal(sub, [alg.index[g.images] for g in gens])
-    return _package_max_classes(group, orbits, "ingested")
+        if group.order > lattice_max_order:
+            _verify_maximal(sub, [alg.index[g.images] for g in gens])
+    mx = _package_max_classes(group, orbits, "ingested")
+    if group.order <= lattice_max_order:
+        computed = maximal_classes_computed(group, lattice_max_order)
+        if [c.members for c in mx.classes] != [c.members for c in computed.classes]:
+            raise IngestInvalid(f"the ingested maximal classes ({len(mx.classes)}) are not "
+                                f"the computed ones ({len(computed.classes)})")
+    return mx
 
 
 def _coset_decomposition(sub: Subgroup) -> tuple[list[int], dict[int, int]]:
@@ -548,9 +561,7 @@ def _verify_maximal(sub: Subgroup, gen_ids: list[int]) -> None:
     (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
     As in _lattice_classes, <H, r> is the whole group exactly when its join
     grows past |G|/q, q the least prime dividing [G:H], since no proper
-    overgroup of H is larger."""
-    if sub.index == 1:
-        raise IngestInvalid("not maximal: the listed subgroup is the whole group")
+    overgroup of H is larger. H must be proper."""
     alg = sub.parent.enumeration
     rep_ids, coset_of = _coset_decomposition(sub)
     hcols = [alg.column(g) for g in gen_ids]

@@ -136,10 +136,12 @@ def test_table_of_a_cyclic_group(capsys):
     ("verify", ["--library", "A5", "--pi", "cl_2", "--cover", "M1"]),
     ("table", ["--file", "a5.grp"]),
     ("verify", ["--file", "a5.grp", "--pi", "cl_2", "--cover", "M1"]),
+    ("table", ["--maximals", "a5.max"]),
+    ("verify", ["--maximals", "a5.max", "--pi", "cl_2", "--cover", "M1"]),
 ])
 def test_profile_with_a_group_is_an_error(command, source, capsys, data_dir):
-    """--profile replaces the group, so giving both is refused, not resolved
-    by dropping the group."""
+    """--profile replaces the group, so giving both, or a group's
+    --maximals, is refused, not resolved by dropping the group."""
     code, out, err = run(capsys, command, "--profile",
                          str(data_dir / "psl274_profile.tsv"), *source)
     assert code == 1 and out == ""
@@ -191,11 +193,17 @@ def test_exact_human_format(capsys):
 
 
 def test_batch_golden_small_human_format(capsys):
+    """The provenance column is as wide as the longest provenance, 40
+    characters here, so the time and note columns stay under their headers."""
     code, out, _ = run(capsys, "batch", "golden-small")
     assert code == 0
     head = "{:<14}{:>8}  exact   {:>12}  true      "
-    assert _mask_times(out) == HUMAN_HEADER + [
-        head.format(name, order, sigma) + f"{provenance:<24}   T.TTs  ok"
+    assert _mask_times(out) == [
+        "group            order  method         sigma  certified provenance"
+        "                                  time  note",
+        "-" * 110,
+    ] + [
+        head.format(name, order, sigma) + f"{provenance:<40}   T.TTs  ok"
         for name, order, sigma, provenance in [
             ("V4", 4, 3, "registry(Scorza)"),
             ("S3", 6, 4, "registry(Tomkinson chief-factor formula)"),
@@ -382,6 +390,20 @@ def test_infeasible_selection_names_its_witness_in_cycles(capsys):
                   "lies in no selected subgroup\n"
 
 
+def test_missing_group_file_is_an_error_line(tmp_path, capsys):
+    missing = tmp_path / "missing.grp"
+    code, out, err = run(capsys, "exact", "--file", str(missing))
+    assert code == 1 and out == ""
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+def test_sigma_elementary_out_of_budget_is_undecided(capsys):
+    """A search cut before sigma(G) closes cannot decide sigma(G) < sigma(G/N)."""
+    code, out, err = run(capsys, "sigma-elementary", "--library", "A6", "--max-nodes", "1")
+    assert code == 1 and out == ""
+    assert err == "error: Undecided: sigma(G) did not close within budget\n"
+
+
 def test_parse_error_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.grp"
     bad.write_text("degree 3\n(1,5)\n")
@@ -438,6 +460,9 @@ BAD_FILES = {
     "empty.max": "# no classes\n\n",
     "degree_x.grp": "degree x\n(1,2)\n",
     "degree_0.grp": "degree 0\n",
+    "subgroup_header.tsv": "\tM1(2)\tM2\ncl_2\t1,P\t1,P\n",
+    "element_label.tsv": "\tM1(2)\n\n2A\t1,P\n",
+    "entry.tsv": "\tM1(2)\tM2(2)\ncl_2\t1,P\t0\n\ncl_3\t1,P\tP\n",
 }
 # the message each of these files must be refused with
 BAD_FILE_MESSAGES = {
@@ -449,6 +474,9 @@ BAD_FILE_MESSAGES = {
     "empty.max": "no [class] sections found",
     "degree_x.grp": "line 1: bad degree 'x'",
     "degree_0.grp": "line 1: degree must be positive",
+    "subgroup_header.tsv": "line 1: bad subgroup-class header 'M2'",
+    "element_label.tsv": "line 3: bad element-class label '2A'",
+    "entry.tsv": "line 4: bad entry 'P'",
 }
 
 
@@ -492,6 +520,10 @@ BAD_FILE_MESSAGES = {
     (["exact", "--library", "A5", "--maximals", "{tmp}/empty.max"], "ParseError"),
     (["exact", "--file", "{tmp}/degree_x.grp"], "ParseError"),
     (["exact", "--file", "{tmp}/degree_0.grp"], "ParseError"),
+    (["table", "--profile", "{tmp}/subgroup_header.tsv"], "ParseError"),
+    (["table", "--profile", "{tmp}/element_label.tsv"], "ParseError"),
+    (["table", "--profile", "{tmp}/entry.tsv"], "ParseError"),
+    (["exact", "--library", "nope"], "Unknown"),
 ])
 def test_bad_input_exits_with_error_line(argv, error, capsys, tmp_path):
     for name, text in BAD_FILES.items():

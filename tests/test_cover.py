@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import time
 from functools import cache
 from itertools import combinations
@@ -237,6 +238,20 @@ def test_instance_text_rejects_an_empty_column():
 ])
 def test_instance_text_errors_name_their_line(text, line, message):
     with pytest.raises(ParseError, match=f"^line {line}: {message}$"):
+        parse_instance(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "expected 'universe N' and 'columns M' headers"),
+    ("universe 3\n", "expected 'universe N' and 'columns M' headers"),
+    ("columns 1\nuniverse 3\n0\n", "expected 'universe N' and 'columns M' headers"),
+    ("universe 3 4\ncolumns 1\n0\n", "expected 'universe N' and 'columns M' headers"),
+    ("universe 3\ncolumns\n0\n", "expected 'universe N' and 'columns M' headers"),
+    ("universe 3\ncolumns 2\n0 1 2\n", "expected 2 column lines, found 1"),
+    ("universe 3\ncolumns 1\n0\n\n1 2\n", "expected 1 column lines, found 2"),
+])
+def test_instance_text_header_and_column_count_errors(text, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         parse_instance(text)
 
 
@@ -496,7 +511,7 @@ def test_orbital_branching_matches_the_search_without_symmetry(key, sigma_of):
     cls = group.conjugacy_classes()
     for normal in minimal_normal_subgroups(group):
         outside = [c.label for c in cls.classes
-                   if group.element_index[c.rep.images] not in normal.elements]
+                   if group.enumeration.index[c.rep.images] not in normal.elements]
         above = [m.label for m in mx.classes if normal.elements <= m.rep.elements]
         try:
             inst = build_instance(group, cls, mx, outside, above)
@@ -579,7 +594,7 @@ def test_column_orbits_under_proper_subgroups(key, elts, subs):
     the column off the resulting mask."""
     group = library.group(key)
     inst = _instance(key, elts=elts, subs=subs)
-    elems, index = group.elements(), group.element_index
+    elems, index = group.elements(), group.enumeration.index
     assignment = group.class_assignment()
     universe = [x for x in range(1, group.order)
                 if assignment[x] in inst.action.element_classes]

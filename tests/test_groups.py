@@ -48,8 +48,9 @@ def test_a5_order_multiset():
 
 
 def _brute_force_closure(group):
-    seen = {group.identity().images}
-    frontier = [group.identity()]
+    identity = Permutation.identity(group.degree)
+    seen = {identity.images}
+    frontier = [identity]
     while frontier:
         new = []
         for x in frontier:
@@ -169,7 +170,7 @@ def test_class_assignment_is_conjugacy(key):
     assert members[-1] == {0}
     for ids in members.values():
         x = elems[min(ids)]
-        conjugates = {group.element_index[x.conjugated_by(g).images] for g in elems}
+        conjugates = {group.enumeration.index[x.conjugated_by(g).images] for g in elems}
         assert conjugates == ids
 
 
@@ -180,7 +181,7 @@ def test_conjugation_maps_and_inverses_match_permutations():
     atom moves in the lattice walk. Each inverse generator column sends x
     to x g^-1."""
     for group in [library.group(key) for key in library.names()] + library.solvable_suite():
-        elems, index = group.elements(), group.element_index
+        elems, index = group.elements(), group.enumeration.index
         enum = group.enumeration
         assert [list(col) for col in enum.inv_gen_cols] == \
             [[index[(p * g.inverse()).images] for p in elems] for g in group.generators]

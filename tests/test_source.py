@@ -173,3 +173,11 @@ def test_stabilizer_chain_works_on_image_tuples():
         if isinstance(node, ast.Attribute) and node.attr in ("inv", "elems"):
             found.append(f"conjugation_maps:{node.lineno} .{node.attr}")
     assert found == []
+
+
+def test_ingested_lists_are_checked_in_subgroups():
+    """One module decides what an ingested maximal list rests on:
+    ``IngestInvalid`` is named only where it is defined, exported and
+    raised, so no front end adds a check of its own."""
+    named = {path.name for path in SOURCES if "IngestInvalid" in path.read_text()}
+    assert named == {"errors.py", "__init__.py", "subgroups.py"}

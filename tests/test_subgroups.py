@@ -277,7 +277,7 @@ def _generated_group():
 
 
 def _product_mult(group):
-    elems, index = group.elements(), group.element_index
+    elems, index = group.elements(), group.enumeration.index
     return lambda a, b: index[(elems[a] * elems[b]).images]
 
 
@@ -305,7 +305,7 @@ def test_composed_columns_are_right_multiplication(make):
     group = make()
     group = PermGroup(group.degree, group.generators)  # a fresh column cache
     alg = group.enumeration
-    elems, index = group.elements(), group.element_index
+    elems, index = group.elements(), group.enumeration.index
     order = list(range(alg.n))
     random.Random(3).shuffle(order)
     for g in order:
@@ -338,7 +338,7 @@ def _product_coset_decomposition(sub):
     """Right cosets by permutation products, representatives breadth first."""
     group = sub.parent
     mult = _product_mult(group)
-    gen_ids = sorted({group.element_index[g.images] for g in group.generators} - {0})
+    gen_ids = sorted({group.enumeration.index[g.images] for g in group.generators} - {0})
     rep_ids, coset_of = [0], {x: 0 for x in sub.elements}
     for r in rep_ids:
         for g in gen_ids:
@@ -375,7 +375,7 @@ def test_subgroup_generators_generate_it(key):
     group = library.group(key)
     alg = group.enumeration
     for sub in all_subgroups(group):
-        assert alg.closure([group.element_index[g.images] for g in sub.generators]) \
+        assert alg.closure([alg.index[g.images] for g in sub.generators]) \
             == sub.elements
 
 
@@ -400,10 +400,10 @@ def test_walk_normalizer_is_brute_force_normalizer(key):
         assert normalizer == expected
         word_ids = []
         for word in words:
-            p = group.identity()
+            p = Permutation.identity(group.degree)
             for letter in word:
                 p = p * letters[letter]
-            word_ids.append(group.element_index[p.images])
+            word_ids.append(alg.index[p.images])
         assert alg.closure(word_ids) == expected
 
 
@@ -586,8 +586,41 @@ def test_ingest_rejects_outside_generator():
 def test_ingest_rejects_non_maximal():
     group = library.group("A5")
     text = "[class 1]\nindex 30\nlength 15\n(1,2)(3,4)\n"  # C2 is far from maximal
-    with pytest.raises(IngestInvalid):
+    with pytest.raises(IngestInvalid, match="not the computed ones"):
         maximal_classes_from_file(group, text)
+    with pytest.raises(IngestInvalid, match="^not maximal: adjoining "):
+        maximal_classes_from_file(group, text, lattice_max_order=0)
+
+
+def test_ingest_within_the_cap_must_list_the_computed_classes():
+    """A5's list without its index-5 class gave sigma 16 where sigma(A5) is
+    10. Within the lattice cap the list must be the computed one; above it
+    each class is checked alone, so the two classes are accepted."""
+    group = library.group("A5")
+    blocks = format_maximal_file(maximal_classes_computed(group)).split("[class ")
+    text = "".join("[class " + b for b in blocks[1:] if "\nindex 5\n" not in b)
+    with pytest.raises(IngestInvalid, match=r"^the ingested maximal classes \(2\) are not "
+                                            r"the computed ones \(3\)$"):
+        maximal_classes_from_file(group, text)
+    assert len(maximal_classes_from_file(group, text, lattice_max_order=0)) == 2
+
+
+@pytest.mark.parametrize("key", ["A5", "S6", "AGL32"])
+def test_ingest_within_the_cap_runs_no_per_class_check(key, monkeypatch):
+    """Equal lists prove every class maximal, so within the cap the
+    comparison replaces _verify_maximal rather than adding to it."""
+    group = library.group(key)
+    text = format_maximal_file(maximal_classes_computed(group))
+
+    def forbidden(*args):
+        raise AssertionError("the per-class check ran within the lattice cap")
+
+    monkeypatch.setattr(subgroups, "_verify_maximal", forbidden)
+    mx = maximal_classes_from_file(group, text)
+    assert mx.provenance == "ingested"
+    assert [c.members for c in mx] == [c.members for c in maximal_classes_computed(group)]
+    with pytest.raises(AssertionError, match="per-class check"):
+        maximal_classes_from_file(group, text, lattice_max_order=group.order - 1)
 
 
 def test_ingest_rejects_wrong_declarations():
@@ -614,9 +647,10 @@ SMALL_GROUPS = [k for k in library.names() if library.group(k).order <= 720]
 
 def check_ingest_against_lattice(group, subs, maximal):
     """Ingest one representative of each conjugacy class of proper subgroups
-    among ``subs`` (the whole lattice) as a one-class file: the check accepts
-    it, as the class of its conjugates, exactly when it is in ``maximal``,
-    and rejects it as not maximal otherwise."""
+    among ``subs`` (the whole lattice) as a one-class file under a lattice
+    cap of 0, so that the per-class check decides: it accepts the class of
+    its conjugates exactly when it is in ``maximal``, and rejects it as not
+    maximal otherwise."""
     alg = group.enumeration
     seen = set()
     for sub in subs[:-1]:
@@ -628,9 +662,9 @@ def check_ingest_against_lattice(group, subs, maximal):
         text = f"[class 1]\nindex {sub.index}\nlength {len(orbit)}\n{gens}\n"
         if sub.elements not in maximal:
             with pytest.raises(IngestInvalid, match="not maximal"):
-                maximal_classes_from_file(group, text)
+                maximal_classes_from_file(group, text, lattice_max_order=0)
         else:
-            (cls,) = maximal_classes_from_file(group, text).classes
+            (cls,) = maximal_classes_from_file(group, text, lattice_max_order=0).classes
             assert cls.members == tuple(orbit)
 
 
@@ -873,7 +907,7 @@ def test_normal_closure_is_least_normal_overgroup(key):
     for cls in group.conjugacy_classes():
         expected = frozenset.intersection(
             *(n for n in normals if cls.rep.images in n))
-        closure = alg.normal_closure([group.element_index[cls.rep.images]])
+        closure = alg.normal_closure([alg.index[cls.rep.images]])
         assert frozenset(elems[i].images for i in closure) == expected, cls.label
 
 
