@@ -60,11 +60,6 @@ class GF:
         return self._undigits((x + y) % self.p
                               for x, y in zip(self._digits(a), self._digits(b)))
 
-    def neg(self, a: int) -> int:
-        if self.d == 1:
-            return (-a) % self.p
-        return self._undigits((-x) % self.p for x in self._digits(a))
-
     def mul(self, a: int, b: int) -> int:
         if self.d == 1:
             return (a * b) % self.p

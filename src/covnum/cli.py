@@ -16,15 +16,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import library
-from .cover import CoverResult, SolveBudget, build_instance, format_instance, format_lp, \
-    sigma_exact, solve
+from .cover import CoverResult, SolveBudget, build_instance, format_instance, format_lp, solve
 from .errors import CapExceeded, CovnumError, CyclicGroup
 from .greedy import covering_number_bounds, render_trace, verify_minimal_cover
 from .groups import ENUM_CAP, PermGroup, parse_group_file
 from .incidence import IncidenceProfile, incidence_profile, parse_profile, render_profile
 from .registry import is_sigma_elementary, lookup_known, sigma_solvable
-from .subgroups import LATTICE_MAX_ORDER, MaxClassSet, maximal_classes_computed, \
-    maximal_classes_from_file
+from .subgroups import LATTICE_MAX_ORDER, maximal_classes_computed, maximal_classes_from_file
 
 BUDGET_NOTE = "budget exhausted (--max-nodes/--time-limit); bounds remain valid"
 
@@ -81,40 +79,85 @@ def _add_group_args(p: argparse.ArgumentParser) -> None:
                         f"(default {LATTICE_MAX_ORDER})")
 
 
-def _budget(args) -> SolveBudget:
-    """The command's one budget; batch has no --max-lattice and keeps the
-    default lattice cap."""
-    if args.max_nodes < 0:
-        raise CovnumError(f"--max-nodes must be nonnegative, got {args.max_nodes}")
-    if args.time_limit is not None and not args.time_limit >= 0:  # NaN too
-        raise CovnumError(f"--time-limit must be nonnegative, got {args.time_limit}")
-    return SolveBudget(max_nodes=args.max_nodes, time_limit=args.time_limit,
-                       lattice_max_order=getattr(args, "max_lattice", LATTICE_MAX_ORDER))
+class _Run:
+    """One group command, timed from its start: the budget, checked here;
+    the group and its maximal classes; the exact stage; and the report row.
+    A batch restarts the run on each of its rows."""
 
+    def __init__(self, args):
+        self.args, self.start, self.budget = args, time.monotonic(), None
+        if hasattr(args, "max_nodes"):
+            if args.max_nodes < 0:
+                raise CovnumError(f"--max-nodes must be nonnegative, got {args.max_nodes}")
+            if args.time_limit is not None and not args.time_limit >= 0:  # NaN too
+                raise CovnumError(f"--time-limit must be nonnegative, got {args.time_limit}")
+            # batch has no --max-lattice and keeps the default lattice cap
+            self.budget = SolveBudget(
+                max_nodes=args.max_nodes, time_limit=args.time_limit,
+                lattice_max_order=getattr(args, "max_lattice", LATTICE_MAX_ORDER))
 
-def _load_group(args, cyclic_ok: bool = False) -> tuple[PermGroup, MaxClassSet]:
-    """The group and its maximal classes: ingested from --maximals or the
-    library's bundled file, otherwise computed within --max-lattice. This
-    only picks the source: maximal_classes_from_file decides, under the
-    same cap, what an ingested list is checked against. A cyclic group has
-    no finite covering number, so it is rejected before its maximal classes
-    are read unless ``cyclic_ok`` (its incidence table)."""
-    if bool(args.library) == bool(args.file):
-        raise CovnumError("give exactly one of --library or --file")
-    if args.library:
-        group = library.group(args.library)
-    else:
-        group = parse_group_file(Path(args.file).read_text(), name=Path(args.file).stem)
-    if group.order > args.max_order:
-        raise CapExceeded(f"group order {group.order} exceeds --max-order {args.max_order}")
-    if not cyclic_ok and group.is_cyclic():
-        raise CyclicGroup("cyclic groups have infinite covering number")
-    if args.maximals:
-        return group, maximal_classes_from_file(group, Path(args.maximals).read_text(),
+    def load(self, cyclic_ok: bool = False) -> "_Run":
+        """The group and its maximal classes: ingested from --maximals or the
+        library's bundled file (maximal_classes_from_file decides what that
+        list is checked against), otherwise computed within --max-lattice. A
+        cyclic group is rejected before its list is read unless ``cyclic_ok``."""
+        args = self.args
+        if bool(args.library) == bool(args.file):
+            raise CovnumError("give exactly one of --library or --file")
+        if args.library:
+            group = library.group(args.library)
+        else:
+            group = parse_group_file(Path(args.file).read_text(), name=Path(args.file).stem)
+        if group.order > args.max_order:
+            raise CapExceeded(f"group order {group.order} exceeds --max-order {args.max_order}")
+        if not cyclic_ok and group.is_cyclic():
+            raise CyclicGroup("cyclic groups have infinite covering number")
+        self.name, self.group = group.name or "?", group
+        if args.maximals:
+            self.mx = maximal_classes_from_file(group, Path(args.maximals).read_text(),
                                                 args.max_lattice)
-    if args.library and library.entry(args.library).maximals_file:
-        return group, library.maximals(args.library, args.max_lattice)
-    return group, maximal_classes_computed(group, args.max_lattice)
+        elif args.library and library.entry(args.library).maximals_file:
+            self.mx = library.maximals(args.library, args.max_lattice)
+        else:
+            self.mx = maximal_classes_computed(group, args.max_lattice)
+        return self
+
+    def load_row(self, name: str, group: PermGroup | None) -> None:
+        """A batch row, timed from here: the library group ``name`` with the
+        library's list, or a solvable-oracle ``group`` with its list computed,
+        both under the budget's lattice cap."""
+        self.start, cap = time.monotonic(), self.budget.lattice_max_order
+        self.name, self.group = name, group or library.group(name)
+        self.mx = library.maximals(name, cap) if group is None \
+            else maximal_classes_computed(group, cap)
+
+    def exact(self) -> CoverResult:
+        """Build the instance, on --classes/--subgroup-classes when given,
+        write it on --write-lp/--write-instance, and solve it under the budget."""
+        group, opts = self.group, vars(self.args)
+        instance = build_instance(group, group.conjugacy_classes(), self.mx,
+                                  elts=opts.get("classes"), subs=opts.get("subgroup_classes"))
+        if opts.get("write_lp"):
+            Path(opts["write_lp"]).write_text(format_lp(instance, group.name or "G"))
+        if opts.get("write_instance"):
+            Path(opts["write_instance"]).write_text(format_instance(instance))
+        return solve(instance, self.budget)
+
+    def report(self, method: str, outcome, note: str = "", provenance: str = "") -> RunReport:
+        """The run's report row, timed from its start. A cover result is sigma
+        once it closes and its bracket otherwise; a greedy trace is its
+        bracket; a formula value is certified by an 'ok' note."""
+        if isinstance(outcome, CoverResult):
+            certified = outcome.optimal
+            result = outcome.upper if certified else (outcome.lower, outcome.upper)
+        elif isinstance(outcome, int):
+            result, certified = outcome, note == "ok"
+        else:
+            result, certified = (outcome.lower, outcome.upper), outcome.certified
+        return RunReport(
+            group_name=self.name, order=self.group.order, method=method, result=result,
+            certified=certified, wall_time=time.monotonic() - self.start,
+            provenance=provenance or self.mx.provenance, note=note)
 
 
 def _profile(args) -> tuple[IncidenceProfile, str]:
@@ -123,41 +166,23 @@ def _profile(args) -> tuple[IncidenceProfile, str]:
         if args.library or args.file or args.maximals:
             raise CovnumError("give either --profile or a group (--library or --file)")
         return parse_profile(Path(args.profile).read_text()), Path(args.profile).stem
-    group, mx = _load_group(args, cyclic_ok=True)
-    return incidence_profile(group, group.conjugacy_classes(), mx), group.name or "?"
+    run = _Run(args).load(cyclic_ok=True)
+    return incidence_profile(run.group, run.group.conjugacy_classes(), run.mx), run.name
 
 
 def cmd_bounds(args) -> int:
-    t0 = time.monotonic()
-    group, mx = _load_group(args)
-    trace = covering_number_bounds(group, mx, args.mode)
-    dt = time.monotonic() - t0
+    run = _Run(args).load()
+    trace = covering_number_bounds(run.group, run.mx, args.mode)
+    report = run.report("greedy", trace)
     sys.stdout.write(render_trace(trace))
-    report = RunReport(
-        group_name=group.name or "?", order=group.order, method="greedy",
-        result=(trace.lower, trace.upper), certified=trace.certified, wall_time=dt,
-        provenance=mx.provenance)
     sys.stdout.write(_render_reports([report], args.format))
     return 0
 
 
 def cmd_exact(args) -> int:
-    t0 = time.monotonic()
-    budget = _budget(args)
-    group, mx = _load_group(args)
-    instance = build_instance(group, group.conjugacy_classes(), mx,
-                              elts=args.classes or None, subs=args.subgroup_classes or None)
-    if args.write_lp:
-        Path(args.write_lp).write_text(format_lp(instance, group.name or "G"))
-    if args.write_instance:
-        Path(args.write_instance).write_text(format_instance(instance))
-    result = solve(instance, budget)
-    dt = time.monotonic() - t0
-    note = BUDGET_NOTE if result.budget_exhausted else ""
-    report = RunReport(
-        group_name=group.name or "?", order=group.order, method="exact",
-        result=result.upper if result.optimal else (result.lower, result.upper),
-        certified=result.optimal, wall_time=dt, provenance=mx.provenance, note=note)
+    run = _Run(args).load()
+    result = run.exact()
+    report = run.report("exact", result, BUDGET_NOTE if result.budget_exhausted else "")
     sys.stdout.write(_render_reports([report], args.format))
     return 0
 
@@ -182,10 +207,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_sigma_elementary(args) -> int:
-    budget = _budget(args)
-    group, mx = _load_group(args)
-    report = is_sigma_elementary(group, budget, mx=mx)
-    print(f"group: {group.name or '?'} (order {group.order}), sigma = {report.sigma}")
+    run = _Run(args).load()
+    report = is_sigma_elementary(run.group, run.budget, mx=run.mx)
+    print(f"group: {run.name} (order {run.group.order}), sigma = {report.sigma}")
     for chk in report.checks:
         quotient = "infinite (cyclic quotient)" if chk.quotient_sigma is None \
             else str(chk.quotient_sigma)
@@ -203,65 +227,49 @@ def _batch_note(result: CoverResult, meets: bool, reference: str) -> str:
     return f"MISMATCH {reference}"
 
 
+def _batch_row(run: _Run, name: str, group: PermGroup | None) -> RunReport:
+    """A registry row solves the library group ``name`` and checks it
+    against the registry; a solvable-oracle row checks the chief-factor
+    formula for ``group`` against the exact search."""
+    run.load_row(name, group)
+    if group is not None:
+        formula, result = sigma_solvable(group), run.exact()
+        note = _batch_note(result, result.lower <= formula <= result.upper,
+                           f"exact={result.upper}" if result.optimal
+                           else f"exact={result.lower}..{result.upper}")
+        return run.report("formula", formula, note)
+    result, entry = run.exact(), library.entry(name)
+    if not entry.registry_name:
+        return run.report("exact", result, _batch_note(result, True, ""))
+    known = lookup_known(entry.registry_name)
+    note = _batch_note(result, known.meets(result.lower, result.upper),
+                       f"vs registry {known.exact or known.bounds}")
+    return run.report("exact", result, note, f"registry({known.citation})")
+
+
 def cmd_batch(args) -> int:
-    budget = _budget(args)
-    keys = library.SUITES.get(args.suite)
+    """One loop over a suite's rows; only 'ok' rows pass, and a CovnumError
+    in a row becomes that row's error."""
+    run = _Run(args)
     if args.suite == "solvable-oracle":
-        return _batch_solvable(budget, args.format)
-    if keys is None:
+        rows = [(group.name or "?", group) for group in library.solvable_suite()]
+    elif args.suite in library.SUITES:
+        rows = [(key, None) for key in library.SUITES[args.suite]]
+    else:
         names = sorted(set(library.SUITES) | {"solvable-oracle"})
         raise CovnumError(f"unknown suite {args.suite!r} (known: {', '.join(names)})")
     reports: list[RunReport] = []
-    failures = 0
-    for key in keys:
-        t0 = time.monotonic()
+    for name, group in rows:
         try:
-            group = library.group(key)
-            mx = library.maximals(key)
-            result = sigma_exact(group, budget, mx=mx)
-            dt = time.monotonic() - t0
-            entry = library.entry(key)
-            if entry.registry_name:
-                known = lookup_known(entry.registry_name)
-                note = _batch_note(result, known.meets(result.lower, result.upper),
-                                   f"vs registry {known.exact or known.bounds}")
-                provenance = f"registry({known.citation})"
-            else:
-                note, provenance = _batch_note(result, True, ""), "computed"
-            if note != "ok":
-                failures += 1
-            reports.append(RunReport(
-                group_name=key, order=group.order, method="exact",
-                result=result.upper if result.optimal else (result.lower, result.upper),
-                certified=result.optimal, wall_time=dt, provenance=provenance, note=note))
+            reports.append(_batch_row(run, name, group))
         except CovnumError as exc:
-            failures += 1
-            reports.append(RunReport(group_name=key, order=0, method="exact",
+            reports.append(RunReport(group_name=name, order=0,
+                                     method="exact" if group is None else "formula",
                                      result=(0, 0), note=f"error: {exc}"))
     sys.stdout.write(_render_reports(reports, args.format))
-    print(f"{len(reports) - failures}/{len(reports)} passed")
-    return 1 if failures else 0
-
-
-def _batch_solvable(budget: SolveBudget, fmt: str) -> int:
-    reports = []
-    failures = 0
-    for group in library.solvable_suite():
-        t0 = time.monotonic()
-        formula = sigma_solvable(group)
-        exact = sigma_exact(group, budget)
-        dt = time.monotonic() - t0
-        note = _batch_note(exact, exact.lower <= formula <= exact.upper,
-                           f"exact={exact.upper}" if exact.optimal
-                           else f"exact={exact.lower}..{exact.upper}")
-        if note != "ok":
-            failures += 1
-        reports.append(RunReport(
-            group_name=group.name or "?", order=group.order, method="formula",
-            result=formula, certified=note == "ok", wall_time=dt, note=note))
-    sys.stdout.write(_render_reports(reports, fmt))
-    print(f"{len(reports) - failures}/{len(reports)} passed")
-    return 1 if failures else 0
+    passed = sum(r.note == "ok" for r in reports)
+    print(f"{passed}/{len(reports)} passed")
+    return 0 if passed == len(reports) else 1
 
 
 def cmd_known(args) -> int:

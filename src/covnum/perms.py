@@ -105,9 +105,6 @@ class Permutation:
         inv = g.inverse().images
         return Permutation._trusted(take(take(inv)(self.images))(g.images))
 
-    def is_identity(self) -> bool:
-        return all(i == x for x, i in enumerate(self.images))
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest point, sorted."""
         seen = [False] * self.degree
@@ -124,12 +121,6 @@ class Permutation:
                 x = self.images[x]
             out.append(tuple(cycle))
         return out
-
-    def cycle_type(self) -> tuple[int, ...]:
-        """Cycle lengths including fixed points, sorted descending."""
-        lengths = [len(c) for c in self.cycles()]
-        lengths += [1] * (self.degree - sum(lengths))
-        return tuple(sorted(lengths, reverse=True))
 
     @cached_property
     def order(self) -> int:

@@ -345,9 +345,6 @@ class MaxClassSet:
     def by_label(self, label: str) -> int:
         return label_index([c.label for c in self.classes], label, "maximal class")
 
-    def subgroup_count(self) -> int:
-        return sum(c.class_length for c in self.classes)
-
 
 def _package_max_classes(group: PermGroup, orbits: list[list[frozenset[int]]],
                          provenance: str) -> MaxClassSet:

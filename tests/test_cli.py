@@ -11,7 +11,8 @@ import covnum
 from covnum import cli, cover
 from covnum.cli import main
 from covnum.cover import CoverResult, SolveBudget, build_instance, format_lp, \
-    parse_instance, sigma_exact
+    parse_instance, solve
+from covnum.errors import BudgetExceeded
 from covnum.groups import format_group_file
 from covnum.perms import format_cycles
 from covnum.subgroups import format_maximal_file, maximal_classes_computed
@@ -274,14 +275,47 @@ def test_batch_note_tells_a_cut_search_from_a_mismatch():
     assert cli._batch_note(solved, False, "vs registry 11") == "MISMATCH vs registry 11"
 
 
+def test_batch_solvable_oracle_human_format(capsys):
+    code, out, _ = run(capsys, "batch", "solvable-oracle")
+    assert code == 0
+    assert _mask_times(out) == HUMAN_HEADER + [
+        f"{name:<14}{order:>8}  formula {sigma:>12}  true      computed"
+        "                   T.TTs  ok"
+        for name, order, sigma in [(f"D{n}", n, sigma) for n, sigma in zip(
+            range(6, 34, 2), [4, 3, 6, 3, 8, 3, 4, 3, 12, 3, 14, 3, 4, 3])] + [
+            ("C2^2", 4, 3), ("C2^3", 8, 3), ("C3^2", 9, 4), ("C5^2", 25, 6), ("Q8", 8, 3),
+            ("S4", 24, 4), ("A4", 12, 5), ("F21", 21, 8), ("C2xC4", 8, 3), ("S3xS3", 36, 3),
+            ("S3xC3", 18, 4), ("A4xC3", 36, 4), ("D8xC2", 16, 3),
+        ] + [(f"AGL(1,{q})", q * (q - 1), q + 1) for q in (3, 4, 5, 7, 8, 9)]
+    ] + ["33/33 passed"]
+
+
+def test_batch_solvable_oracle_error_is_one_row(capsys, monkeypatch):
+    """A CovnumError in one solvable-oracle group fails that row only; the
+    other rows are still computed and printed."""
+    formula = cli.sigma_solvable
+
+    def failing(group):
+        if group.name == "Q8":
+            raise BudgetExceeded("complement budget")
+        return formula(group)
+
+    monkeypatch.setattr(cli, "sigma_solvable", failing)
+    code, out, _ = run(capsys, "batch", "solvable-oracle", "--format", "records")
+    assert code == 1
+    assert "group=Q8 order=0 method=formula sigma=0..0 certified=false provenance=computed " \
+           "time=0.00s note=error: complement budget" in out.splitlines()
+    assert out.count("note=ok") == 32 and out.endswith("32/33 passed\n")
+
+
 def test_batch_solvable_oracle_passes_the_budget(capsys, monkeypatch):
     budgets = []
 
-    def recording(group, budget=SolveBudget(), *args, **kwargs):
+    def recording(instance, budget=SolveBudget(), *args, **kwargs):
         budgets.append(budget)
-        return sigma_exact(group, budget, *args, **kwargs)
+        return solve(instance, budget, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "sigma_exact", recording)
+    monkeypatch.setattr(cli, "solve", recording)
     code, out, _ = run(capsys, "batch", "solvable-oracle", "--max-nodes", "1",
                        "--time-limit", "30", "--format", "records")
     assert budgets and set(budgets) == {SolveBudget(max_nodes=1, time_limit=30.0)}

@@ -181,3 +181,26 @@ def test_ingested_lists_are_checked_in_subgroups():
     raised, so no front end adds a check of its own."""
     named = {path.name for path in SOURCES if "IngestInvalid" in path.read_text()}
     assert named == {"errors.py", "__init__.py", "subgroups.py"}
+
+
+def test_cli_stages_run_in_one_place():
+    """One run path for every group command: in cli.py only the ``_Run``
+    class builds and solves instances, reads maximal lists and reads the
+    clock, so no command times, loads or solves on its own."""
+    path = Path(covnum.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), str(path))
+    owned = {"build_instance", "solve", "maximal_classes_computed", "maximal_classes_from_file",
+             "library.maximals", "time.monotonic"}
+    inside = {id(node) for top in tree.body
+              if isinstance(top, ast.ClassDef) and top.name == "_Run" for node in ast.walk(top)}
+    found, owner_reads = [], 0
+    for node in ast.walk(tree):
+        named = node.id if isinstance(node, ast.Name) else \
+            f"{node.value.id}.{node.attr}" if isinstance(node, ast.Attribute) \
+            and isinstance(node.value, ast.Name) else None
+        if named in owned and id(node) in inside:
+            owner_reads += 1
+        elif named in owned:
+            found.append(f"cli.py:{node.lineno} {named}")
+    assert found == []
+    assert owner_reads >= len(owned)
