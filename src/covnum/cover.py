@@ -122,7 +122,10 @@ def build_instance(group: PermGroup, cls: ConjClassTable, mx: MaxClassSet,
     assignment = group.class_assignment()
     selected = frozenset(cls.by_label(lbl) for lbl in elt_labels)
     universe = tuple(x for x in range(1, alg.n) if assignment[x] in selected)
-    position = {x: p for p, x in enumerate(universe)}
+    full = (1 << len(universe)) - 1
+    position = [len(universe)] * alg.n  # an id outside the universe sets a spare bit
+    for p, x in enumerate(universe):
+        position[x] = p
     masks: list[int] = []
     col_class: list[int] = []
     normalizers: list[frozenset[int] | None] = []
@@ -132,11 +135,10 @@ def build_instance(group: PermGroup, cls: ConjClassTable, mx: MaxClassSet,
         mcls = mx.classes[mx.by_label(lbl)]
         labels.append(lbl)
         for member in mcls.members:
-            mask = 0
-            for x in member:
-                p = position.get(x)
-                if p is not None:
-                    mask |= 1 << p
+            buf = bytearray(len(universe) // 8 + 1)  # the mask and the spare bit
+            for p in take(member)(position):
+                buf[p >> 3] |= 1 << (p & 7)
+            mask = int.from_bytes(buf, "little") & full
             # G permutes the masks, so a mask met in an earlier class brings
             # its whole class with it and the classes with columns stay the
             # G-orbits; a column keeps its first member, whose normalizer
@@ -150,7 +152,6 @@ def build_instance(group: PermGroup, cls: ConjClassTable, mx: MaxClassSet,
     covered = 0
     for m in masks:
         covered |= m
-    full = (1 << len(universe)) - 1
     if covered != full:
         x = universe[next(_bits(full & ~covered))]
         raise Infeasible(

@@ -17,7 +17,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 from .errors import CapExceeded, CovnumError, DegreeMismatch, ParseError, Unknown
 from .perms import Permutation, _inverse, format_cycles, parse_permutation, take
@@ -174,10 +173,23 @@ class Enumeration:
         breadth-first order.
         With bail_above set, returns None as soon as K has more elements
         than that."""
+        grown = self._dimino(base, gen_ids, bail_above)
+        return None if grown is None else grown[0]
+
+    def join(self, ids, gen_ids, bail_above: int | None = None) -> frozenset[int] | None:
+        """The subgroup generated by the subgroup ``ids`` and ``gen_ids``, as
+        the set that grew with its cosets; gen_ids must generate it on their
+        own. With bail_above set, returns None once it exceeds that size."""
+        grown = self._dimino(list(ids), gen_ids, bail_above)
+        return None if grown is None else frozenset(grown[1])
+
+    def _dimino(self, base: list[int], gen_ids, bail_above: int | None):
+        """The cosets of ``cosets`` and the set of their elements, or None."""
         cap = self.n if bail_above is None else bail_above
         if len(base) > cap:
             return None
-        cols = [self.column(g) for g in gen_ids]
+        columns = self._columns
+        cols = [columns[g] if g in columns else self.column(g) for g in gen_ids]
         seen = set(base)
         out = [base]
         for coset in out:  # grows as new cosets are met
@@ -191,14 +203,7 @@ class Enumeration:
                     out.append(image)
                     if len(seen) > cap:
                         return None
-        return out
-
-    def join(self, ids, gen_ids, bail_above: int | None = None) -> frozenset[int] | None:
-        """The subgroup generated by the subgroup ``ids`` and ``gen_ids``, as
-        the union of its cosets; gen_ids must generate it on their own.
-        With bail_above set, returns None once it exceeds that size."""
-        out = self.cosets(list(ids), gen_ids, bail_above)
-        return None if out is None else frozenset(chain.from_iterable(out))
+        return out, seen
 
     def _span(self, seed_ids) -> tuple[list[int], frozenset[int]]:
         """The subgroup generated by the given element ids, and the ids it
@@ -465,11 +470,14 @@ def _conjugacy_classes(group: PermGroup) -> tuple[ConjClassTable, list[int]]:
     n = len(elems)
     assigned = [False] * n
     assigned[0] = True  # identity excluded
-    raw: list[tuple[Permutation, int, int, dict[int, None]]] = []
+    raw: list[tuple[Permutation, int, int, set[int]]] = []
     for i in range(1, n):
         if assigned[i]:
             continue
-        cls = orbit(i, lambda x: [m[x] for m in maps])
+        cls, frontier = {i}, (i,)
+        while frontier:  # the conjugates of the elements met last, less those met before
+            frontier = set().union(*map(take(frontier), maps)) - cls
+            cls |= frontier
         for j in cls:
             assigned[j] = True
         rep = elems[min(cls)]

@@ -179,10 +179,15 @@ def group(key: str) -> PermGroup:
     return entry(key).build()
 
 
-@cache
 def maximals(key: str, lattice_max_order: int = LATTICE_MAX_ORDER) -> MaxClassSet:
     """The group's maximal classes: its bundled file, ingested and checked by
-    maximal_classes_from_file under the lattice cap, or else computed."""
+    maximal_classes_from_file under the lattice cap, or else computed. They
+    are cached on (key, cap), however the call spells them."""
+    return _maximals(key, lattice_max_order)
+
+
+@cache
+def _maximals(key: str, lattice_max_order: int) -> MaxClassSet:
     e = entry(key)
     g = group(key)
     if e.maximals_file is not None:

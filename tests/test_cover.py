@@ -36,6 +36,77 @@ def test_a5_full_instance_shape():
     assert inst.action.elements == tuple(range(1, 60))
 
 
+def _bitwise_instance(group, mx, elts=None, subs=None):
+    """Reference build: the universe, then per kept column its mask, class
+    and normalizer, each mask set one bit at a time through a position dict;
+    empty masks and masks met before are dropped, as build_instance drops
+    them."""
+    cls = group.conjugacy_classes()
+    elts = [c.label for c in cls] if elts is None else elts
+    subs = [m.label for m in mx.classes] if subs is None else subs
+    selected = {cls.by_label(lbl) for lbl in elts}
+    assignment = group.class_assignment()
+    universe = tuple(x for x in range(1, group.order) if assignment[x] in selected)
+    position = {x: p for p, x in enumerate(universe)}
+    columns = []
+    for k, lbl in enumerate(subs):
+        mcls = mx.classes[mx.by_label(lbl)]
+        for member in mcls.members:
+            mask = 0
+            for x in member:
+                if x in position:
+                    mask |= 1 << position[x]
+            if mask and mask not in [m for m, _, _ in columns]:
+                columns.append((mask, k, member if mcls.self_normalizing else None))
+    return universe, columns
+
+
+def _check_against_bitwise(group, mx, elts=None, subs=None):
+    inst = build_instance(group, group.conjugacy_classes(), mx, elts=elts, subs=subs)
+    universe, columns = _bitwise_instance(group, mx, elts, subs)
+    assert inst.universe_size == len(universe)
+    assert inst.action.elements == universe
+    assert list(zip(inst.column_masks, inst.column_class, inst.action.normalizers)) == columns
+    return inst
+
+
+def test_instance_masks_match_the_bitwise_reference():
+    """build_instance sets a member's bits in a byte buffer and reads it as
+    one int; a bit-by-bit build gives the same masks in the same column
+    order, on every noncyclic library group (M11 from its bundled list) and
+    the solvable suite."""
+    groups = [(library.group(key), library.maximals(key)) for key in library.names()
+              if not library.group(key).is_cyclic()]
+    groups += [(group, maximal_classes_computed(group)) for group in library.solvable_suite()]
+    for group, mx in groups:
+        _check_against_bitwise(group, mx)
+
+
+@pytest.mark.parametrize("key,elts,subs,columns,instance_sha256,lp_sha256", [
+    # 117 elements, ids with gaps, and not a whole number of bytes
+    ("A6", ["cl_2", "cl_5,2"], None, 52,
+     "bdc65033b5016b21b08568a5be5144ea4150c776db5d107c13c1f73fb97a88d1",
+     "d09e65c22e5bde23e9e7d867d4ce39252e1173181b5c7b956f17285e516af7cd"),
+    ("A5", None, ["M1", "M2"], 11,
+     "9e8e5e538efd6c3145b74464d2a2484f96ad5f91057aef5383916d6c339d206b",
+     "83c7e9df4f86bd44b78afbedc0ae6d55cd827c8ede00c29e78ff28e267fe8369"),
+    ("M11", None, None, 309,
+     "21c4dfcdc806f26b9471d1ceee6b6d8dd1abf5c3e5a9d799bd49c960672ceb5e",
+     "9a86132826ca9951c238d39503cb99ce19c1201fc873be25856bc01b30d1f8de"),
+])
+def test_selected_instance_masks_and_text_are_pinned(key, elts, subs, columns,
+                                                      instance_sha256, lp_sha256):
+    inst = _check_against_bitwise(library.group(key), library.maximals(key), elts, subs)
+    assert len(inst.column_masks) == columns
+    assert hashlib.sha256(format_instance(inst).encode()).hexdigest() == instance_sha256
+    assert hashlib.sha256(format_lp(inst, key).encode()).hexdigest() == lp_sha256
+
+
+def test_empty_universe_has_no_columns():
+    inst = _check_against_bitwise(library.group("A5"), library.maximals("A5"), elts=[])
+    assert (inst.universe_size, inst.column_masks) == (0, ())
+
+
 def test_cyclic_instance_infeasible():
     """The witness is the lowest uncovered element, as in solve: here the
     first element of the universe, named in cycle notation."""

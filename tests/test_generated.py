@@ -1,6 +1,7 @@
 """Differential tests on generated groups: the solver, the greedy route and
 the solvable formula against the brute-force oracle, the quotient covering
-numbers against the image groups' own, the lattice against an unpruned
+numbers against the image groups' own, the class table against an orbit
+search per class, the lattice against an unpruned
 reference walk, the maximal classes and the complement counts against the
 lattice walk's maximal flags, and the normal and maximal subgroups and the
 ingest maximality check against the whole lattice, on subgroups of S_n
@@ -9,6 +10,7 @@ ingest maximality check against the whole lattice, on subgroups of S_n
 from hypothesis import HealthCheck, Phase, assume, given, settings, strategies as st
 from oracle import exhaustive_sigma
 from test_cover import _quadratic_reduce_universe
+from test_groups import check_classes_against_orbit_reference
 from test_registry import image_quotient_sigmas
 from test_subgroups import check_ingest_against_lattice, lattice_maximal_classes, \
     max_class_set_key, reference_subgroups
@@ -77,6 +79,12 @@ def test_generated_group_agrees_with_oracle(group):
             sum(c & above == below and len(c) * len(above) == group.order * len(below)
                 for c in members)
             for below, above in zip(series, series[1:])]
+
+
+@GENERATED
+@given(small_groups())
+def test_generated_group_classes_match_the_orbit_reference(group):
+    check_classes_against_orbit_reference(group)
 
 
 @GENERATED

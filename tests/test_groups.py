@@ -5,7 +5,8 @@ import pytest
 
 from covnum import groups, library
 from covnum.errors import CapExceeded, ParseError
-from covnum.groups import PermGroup, format_group_file, orbit, parse_group_file
+from covnum.groups import PermGroup, class_labels, format_group_file, orbit, \
+    parse_group_file
 from covnum.perms import Permutation, parse_permutation
 from covnum.subgroups import coset_action, minimal_normal_subgroups
 from test_subgroups import a5_wr_2
@@ -172,6 +173,43 @@ def test_class_assignment_is_conjugacy(key):
         x = elems[min(ids)]
         conjugates = {group.enumeration.index[x.conjugated_by(g).images] for g in elems}
         assert conjugates == ids
+
+
+def orbit_class_table(group):
+    """Reference class table: each class is the orbit() breadth-first search
+    of its lowest unassigned element under the conjugation maps; classes are
+    sorted by descending element order and size, then representative, and
+    labelled by class_labels. Returns (label, representative images, size,
+    element order) per class, and the class index of each element id."""
+    elems, maps = group.elements(), group.enumeration.conjugation_maps
+    raw, assigned = [], {0}
+    for i in range(1, len(elems)):
+        if i not in assigned:
+            cls = orbit(i, lambda x: [m[x] for m in maps])
+            assigned.update(cls)
+            rep = elems[min(cls)]
+            raw.append((rep.images, len(cls), rep.order, cls))
+    raw.sort(key=lambda t: (-t[2], -t[1], t[0]))
+    labels = class_labels([(order, size) for _, size, order, _ in raw])
+    assignment = [-1] * len(elems)
+    for pos, (_, _, _, cls) in enumerate(raw):
+        for j in cls:
+            assignment[j] = pos
+    return [(label, rep, size, order) for label, (rep, size, order, _) in zip(labels, raw)], \
+        assignment
+
+
+def check_classes_against_orbit_reference(group):
+    table = [(c.label, c.rep.images, c.size, c.element_order) for c in group.conjugacy_classes()]
+    assert (table, group.class_assignment()) == orbit_class_table(group)
+
+
+def test_class_table_matches_the_orbit_reference():
+    """The class table, grown one frontier of conjugates at a time, is the
+    one an orbit() search per class gives: labels, representatives, sizes,
+    element orders and the class of every element."""
+    for group in [library.group(key) for key in library.names()] + library.solvable_suite():
+        check_classes_against_orbit_reference(group)
 
 
 def test_conjugation_maps_and_inverses_match_permutations():

@@ -576,6 +576,18 @@ def test_m11_ingestion():
     assert sum(c.class_length for c in mx) == 309
 
 
+def test_library_maximals_are_cached_on_key_and_cap():
+    """Each spelling of the same call reads one cached list: M11's file is
+    ingested once, not once per spelling."""
+    before = library._maximals.cache_info()
+    first = library.maximals("M11")
+    assert library.maximals("M11", LATTICE_MAX_ORDER) is first
+    assert library.maximals("M11", lattice_max_order=LATTICE_MAX_ORDER) is first
+    after = library._maximals.cache_info()
+    assert after.misses - before.misses <= 1
+    assert after.hits + after.misses - before.hits - before.misses == 3
+
+
 def test_ingest_rejects_outside_generator():
     group = library.group("A5")
     text = "[class 1]\nindex 5\nlength 5\n(1,2)\n"  # odd permutation, not in A5
