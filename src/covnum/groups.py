@@ -14,6 +14,7 @@ cover modules build on.
 
 from __future__ import annotations
 
+import struct
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -50,8 +51,11 @@ def label_index(labels: list[str], label: str, kind: str) -> int:
 
 def _id_array(n: int, ids) -> array:
     """Element ids of a group of order n, two bytes each up to 65536
-    elements and four above."""
-    return array("H" if n <= 65536 else "I", ids)
+    elements and four above. One struct.pack call writes every entry and
+    the array reads its bytes, which is faster than filling the array entry
+    by entry."""
+    code = "H" if n <= 65536 else "I"
+    return array(code, struct.pack(f"{len(ids)}{code}", *ids))
 
 
 class Enumeration:

@@ -97,21 +97,26 @@ def subgroup_from_gens(group: PermGroup, gens) -> Subgroup:
 # Subgroup lattice by breadth-first join closure
 # ---------------------------------------------------------------------------
 
-def _atoms(alg: Enumeration, subject) -> tuple[list[tuple[frozenset[int], int]], dict[int, int]]:
+def _atoms(group: PermGroup, subject) -> tuple[list[tuple[frozenset[int], int]], dict[int, int]]:
     """The cyclic subgroups of prime-power order among the sorted ids
     ``subject``, with one generator id each, and the map from each element
-    id generating one of them to its index."""
+    id generating one of them to its index. Element orders are read from the
+    group's class table, one per class, not computed per element; the
+    identity, id 0, has no class and generates no atom."""
+    alg = group.enumeration
+    orders = [c.element_order for c in group.conjugacy_classes()]
+    assignment = group.class_assignment()
     seen: dict[frozenset[int], int] = {}
     generates: dict[int, frozenset[int]] = {}
     for x in subject:
-        if x in generates:
+        if x == 0 or x in generates:
             continue
-        g = alg.elems[x]
-        k = g.order
+        k = orders[assignment[x]]
         try:
             p = prime_power(k)[0]
         except OutOfRange:
             continue
+        g = alg.elems[x]
         powers = [x]  # the ids of g, g^2, ..., g^k = 1
         q = g
         for _ in range(k - 1):
@@ -126,7 +131,8 @@ def _atoms(alg: Enumeration, subject) -> tuple[list[tuple[frozenset[int], int]],
     return atoms, {x: position[ids] for x, ids in generates.items()}
 
 
-def _normalizer(alg: Enumeration, tree: dict) -> tuple[frozenset[int], list[tuple[int, ...]]]:
+def _normalizer(alg: Enumeration, tree: dict,
+                gen_ids=()) -> tuple[frozenset[int], list[tuple[int, ...]]]:
     """N_G(H) for the root H of a conjugation-orbit tree, with a generating
     set given as words in the group generators.
 
@@ -135,7 +141,10 @@ def _normalizer(alg: Enumeration, tree: dict) -> tuple[frozenset[int], list[tupl
     is generator k and k + m its inverse, m being the number of generators,
     and a word's element is its letters' columns applied in turn to the
     identity. A Schreier generator is kept only when it enlarges the closure
-    of those kept before, and the search stops at |G| / (orbit length)."""
+    of those kept before, and the search stops at |G| / (orbit length).
+    Given ids ``gen_ids`` that generate H, the closure starts at H, since H
+    lies in N_G(H), with their tree words as the first words; a
+    self-normalizing H then tests no Schreier generator."""
     m = len(alg.generators)
     cols = alg.gen_cols
     inv_cols = alg.inv_gen_cols
@@ -147,9 +156,9 @@ def _normalizer(alg: Enumeration, tree: dict) -> tuple[frozenset[int], list[tupl
             word, x = transversal[edge[0]]
             transversal[s] = (word + (edge[1],), cols[edge[1]][x])
     target = alg.n // len(tree)
-    kept: list[int] = []
-    words: list[tuple[int, ...]] = []
-    current = frozenset({0})
+    kept = list(gen_ids)
+    words = [tuple(alg.word(g)) for g in kept]
+    current = next(iter(tree)) if kept else frozenset({0})
     for s, (word, x) in transversal.items():
         for k in range(m):
             if len(current) == target:
@@ -220,7 +229,7 @@ def _lattice_classes(group: PermGroup, lattice_max_order: int = LATTICE_MAX_ORDE
         raise BudgetExceeded(f"lattice budget: order {group.order} > {lattice_max_order}")
     alg = group.enumeration
     subject = range(alg.n) if within is None else sorted(within)
-    atoms, atom_of = _atoms(alg, subject)
+    atoms, atom_of = _atoms(group, subject)
     # letter k of a normalizer word moves the atoms as generator k does,
     # letter k + m as its inverse (m generators)
     moves = [[atom_of[cmap[gen]] for _, gen in atoms] for cmap in alg.conjugation_maps]
@@ -249,7 +258,7 @@ def _lattice_classes(group: PermGroup, lattice_max_order: int = LATTICE_MAX_ORDE
         ids, gens, tree = cls[0], cls[1], cls[2]
         proper_cap = len(subject) // smallest_prime_factor(len(subject) // len(ids))
         actions = []
-        for word in _normalizer(alg, tree)[1]:
+        for word in _normalizer(alg, tree, gens)[1]:
             action = moves[word[0]]
             for letter in word[1:]:
                 action = take(action)(moves[letter])

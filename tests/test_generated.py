@@ -1,19 +1,19 @@
 """Differential tests on generated groups: the solver, the greedy route and
 the solvable formula against the brute-force oracle, the quotient covering
 numbers against the image groups' own, the class table against an orbit
-search per class, the lattice against an unpruned
-reference walk, the maximal classes and the complement counts against the
-lattice walk's maximal flags, and the normal and maximal subgroups and the
-ingest maximality check against the whole lattice, on subgroups of S_n
-(n <= 6) generated by two or three random permutations."""
+search per class, the atoms against per-element orders, the lattice against
+an unpruned reference walk, the maximal classes and the complement counts
+against the lattice walk's maximal flags, and the normal and maximal
+subgroups and the ingest maximality check against the whole lattice, on
+subgroups of S_n (n <= 6) generated by two or three random permutations."""
 
 from hypothesis import HealthCheck, Phase, assume, given, settings, strategies as st
 from oracle import exhaustive_sigma
 from test_cover import _quadratic_reduce_universe
 from test_groups import check_classes_against_orbit_reference
 from test_registry import image_quotient_sigmas
-from test_subgroups import check_ingest_against_lattice, lattice_maximal_classes, \
-    max_class_set_key, reference_subgroups
+from test_subgroups import check_atoms_against_reference, check_ingest_against_lattice, \
+    lattice_maximal_classes, max_class_set_key, reference_subgroups
 
 from covnum.cover import SolveBudget, _minimal_positions, _reduce_universe, build_instance, \
     sigma_exact, solve
@@ -85,6 +85,12 @@ def test_generated_group_agrees_with_oracle(group):
 @given(small_groups())
 def test_generated_group_classes_match_the_orbit_reference(group):
     check_classes_against_orbit_reference(group)
+
+
+@GENERATED
+@given(small_groups())
+def test_generated_group_atoms_match_the_per_element_reference(group):
+    check_atoms_against_reference(group, range(group.order))
 
 
 @GENERATED

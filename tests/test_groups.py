@@ -1,4 +1,5 @@
 import random
+from array import array
 from itertools import combinations
 
 import pytest
@@ -210,6 +211,20 @@ def test_class_table_matches_the_orbit_reference():
     element orders and the class of every element."""
     for group in [library.group(key) for key in library.names()] + library.solvable_suite():
         check_classes_against_orbit_reference(group)
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (7920, 7920), (65536, 65536), (65536, 0),
+                                      (65536, 1), (65537, 1000), (10**6, 0), (10**6, 1)])
+def test_id_array_is_the_entry_by_entry_array(n, count):
+    """_id_array packs ids in one call into the array that array(code, ids)
+    fills entry by entry: type code H up to 65,536 elements, I above, here
+    on shuffled synthetic ids with no large group built."""
+    ids = random.Random(n + count).sample(range(n), count)
+    code = "H" if n <= 65536 else "I"
+    packed = groups._id_array(n, tuple(ids))
+    assert packed.typecode == code
+    assert packed == array(code, ids)
+    assert groups._id_array(n, array(code, ids)) == packed
 
 
 def test_conjugation_maps_and_inverses_match_permutations():

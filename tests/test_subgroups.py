@@ -8,7 +8,8 @@ from operator import itemgetter
 import pytest
 
 from covnum import library, subgroups
-from covnum.errors import BudgetExceeded, IndexTooLarge, IngestInvalid, NoSupplement, ParseError
+from covnum.errors import BudgetExceeded, IndexTooLarge, IngestInvalid, NoSupplement, \
+    OutOfRange, ParseError
 from covnum.groups import Enumeration, PermGroup, format_group_file, parse_group_file
 from covnum.perms import Permutation, format_cycles, parse_permutation
 from covnum.subgroups import (
@@ -321,7 +322,7 @@ def test_coset_join_is_the_closure(key):
     group = library.group(key)
     alg = group.enumeration
     subs = all_subgroups(group)
-    atoms = [gen for _, gen in subgroups._atoms(alg, range(alg.n))[0]]
+    atoms = [gen for _, gen in subgroups._atoms(group, range(alg.n))[0]]
     rng = random.Random(11)
     for _ in range(150):
         sub, a = rng.choice(subs), rng.choice(atoms)
@@ -405,6 +406,123 @@ def test_walk_normalizer_is_brute_force_normalizer(key):
                 p = p * letters[letter]
             word_ids.append(alg.index[p.images])
         assert alg.closure(word_ids) == expected
+
+
+def _word_ids(group, words):
+    """The element ids of normalizer words: letter k is generator k, and
+    k + m its inverse for m generators."""
+    gens = list(group.generators)
+    letters = gens + [g.inverse() for g in gens]
+    ids = []
+    for word in words:
+        p = Permutation.identity(group.degree)
+        for letter in word:
+            p = p * letters[letter]
+        ids.append(group.enumeration.index[p.images])
+    return ids
+
+
+@pytest.mark.parametrize("key", [k for k in library.names()
+                                 if library.group(k).order <= 360])
+def test_seeded_normalizer_is_the_unseeded_normalizer(monkeypatch, key):
+    """For each class representative H the walk joins, _normalizer seeded
+    with the generators H was admitted with gives the unseeded call's
+    N_G(H), its words evaluate to elements that generate N_G(H), and for a
+    self-normalizing H it makes no join at all."""
+    group = library.group(key)
+    alg = group.enumeration
+    normalizer = subgroups._normalizer
+    seeded = []
+
+    def recording(alg, tree, gen_ids=()):
+        seeded.append((tree, list(gen_ids)))
+        return normalizer(alg, tree, gen_ids)
+
+    monkeypatch.setattr(subgroups, "_normalizer", recording)
+    walk = subgroups._lattice_classes(group)
+    monkeypatch.undo()
+    reps = [orbit[0] for orbit, _ in walk]
+    # every class is joined, but G when no join reached it
+    assert [next(iter(tree)) for tree, _ in seeded] == reps[:max(len(seeded), len(reps) - 1)]
+    joins = []
+    join = Enumeration.join
+
+    def counting(self, *args, **kwargs):
+        joins.append(None)
+        return join(self, *args, **kwargs)
+
+    for tree, gen_ids in seeded:
+        rep = next(iter(tree))
+        assert alg.closure(gen_ids) == rep
+        expected = normalizer(alg, tree)[0]
+        joins.clear()
+        monkeypatch.setattr(Enumeration, "join", counting)
+        norm, words = normalizer(alg, tree, gen_ids)
+        monkeypatch.undo()
+        assert norm == expected
+        assert alg.closure(_word_ids(group, words)) == expected
+        if expected == rep:
+            assert joins == []
+
+
+def reference_atoms(group, subject):
+    """_atoms computed element by element: each element's order from
+    Permutation.order, its powers by permutation products."""
+    alg = group.enumeration
+    seen, generates = {}, {}
+    for x in subject:
+        if x in generates:
+            continue
+        g = alg.elems[x]
+        k = g.order
+        try:
+            p = subgroups.prime_power(k)[0]
+        except OutOfRange:
+            continue
+        powers, q = [x], g
+        for _ in range(k - 1):
+            q = q * g
+            powers.append(alg.index[q.images])
+        ids = frozenset(powers)
+        seen[ids] = x
+        generates.update((y, ids) for e, y in enumerate(powers, start=1) if e % p)
+    atoms = sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+    position = {ids: a for a, (ids, _) in enumerate(atoms)}
+    return atoms, [(x, position[ids]) for x, ids in generates.items()]
+
+
+def check_atoms_against_reference(group, subject):
+    atoms, atom_of = subgroups._atoms(group, subject)
+    assert (atoms, list(atom_of.items())) == reference_atoms(group, subject)
+
+
+@pytest.mark.parametrize("key", [k for k in library.names()
+                                 if library.group(k).order <= LATTICE_MAX_ORDER
+                                 and not library.group(k).is_cyclic()])
+def test_atoms_match_the_per_element_reference(key):
+    """The atoms, their order and the map atom_of, with element orders read
+    from the class table, are those of a per-element order computation."""
+    group = library.group(key)
+    check_atoms_against_reference(group, range(group.order))
+
+
+@pytest.mark.parametrize("key", ["S6", "PGL27"])
+def test_atoms_within_a_normal_subgroup_match_the_reference(key):
+    """Walked within a minimal normal subgroup N, the atoms are N's, on G's
+    element ids and G's class table."""
+    group = library.group(key)
+    normal = minimal_normal_subgroups(group)[0]
+    assert 1 < normal.order < group.order
+    check_atoms_against_reference(group, sorted(normal.elements))
+
+
+def test_atoms_of_a_quotient_build_its_class_table():
+    """AGL32's coset-action quotient by its minimal normal subgroup has no
+    class table until _atoms asks for one."""
+    agl = library.group("AGL32")
+    quotient = coset_action(minimal_normal_subgroups(agl)[0])[0]
+    assert "_classes_and_assignment" not in quotient.__dict__
+    check_atoms_against_reference(quotient, range(quotient.order))
 
 
 def test_a5_lattice_composition():
@@ -494,7 +612,7 @@ def test_walk_and_route_on_groups_with_a_single_atom(key):
         quotient = coset_action(minimal_normal_subgroups(group)[0])[0]
         assert quotient.order == 2
         group = quotient
-    atoms = subgroups._atoms(group.enumeration, range(group.order))[0]
+    atoms = subgroups._atoms(group, range(group.order))[0]
     assert [len(ids) for ids, _ in atoms] == [group.order]
     walk = subgroups._lattice_classes(group)
     assert walk == [([frozenset({0})], True), ([frozenset(range(group.order))], False)]
