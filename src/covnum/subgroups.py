@@ -16,6 +16,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from math import gcd
 
 from .errors import (
     BudgetExceeded,
@@ -54,6 +55,16 @@ def prime_power(q: int) -> tuple[int, int]:
         if m == 1:
             return p, d
     raise OutOfRange(f"{q} is not a prime power")
+
+
+def _kempner(n: int) -> int:
+    """The least k with n dividing k! (Kempner's function), for n >= 1.
+    Dividing n by gcd(n, k) for k = 2, 3, ... leaves n / gcd(n, k!)."""
+    k = 1
+    while n > 1:
+        k += 1
+        n //= gcd(n, k)
+    return k
 
 
 @dataclass(frozen=True)
@@ -101,8 +112,10 @@ def _atoms(group: PermGroup, subject) -> tuple[list[tuple[frozenset[int], int]],
     """The cyclic subgroups of prime-power order among the sorted ids
     ``subject``, with one generator id each, and the map from each element
     id generating one of them to its index. Element orders are read from the
-    group's class table, one per class, not computed per element; the
-    identity, id 0, has no class and generates no atom."""
+    group's class table, one per class, not computed per element, and
+    powers are image tuples composed by take and looked up in the
+    enumeration's index; the identity, id 0, has no class and generates no
+    atom."""
     alg = group.enumeration
     orders = [c.element_order for c in group.conjugacy_classes()]
     assignment = group.class_assignment()
@@ -116,12 +129,12 @@ def _atoms(group: PermGroup, subject) -> tuple[list[tuple[frozenset[int], int]],
             p = prime_power(k)[0]
         except OutOfRange:
             continue
-        g = alg.elems[x]
+        times_g = take(alg.elems[x].images)  # q -> g q = q g on image tuples
         powers = [x]  # the ids of g, g^2, ..., g^k = 1
-        q = g
+        q = alg.elems[x].images
         for _ in range(k - 1):
-            q = q * g
-            powers.append(alg.index[q.images])
+            q = times_g(q)
+            powers.append(alg.index[q])
         ids = frozenset(powers)
         seen[ids] = x
         # g^e generates <g> exactly when p does not divide e
@@ -176,10 +189,44 @@ def _normalizer(alg: Enumeration, tree: dict,
     return current, words
 
 
+def _overgroup_cap(group: PermGroup, within: frozenset[int] | None = None):
+    """The walk's cap on its joins: a function from the ids of a subgroup H
+    of G, or of N = ``within``, to the largest order that a proper subgroup
+    of G (of N) containing H can have, |G|/d_H as _lattice_walk proves.
+    G's normal subgroups are listed once, each K with f(|G:K|). Within N,
+    whose own normal subgroups are not computed, only K = 1 is listed, with
+    the bound 2 that every proper subgroup's index meets, so the cap is
+    |N|/q, q the least prime dividing [N:H]."""
+    if within is None:
+        n = group.order
+        bounds = [(k.elements, _kempner(n // k.order)) for k in normal_subgroups(group)[:-1]]
+    else:
+        n, bounds = len(within), [(frozenset({0}), 2)]
+
+    def cap(ids: frozenset[int]) -> int:
+        index = n // len(ids)
+        if index == 1:  # H is G, or N: no proper subgroup contains it
+            return n
+        least = min(f for k, f in bounds if len(ids) * len(k) < n * len(ids & k))
+        return n // next(d for d in range(least, index + 1) if index % d == 0)
+
+    return cap
+
+
 def _lattice_classes(group: PermGroup, lattice_max_order: int = LATTICE_MAX_ORDER,
                      within: frozenset[int] | None = None
                      ) -> list[tuple[list[frozenset[int]], bool]]:
-    """Every conjugacy class of subgroups as (orbit, maximal), or those in N.
+    """Every conjugacy class of subgroups as (orbit, maximal), or those in
+    N: the classes of _lattice_walk, each orbit tree listed by its keys."""
+    walk = _lattice_walk(group, lattice_max_order, within)
+    return [(list(tree), maximal) for tree, _, maximal in walk]
+
+
+def _lattice_walk(group: PermGroup, lattice_max_order: int,
+                  within: frozenset[int] | None
+                  ) -> list[tuple[dict, list[int], bool]]:
+    """Every conjugacy class of subgroups, or those in N, as (conjugation
+    orbit tree, generator ids of its first member, maximal).
 
     Breadth-first join closure: start from the cyclic prime-power subgroups
     (the atoms), join the conjugate H each class was admitted with to one
@@ -200,8 +247,15 @@ def _lattice_classes(group: PermGroup, lattice_max_order: int = LATTICE_MAX_ORDE
     Each join <H, a> is grown by coset images (Enumeration.cosets; Butler,
     Fundamental Algorithms for Permutation Groups, 1991) from the larger of
     H and <a>, and it stops as soon as it outgrows every proper overgroup of
-    H: such an overgroup has index a proper divisor of [G:H], so at most
-    |G|/q elements for q the least prime dividing [G:H].
+    H. Let J be a proper subgroup containing H, and K = core_G(J). Then K is
+    a proper normal subgroup, HK <= J, and G/K acts faithfully on the [G:J]
+    cosets of J, so |G:K| divides [G:J]!, and [G:J] divides [G:H]. With
+    f(n) the least k such that n divides k!, [G:J] is at least d_H, the
+    least divisor of [G:H] that is at least the least f(|G:K|) over the
+    proper normal K with HK != G, that is |H||K| < |G||H meet K|; K = 1 is
+    always one. So J has at most |G|/d_H elements (_overgroup_cap), and a
+    join that passes that cap is G. Within N the cap stays |N|/q, q the
+    least prime dividing [N:H].
     A join is skipped when an atom b inside H has <b, a> = G, since then
     <H, a> = G. The atom classes' own joins decide every atom pair: full[a]
     holds the atoms b with <a, b> = G, one bit each, and full[b^g] =
@@ -224,12 +278,16 @@ def _lattice_classes(group: PermGroup, lattice_max_order: int = LATTICE_MAX_ORDE
     N as ``within``, the walk gives the G-classes of N's subgroups on G's
     element ids: the atoms are N's, every join stays in N, N_G(H) permutes them,
     and the overgroup bound, atom-pair sets and flag (maximal in N) read |N|.
+    Each class comes with the tree it was closed under conjugation with,
+    whose first key is the member it was admitted as, and the generator ids
+    of that member, so callers can seed _normalizer with them.
     """
     if group.order > lattice_max_order:
         raise BudgetExceeded(f"lattice budget: order {group.order} > {lattice_max_order}")
     alg = group.enumeration
     subject = range(alg.n) if within is None else sorted(within)
     atoms, atom_of = _atoms(group, subject)
+    overgroup_cap = _overgroup_cap(group, within)
     # letter k of a normalizer word moves the atoms as generator k does,
     # letter k + m as its inverse (m generators)
     moves = [[atom_of[cmap[gen]] for _, gen in atoms] for cmap in alg.conjugation_maps]
@@ -256,7 +314,7 @@ def _lattice_classes(group: PermGroup, lattice_max_order: int = LATTICE_MAX_ORDE
     done: set[int] = set()  # the atoms of the atom classes already joined
     for pos, cls in enumerate(classes):  # grows as joins admit new classes
         ids, gens, tree = cls[0], cls[1], cls[2]
-        proper_cap = len(subject) // smallest_prime_factor(len(subject) // len(ids))
+        proper_cap = overgroup_cap(ids)
         actions = []
         for word in _normalizer(alg, tree, gens)[1]:
             action = moves[word[0]]
@@ -304,8 +362,10 @@ def _lattice_classes(group: PermGroup, lattice_max_order: int = LATTICE_MAX_ORDE
                     text = format(full[at[edge[0]]], width)
                     full[b] = int("".join(bit_moves[edge[1]](text)), 2)
             done.update(at.values())
-    admit(frozenset(subject), [])  # nothing joins from the top class
-    return [(list(tree), maximal) for _, _, tree, maximal in classes]
+    top = frozenset(subject)
+    if top not in seen:  # nothing joins from G, or N, and it is its own orbit
+        classes.append([top, [], {top: None}, False])
+    return [(tree, gens, maximal) for _, gens, tree, maximal in classes]
 
 
 def all_subgroups(group: PermGroup,
@@ -421,7 +481,8 @@ def _supplement_classes(normal: Subgroup,
     N_G(K) by maximality, with N_G(K)N = G. Every such candidate lies in a
     maximal subgroup with the same property, and that is a candidate too, so
     the maximal ones are the candidates inside no other candidate. One K is
-    taken per G-class of N's subgroups, walked within N on G's element ids."""
+    taken per G-class of N's subgroups, walked within N on G's element ids,
+    and N_G(K) is grown from K's generators along the walk's orbit tree."""
     group = normal.parent
     alg = group.enumeration
     candidates: list[list[frozenset[int]]] = []
@@ -435,11 +496,10 @@ def _supplement_classes(normal: Subgroup,
         return candidates  # N is abelian
     except OutOfRange:
         pass
-    for orbit, _ in _lattice_classes(group, lattice_max_order, normal.elements):
-        k = orbit[0]
-        if not 1 < len(k) < normal.order:
+    for tree, gens, _ in _lattice_walk(group, lattice_max_order, normal.elements):
+        if not 1 < len(next(iter(tree))) < normal.order:
             continue
-        norm = _normalizer(alg, alg.conjugation_orbit(k))[0]
+        norm = _normalizer(alg, tree, gens)[0]
         if norm not in seen and \
                 len(norm) * normal.order == alg.n * len(norm & normal.elements):
             candidates.append(list(alg.conjugation_orbit(norm)))
@@ -565,9 +625,11 @@ def _verify_maximal(sub: Subgroup, gen_ids: list[int]) -> None:
     Since <H, r> = <H, h r h'> for h, h' in H, one r per double coset H r H
     decides all of its cosets, the orbit of Hr under H's generator columns
     (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
-    As in _lattice_classes, <H, r> is the whole group exactly when its join
-    grows past |G|/q, q the least prime dividing [G:H], since no proper
-    overgroup of H is larger. H must be proper."""
+    <H, r> is the whole group exactly when its join grows past |G|/q, q the
+    least prime dividing [G:H], since a proper overgroup of H has index a
+    divisor of [G:H] other than 1. The walk's sharper cap, _overgroup_cap,
+    is not used: it lists G's normal subgroups, which on M11 takes about as
+    long as the whole ingest of its maximal list. H must be proper."""
     alg = sub.parent.enumeration
     rep_ids, coset_of = _coset_decomposition(sub)
     hcols = [alg.column(g) for g in gen_ids]

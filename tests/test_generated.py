@@ -4,8 +4,9 @@ numbers against the image groups' own, the class table against an orbit
 search per class, the atoms against per-element orders, the lattice against
 an unpruned reference walk, the maximal classes and the complement counts
 against the lattice walk's maximal flags, and the normal and maximal
-subgroups and the ingest maximality check against the whole lattice, on
-subgroups of S_n (n <= 6) generated by two or three random permutations."""
+subgroups, the walk's cap on proper overgroups and the ingest maximality
+check against the whole lattice, on subgroups of S_n (n <= 6) generated by
+two or three random permutations."""
 
 from hypothesis import HealthCheck, Phase, assume, given, settings, strategies as st
 from oracle import exhaustive_sigma
@@ -13,7 +14,8 @@ from test_cover import _quadratic_reduce_universe
 from test_groups import check_classes_against_orbit_reference
 from test_registry import image_quotient_sigmas
 from test_subgroups import check_atoms_against_reference, check_ingest_against_lattice, \
-    lattice_maximal_classes, max_class_set_key, reference_subgroups
+    check_overgroup_cap_against_lattice, lattice_maximal_classes, max_class_set_key, \
+    reference_subgroups
 
 from covnum.cover import SolveBudget, _minimal_positions, _reduce_universe, build_instance, \
     sigma_exact, solve
@@ -91,6 +93,12 @@ def test_generated_group_classes_match_the_orbit_reference(group):
 @given(small_groups())
 def test_generated_group_atoms_match_the_per_element_reference(group):
     check_atoms_against_reference(group, range(group.order))
+
+
+@GENERATED
+@given(small_groups())
+def test_generated_group_overgroup_cap_bounds_every_proper_overgroup(group):
+    check_overgroup_cap_against_lattice(group)
 
 
 @GENERATED

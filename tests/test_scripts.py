@@ -1,6 +1,10 @@
 import importlib.util
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+from test_subgroups import WALK_SHA256
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "build_m11_maximals.py"
 
@@ -32,3 +36,16 @@ def test_cli_text_masks_every_time():
     assert "time=T.TTs" in text and "   T.TTs" in text
     assert not re.search(r"time=\d", text)
     assert not re.search(r"\d\.\d\ds\b", text)
+
+
+WALK_TIME = Path(__file__).resolve().parents[1] / "scripts" / "walk_time.py"
+
+
+def test_walk_time_hashes_the_pinned_walk():
+    """The walk timing script on S4, twice, each walk in its own process:
+    standard output is the walk's pinned hash, and the CPU times go to
+    standard error."""
+    proc = subprocess.run([sys.executable, str(WALK_TIME), "S4", "--runs", "2"],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == f"S4 cap=5000 sha256={WALK_SHA256['S4']}\n"
+    assert re.fullmatch(r"S4 cap=5000 cpu_s=\d+\.\d{3} \d+\.\d{3}\n", proc.stderr)

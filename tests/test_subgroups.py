@@ -87,16 +87,17 @@ def _record_walk_joins(monkeypatch, group):
     result). H, the class representative being joined, is keyed by the
     generators it was admitted with: every generator but the atom's."""
     join = Enumeration.join
-    orders = {}
+    overgroup_cap = subgroups._overgroup_cap(group)
+    subs = {}
     calls = []
 
     def recording(self, ids, gen_ids, bail_above=None):
         joined = join(self, ids, gen_ids, bail_above)
         if bail_above is not None:
             h = tuple(gen_ids[:-1])
-            if h not in orders:
-                orders[h] = len(join(self, [0], list(h)))
-            cap = self.n // subgroups.smallest_prime_factor(self.n // orders[h])
+            if h not in subs:
+                subs[h] = join(self, [0], list(h))
+            cap = overgroup_cap(subs[h])
             calls.append((h, ids, gen_ids, bail_above, cap, joined))
         return joined
 
@@ -223,6 +224,49 @@ def test_walk_within_the_socle_of_a5_wr_2_is_pinned():
     (normal,) = minimal_normal_subgroups(group)
     walk = subgroups._lattice_classes(group, 10_000, normal.elements)
     assert _walk_sha256(walk) == A5_WR_2_WITHIN_SHA256
+
+
+def _least_factorial_multiple(n):
+    """The least k with n dividing k!, by a plain loop over k! mod n."""
+    k, residue = 1, 1 % n
+    while residue:
+        k += 1
+        residue = residue * k % n
+    return k
+
+
+def test_kempner_is_the_least_k_whose_factorial_n_divides():
+    assert [subgroups._kempner(n) for n in (1, 60, 168, 360, 7920)] == [1, 5, 7, 6, 11]
+    assert [subgroups._kempner(n) for n in range(1, 5001)] == \
+        [_least_factorial_multiple(n) for n in range(1, 5001)]
+
+
+def check_overgroup_cap_against_lattice(group):
+    """For each class representative H < G of the walk, the largest proper
+    subgroup of G that contains H, read from the whole lattice, has at most
+    _overgroup_cap's order. Returns how many of those caps are below
+    |G|/q, q the least prime dividing [G:H]."""
+    n = group.order
+    subs = [sub.elements for sub in all_subgroups(group) if sub.order < n]
+    overgroup_cap = subgroups._overgroup_cap(group)
+    below = 0
+    for h in (orbit[0] for orbit, _ in subgroups._lattice_classes(group)):
+        if len(h) == n:
+            continue
+        cap = overgroup_cap(h)
+        assert max(len(s) for s in subs if h <= s) <= cap
+        below += cap < n // subgroups.smallest_prime_factor(n // len(h))
+    return below
+
+
+@pytest.mark.parametrize("key", list(WALK_SHA256))
+def test_overgroup_cap_bounds_every_proper_overgroup(key):
+    """The walk's cap on H's proper overgroups holds on the whole lattice of
+    every library group within the lattice cap. On AGL32, A6 and S6 it is
+    below |G|/q for some H."""
+    below = check_overgroup_cap_against_lattice(library.group(key))
+    if key in ("AGL32", "A6", "S6"):
+        assert below > 0
 
 
 @pytest.mark.parametrize("key", ["S6", "AGL32"])
@@ -525,6 +569,20 @@ def test_atoms_of_a_quotient_build_its_class_table():
     check_atoms_against_reference(quotient, range(quotient.order))
 
 
+
+@pytest.mark.parametrize("key", ["A6", "AGL32"])
+def test_atoms_form_powers_without_permutation_products(monkeypatch, key):
+    """_atoms composes each atom's powers as image tuples: no Permutation is
+    multiplied once the group is enumerated and its class table built."""
+    group = library.group(key)
+    group.conjugacy_classes()
+
+    def forbidden(*args):
+        raise AssertionError("_atoms multiplied two Permutations")
+
+    monkeypatch.setattr(Permutation, "__mul__", forbidden)
+    assert subgroups._atoms(group, range(group.order))[0]
+
 def test_a5_lattice_composition():
     by_order = {}
     for s in all_subgroups(library.group("A5")):
@@ -638,6 +696,23 @@ def test_maximal_route_builds_one_group_per_descent_step(monkeypatch, key, built
     monkeypatch.setattr(subgroups, "PermGroup", counting)
     maximal_classes_computed(group)
     assert len(made) == built
+
+
+@pytest.mark.parametrize("key", ["S5", "S6", "PGL27"])
+def test_maximal_route_closes_each_subgroup_under_conjugation_once(monkeypatch, key):
+    """Below a nonabelian N, the normalizers N_G(K) of N's subgroups K grow
+    along the orbit trees of the walk within N, from K's generators: no
+    subgroup's conjugation orbit is computed twice by the maximal route."""
+    roots = []
+    conjugation_orbit = Enumeration.conjugation_orbit
+
+    def recording(self, ids):
+        roots.append((id(self), ids))
+        return conjugation_orbit(self, ids)
+
+    monkeypatch.setattr(Enumeration, "conjugation_orbit", recording)
+    maximal_classes_computed(library.group(key))
+    assert roots and len(set(roots)) == len(roots)
 
 
 @pytest.mark.parametrize("key", ["S6", "PGL27", "AGL32", "A5xC2"])
