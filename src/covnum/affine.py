@@ -30,6 +30,8 @@ _REDUCTIONS = {
     27: (2, 1, 0),
 }
 
+_AGL_COVER_MAX_ORDER = 100_000  # largest group agl_cover scans element by element
+
 
 class GF:
     """Arithmetic in GF(q); elements are ints 0..q-1 encoding base-p digit
@@ -199,10 +201,11 @@ class AffineCover:
         return list(self.point_stabilizers) + list(self.direction_subgroups)
 
 
-def agl_cover(n: int, q: int, max_order: int = 100_000) -> AffineCover:
+def agl_cover(n: int, q: int) -> AffineCover:
     """The explicit cover of AGL(n, q) from the module docstring, verified
-    member-by-member by a direct element scan."""
-    group, space = affine_group(n, q, max_order=max_order)
+    member-by-member by a direct element scan, for |AGL(n, q)| at most
+    _AGL_COVER_MAX_ORDER."""
+    group, space = affine_group(n, q, max_order=_AGL_COVER_MAX_ORDER)
     alg = group.enumeration
     zero = 0  # index of the zero vector
     stabs = []

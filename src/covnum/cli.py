@@ -32,13 +32,15 @@ class RunReport:
     group_name: str
     order: int
     method: str                      # greedy | exact | formula | registry
-    result: int | tuple[int, int]    # exact sigma, or (lo, hi)
-    certified: bool = False
-    wall_time: float = 0.0
-    provenance: str = "computed"
-    note: str = ""
+    result: int | tuple[int, int] | None  # exact sigma, (lo, hi), or None for a failed row
+    certified: bool
+    wall_time: float
+    provenance: str
+    note: str
 
     def result_text(self) -> str:
+        if self.result is None:
+            return "-"
         if isinstance(self.result, tuple):
             return f"{self.result[0]}..{self.result[1]}"
         return str(self.result)
@@ -53,8 +55,8 @@ def _render_reports(reports: list[RunReport], fmt: str) -> str:
                      f"provenance={r.provenance}", f"time={r.wall_time:.2f}s"]
             if r.note:
                 parts.append(f"note={r.note}")
-            lines.append(" ".join(parts))
-        return "\n".join(lines) + "\n"
+            lines.append(" ".join(parts) + "\n")
+        return "".join(lines)
     width = max([24] + [len(r.provenance) for r in reports])
     header = f"{'group':<14}{'order':>8}  {'method':<8}{'sigma':>12}  " \
              f"{'certified':<10}{'provenance':<{width}}{'time':>8}  note"
@@ -127,7 +129,9 @@ class _Run:
         library's list, or a solvable-oracle ``group`` with its list computed,
         both under the budget's lattice cap."""
         self.start, cap = time.monotonic(), self.budget.lattice_max_order
-        self.name, self.group = name, group or library.group(name)
+        # a load that fails must show nothing of the last row
+        self.name, self.group, self.mx = name, group, None
+        self.group = group or library.group(name)
         self.mx = library.maximals(name, cap) if group is None \
             else maximal_classes_computed(group, cap)
 
@@ -146,8 +150,12 @@ class _Run:
     def report(self, method: str, outcome, note: str = "", provenance: str = "") -> RunReport:
         """The run's report row, timed from its start. A cover result is sigma
         once it closes and its bracket otherwise; a greedy trace is its
-        bracket; a formula value is certified by an 'ok' note."""
-        if isinstance(outcome, CoverResult):
+        bracket; a formula value is certified by an 'ok' note; None, for a row
+        that failed, has no value. The provenance defaults to the maximal
+        list's, or '-' when the list did not load."""
+        if outcome is None:
+            result, certified = None, False
+        elif isinstance(outcome, CoverResult):
             certified = outcome.optimal
             result = outcome.upper if certified else (outcome.lower, outcome.upper)
         elif isinstance(outcome, int):
@@ -157,7 +165,8 @@ class _Run:
         return RunReport(
             group_name=self.name, order=self.group.order, method=method, result=result,
             certified=certified, wall_time=time.monotonic() - self.start,
-            provenance=provenance or self.mx.provenance, note=note)
+            provenance=provenance or (self.mx.provenance if self.mx is not None else "-"),
+            note=note)
 
 
 def _profile(args) -> tuple[IncidenceProfile, str]:
@@ -263,9 +272,8 @@ def cmd_batch(args) -> int:
         try:
             reports.append(_batch_row(run, name, group))
         except CovnumError as exc:
-            reports.append(RunReport(group_name=name, order=0,
-                                     method="exact" if group is None else "formula",
-                                     result=(0, 0), note=f"error: {exc}"))
+            reports.append(run.report("exact" if group is None else "formula", None,
+                                      f"error: {exc}"))
     sys.stdout.write(_render_reports(reports, args.format))
     passed = sum(r.note == "ok" for r in reports)
     print(f"{passed}/{len(reports)} passed")

@@ -71,6 +71,9 @@ def covering_number_bounds(group: PermGroup, mx: MaxClassSet,
 def greedy_from_profile(profile: IncidenceProfile, mode: str = "corrected") -> GreedyTrace:
     ecs = profile.element_classes
     scs = profile.subgroup_classes
+    if not ecs:  # only the trivial group has no nonidentity class
+        raise CyclicGroup("a profile with no element classes is the trivial group's, "
+                          "which is cyclic")
     remaining = list(range(len(ecs)))
     iterations: list[GreedyIteration] = []
     minlist: list[int] = []

@@ -158,8 +158,7 @@ class Enumeration:
             col = columns[g] = _id_array(self.n, col)
         return col
 
-    def cosets(self, base: list[int], gen_ids,
-               bail_above: int | None = None) -> list[list[int]] | None:
+    def cosets(self, base: list[int], gen_ids) -> list[list[int]]:
         """The right cosets of the subgroup H listed in ``base`` that make up
         the subgroup K generated by ``gen_ids``; these must generate K on
         their own, so they include generators of H.
@@ -174,11 +173,8 @@ class Enumeration:
         and generator is tested against the set. Each coset keeps the order
         of ``base``: when ``base`` starts with the identity, every coset
         starts with its representative, and the representatives come in
-        breadth-first order.
-        With bail_above set, returns None as soon as K has more elements
-        than that."""
-        grown = self._dimino(base, gen_ids, bail_above)
-        return None if grown is None else grown[0]
+        breadth-first order."""
+        return self._dimino(base, gen_ids, None)[0]
 
     def join(self, ids, gen_ids, bail_above: int | None = None) -> frozenset[int] | None:
         """The subgroup generated by the subgroup ``ids`` and ``gen_ids``, as

@@ -93,15 +93,7 @@ def sigma_formula(family: str, *params: int) -> int:
 # Solvable groups: smallest multi-complement chief factor
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChiefFactorInfo:
-    below_order: int
-    above_order: int
-    factor_order: int
-    complement_count: int
-
-
-def sigma_solvable(group: PermGroup, details: bool = False):
+def sigma_solvable(group: PermGroup) -> int:
     """Covering number of a noncyclic solvable group: |H/K| + 1 for the
     smallest chief factor H/K with more than one complement.
 
@@ -121,19 +113,12 @@ def sigma_solvable(group: PermGroup, details: bool = False):
     chief = chief_series(group)
     if not solvable_series(chief):
         raise OutOfRange("group is not solvable")
-    factors = [ChiefFactorInfo(below_order=below.order,
-                               above_order=above.order,
-                               factor_order=above.order // below.order,
-                               complement_count=len(complements(below, above)))
-               for below, above in zip(chief, chief[1:])]
-    multi = [f for f in factors if f.complement_count > 1]
+    counts = [(above.order // below.order, len(complements(below, above)))
+              for below, above in zip(chief, chief[1:])]
+    multi = [order for order, count in counts if count > 1]
     if not multi:
         raise CovnumError("noncyclic solvable group has no multi-complement chief factor")
-    best = min(multi, key=lambda f: f.factor_order)
-    value = best.factor_order + 1
-    if details:
-        return value, factors
-    return value
+    return min(multi) + 1
 
 
 # ---------------------------------------------------------------------------

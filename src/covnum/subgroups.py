@@ -368,10 +368,10 @@ def _lattice_walk(group: PermGroup, lattice_max_order: int,
     return [(tree, gens, maximal) for _, gens, tree, maximal in classes]
 
 
-def all_subgroups(group: PermGroup,
-                  lattice_max_order: int = LATTICE_MAX_ORDER) -> list[Subgroup]:
-    """Every subgroup of the group, including the trivial and full ones."""
-    sets = [ids for orbit, _ in _lattice_classes(group, lattice_max_order) for ids in orbit]
+def all_subgroups(group: PermGroup) -> list[Subgroup]:
+    """Every subgroup of the group, including the trivial and full ones, for
+    a group of order at most LATTICE_MAX_ORDER."""
+    sets = [ids for orbit, _ in _lattice_classes(group) for ids in orbit]
     return [Subgroup(group, ids) for ids in sorted(sets, key=lambda s: (len(s), sorted(s)))]
 
 

@@ -186,6 +186,11 @@ def _mask_times(out):
     return re.sub(r"[ \d]{3}\d\.\d\ds", "   T.TTs", out).splitlines()
 
 
+def _mask_record_times(out):
+    """The records report's lines, each ``time=`` field masked."""
+    return re.sub(r"time=\d+\.\d\ds", "time=T.TTs", out).splitlines()
+
+
 def test_exact_human_format(capsys):
     code, out, _ = run(capsys, "exact", "--library", "A5")
     assert code == 0
@@ -234,7 +239,10 @@ def test_batch_unknown_suite(capsys):
 def test_batch_empty_suite(capsys):
     code, out, _ = run(capsys, "batch", "empty")
     assert code == 0
-    assert "0/0 passed" in out
+    assert out.splitlines() == HUMAN_HEADER + ["0/0 passed"]
+    code, out, _ = run(capsys, "batch", "empty", "--format", "records")
+    assert code == 0
+    assert out == "0/0 passed\n"  # no rows, so no blank line before the tally
 
 
 def test_batch_golden_small(capsys):
@@ -303,9 +311,29 @@ def test_batch_solvable_oracle_error_is_one_row(capsys, monkeypatch):
     monkeypatch.setattr(cli, "sigma_solvable", failing)
     code, out, _ = run(capsys, "batch", "solvable-oracle", "--format", "records")
     assert code == 1
-    assert "group=Q8 order=0 method=formula sigma=0..0 certified=false provenance=computed " \
-           "time=0.00s note=error: complement budget" in out.splitlines()
+    assert "group=Q8 order=8 method=formula sigma=- certified=false provenance=computed " \
+           "time=T.TTs note=error: complement budget" in _mask_record_times(out)
     assert out.count("note=ok") == 32 and out.endswith("32/33 passed\n")
+
+
+def test_batch_row_whose_list_fails_prints_no_provenance(capsys, monkeypatch):
+    """A row whose maximal list does not load prints '-' for its provenance,
+    not the list of the row before it."""
+    computed = cli.maximal_classes_computed
+
+    def failing(group, cap):
+        if group.name == "Q8":
+            raise BudgetExceeded("lattice budget")
+        return computed(group, cap)
+
+    monkeypatch.setattr(cli, "maximal_classes_computed", failing)
+    code, out, _ = run(capsys, "batch", "solvable-oracle", "--format", "records")
+    lines = _mask_record_times(out)
+    at = lines.index("group=Q8 order=8 method=formula sigma=- certified=false provenance=- "
+                     "time=T.TTs note=error: lattice budget")
+    assert lines[at - 1] == "group=C5^2 order=25 method=formula sigma=6 certified=true " \
+                            "provenance=computed time=T.TTs note=ok"
+    assert code == 1 and out.endswith("32/33 passed\n")
 
 
 def test_batch_solvable_oracle_passes_the_budget(capsys, monkeypatch):

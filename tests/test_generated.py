@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, Phase, assume, given, settings, strategies a
 from oracle import exhaustive_sigma
 from test_cover import _quadratic_reduce_universe
 from test_groups import check_classes_against_orbit_reference
-from test_registry import image_quotient_sigmas
+from test_registry import chief_factors, image_quotient_sigmas
 from test_subgroups import check_atoms_against_reference, check_ingest_against_lattice, \
     check_overgroup_cap_against_lattice, lattice_maximal_classes, max_class_set_key, \
     reference_subgroups
@@ -71,13 +71,12 @@ def test_generated_group_agrees_with_oracle(group):
     assert [c.quotient_sigma for c in report.checks] == image_quotient_sigmas(group)
 
     if is_solvable(group):
-        value, factors = sigma_solvable(group, details=True)
-        assert value == sigma
+        assert sigma_solvable(group) == sigma
         # the complement counts are those among the lattice walk's maximal
         # members: every complement of an abelian chief factor is maximal
         members = [m for cls in lattice_maximal_classes(group) for m in cls.members]
         series = [sub.elements for sub in chief_series(group)]
-        assert [f.complement_count for f in factors] == [
+        assert [count for _, count in chief_factors(group)] == [
             sum(c & above == below and len(c) * len(above) == group.order * len(below)
                 for c in members)
             for below, above in zip(series, series[1:])]

@@ -82,6 +82,12 @@ def test_greedy_unbounded_on_cyclic():
         greedy_from_profile(profile)
 
 
+def test_greedy_rejects_a_profile_with_no_element_classes():
+    """Only the trivial group, which is cyclic, has no nonidentity class."""
+    with pytest.raises(CyclicGroup, match="no element classes"):
+        greedy_from_profile(parse_profile("\tM1(1)\n"))
+
+
 def test_certificate_a5_order5():
     report = verify_minimal_cover(_profile("A5"), ["cl_5,1", "cl_5,2"], ["M2"])
     assert report.verdict == "unique_minimal"

@@ -7,7 +7,8 @@ from covnum.groups import PermGroup
 from covnum.perms import parse_permutation
 from covnum.registry import KnownEntry, is_sigma_elementary, lookup_known, registry, \
     sigma_formula, sigma_solvable
-from covnum.subgroups import LATTICE_MAX_ORDER, coset_action, minimal_normal_subgroups
+from covnum.subgroups import LATTICE_MAX_ORDER, chief_series, complements, coset_action, \
+    minimal_normal_subgroups
 
 
 def test_lookup_examples():
@@ -117,16 +118,24 @@ def test_sigma_solvable_when_tuples_outnumber_the_group():
     than |G|, and the search still counts the 9 complements."""
     group = PermGroup(6, [parse_permutation("(1,6)(2,3)", 6),
                           parse_permutation("(1,3,4,2)(5,6)", 6)])
-    value, factors = sigma_solvable(group, details=True)
-    assert [(f.factor_order, f.complement_count) for f in factors] == [(9, 9), (2, 0), (2, 1)]
-    assert value == 10 == sigma_exact(group).upper
+    assert chief_factors(group) == [(9, 9), (2, 0), (2, 1)]
+    assert sigma_solvable(group) == 10 == sigma_exact(group).upper
 
 
 def test_sigma_solvable_details():
-    value, factors = sigma_solvable(library.group("Q8"), details=True)
-    assert value == 3
-    assert [f.factor_order for f in factors] == [2, 2, 2]
-    assert factors[0].complement_count == 0  # the centre has no complement
+    group = library.group("Q8")
+    assert sigma_solvable(group) == 3
+    factors = chief_factors(group)
+    assert [order for order, _ in factors] == [2, 2, 2]
+    assert factors[0][1] == 0  # the centre has no complement
+
+
+def chief_factors(group):
+    """(order, complement count) of each chief factor from the bottom: the
+    facts sigma_solvable reads, through the two functions it composes."""
+    chief = chief_series(group)
+    return [(above.order // below.order, len(complements(below, above)))
+            for below, above in zip(chief, chief[1:])]
 
 
 def test_sigma_elementary_examples():

@@ -204,3 +204,64 @@ def test_cli_stages_run_in_one_place():
             found.append(f"cli.py:{node.lineno} {named}")
     assert found == []
     assert owner_reads >= len(owned)
+
+
+def _calls(path: Path):
+    """Each call in a file as (name, positional args, keyword names), the
+    name read from ``Name.id`` or ``Attribute.attr``. perfbench's
+    ``rec.call(span, fn, *args, **kwargs)`` also counts as a call of fn."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        if isinstance(func, ast.Attribute) and func.attr == "call" and len(args) >= 2 \
+                and isinstance(args[1], (ast.Name, ast.Attribute)):
+            func, args = args[1], args[2:]
+        name = func.id if isinstance(func, ast.Name) else \
+            func.attr if isinstance(func, ast.Attribute) else None
+        if name is not None:
+            yield name, args, [kw.arg for kw in node.keywords]
+
+
+def test_every_optional_parameter_has_a_caller():
+    """No knob without a caller: each parameter with a default of a public
+    function or method of the package is set, by keyword or at its position,
+    by some call in src/, perfbench/ or scripts/. A call that spreads
+    ``*args`` or ``**kwargs`` sets everything. Private helpers are outside
+    the rule."""
+    optional = {}  # name -> [(label, positional index or None, parameter name)]
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        defs = [(None, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defs += [(top.name, node) for top in tree.body if isinstance(top, ast.ClassDef)
+                 for node in top.body if isinstance(node, ast.FunctionDef)]
+        for owner, node in defs:
+            if node.name.startswith("_"):
+                continue
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            positional = node.args.posonlyargs + node.args.args
+            skip = 1 if owner is not None and not static else 0
+            label = f"{path.stem}.{owner + '.' if owner else ''}{node.name}"
+            defaults = node.args.defaults
+            for index, arg in enumerate(positional[len(positional) - len(defaults):],
+                                        len(positional) - len(defaults)):
+                optional.setdefault(node.name, []).append((label, index - skip, arg.arg))
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    optional.setdefault(node.name, []).append((label, None, arg.arg))
+    root = Path(__file__).resolve().parents[1]
+    callers = [path for folder in ("src", "perfbench", "scripts")
+               for path in sorted((root / folder).rglob("*.py"))]
+    assert len(callers) > len(SOURCES)
+    set_somewhere = set()
+    for path in callers:
+        for name, args, keywords in _calls(path):
+            for label, index, param in optional.get(name, ()):
+                if None in keywords or any(isinstance(a, ast.Starred) for a in args) \
+                        or param in keywords or index is not None and index < len(args):
+                    set_somewhere.add((label, param))
+    assert len(optional) > 10
+    unset = sorted(f"{label}({param})" for entries in optional.values()
+                   for label, _, param in entries if (label, param) not in set_somewhere)
+    assert unset == []
