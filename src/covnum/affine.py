@@ -208,20 +208,15 @@ def agl_cover(n: int, q: int) -> AffineCover:
     group, space = affine_group(n, q, max_order=_AGL_COVER_MAX_ORDER)
     alg = group.enumeration
     zero = 0  # index of the zero vector
-    stabs = []
-    for v in range(space.size):
-        ids = frozenset(i for i, p in enumerate(alg.elems) if p(v) == v)
-        stabs.append(Subgroup(group, ids))
+    stabs = [Subgroup(group, frozenset(i for i, p in enumerate(alg.elems) if p[v] == v))
+             for v in range(space.size)]
     directions = []
     for w in space.lines():
         w_idx = space.index(w)
-        ids = []
-        for i, p in enumerate(alg.elems):
-            # linear part fixes w  <=>  g(w) = g(0) + w
-            shifted = space.index(space.add(space.coords(p(zero)), w))
-            if p(w_idx) == shifted:
-                ids.append(i)
-        directions.append(Subgroup(group, frozenset(ids)))
+        # linear part fixes w  <=>  g(w) = g(0) + w
+        ids = frozenset(i for i, p in enumerate(alg.elems)
+                        if p[w_idx] == space.index(space.add(space.coords(p[zero]), w)))
+        directions.append(Subgroup(group, ids))
     cover = AffineCover(n=n, q=q, point_stabilizers=tuple(stabs),
                         direction_subgroups=tuple(directions))
     covered = set()

@@ -53,7 +53,7 @@ from math import ceil
 
 from .errors import CovnumError, CyclicGroup, Infeasible, ParseError
 from .groups import ConjClassTable, PermGroup, orbit
-from .perms import format_cycles, take
+from .perms import Permutation, format_cycles, take
 from .subgroups import LATTICE_MAX_ORDER, MaxClassSet, maximal_classes_computed
 
 
@@ -154,10 +154,11 @@ def build_instance(group: PermGroup, cls: ConjClassTable, mx: MaxClassSet,
         covered |= m
     if covered != full:
         x = universe[next(_bits(full & ~covered))]
+        witness = Permutation._trusted(alg.elems[x])
         raise Infeasible(
-            f"element {format_cycles(alg.elems[x])} of class "
+            f"element {format_cycles(witness)} of class "
             f"{cls.classes[assignment[x]].label} lies in no selected subgroup",
-            witness=alg.elems[x])
+            witness=witness)
     return CoverInstance(
         universe_size=len(universe),
         column_masks=tuple(masks),

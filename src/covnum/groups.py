@@ -9,7 +9,8 @@ element enumeration, class tables and everything downstream are
 reproducible run to run. A group's Enumeration numbers its elements and
 owns everything done on those numbers: the Schreier tree, the id columns,
 the conjugation maps, and the joins and closures that the subgroup and
-cover modules build on.
+cover modules build on. It holds each element as its image tuple; a
+Permutation is built only where a caller asks for one.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CapExceeded, CovnumError, DegreeMismatch, ParseError, Unknown
-from .perms import Permutation, _inverse, format_cycles, parse_permutation, take
+from .perms import Permutation, _inverse, _order, format_cycles, parse_permutation, take
 
 ENUM_CAP = 10**6  # largest group whose elements are ever listed
 
@@ -69,24 +70,22 @@ class Enumeration:
     and closure grow subgroups from columns, and the conjugation action is
     read off the generator columns down the same tree. Only this class reads
     the tree.
-    It keeps the generators but no reference to their group."""
+    It keeps elements and generators as image tuples, and no reference to
+    their group."""
 
     def __init__(self, degree: int, generators):
-        self.generators = tuple(generators)
-        gens = [g.images for g in self.generators]
-        elems = [Permutation.identity(degree)]
-        index = {elems[0].images: 0}
+        self.generators = gens = tuple(g.images for g in generators)
+        elems = [tuple(range(degree))]
+        index = {elems[0]: 0}
         parent, letter = [0], [0]
         cols: list[list[int]] = [[] for _ in gens]
         for x, p in enumerate(elems):  # grows as new elements are met
-            times = take(p.images)  # times(g) is the image tuple of p * g
+            times = take(p)  # times(g) is the image tuple of p * g
             for k, g in enumerate(gens):
                 images = times(g)
-                y = index.get(images)
-                if y is None:
-                    y = len(elems)
-                    index[images] = y
-                    elems.append(Permutation._trusted(images))
+                y = index.setdefault(images, len(elems))
+                if y == len(elems):
+                    elems.append(images)
                     parent.append(x)
                     letter.append(k)
                 cols[k].append(y)
@@ -109,7 +108,7 @@ class Enumeration:
         parent, letter, cols = self._parent, self._letter, self.gen_cols
         maps = []
         for g, col in zip(self.generators, cols):
-            left = [self.index[g.inverse().images]]
+            left = [self.index[_inverse(g)]]
             for x in range(1, self.n):
                 left.append(cols[letter[x]][left[parent[x]]])
             maps.append(list(take(left)(col)))
@@ -118,11 +117,11 @@ class Enumeration:
     @cached_property
     def inv_gen_cols(self) -> list[list[int] | array]:
         """The column of each generator's inverse."""
-        return [self.column(self.index[g.inverse().images]) for g in self.generators]
+        return [self.column(self.index[_inverse(g)]) for g in self.generators]
 
     @cached_property
     def gen_ids(self) -> list[int]:
-        return sorted({self.index[g.images] for g in self.generators} - {0})
+        return sorted({self.index[g] for g in self.generators} - {0})
 
     def word(self, h: int) -> list[int]:
         """The generators whose product is h, first factor first."""
@@ -378,8 +377,9 @@ class PermGroup:
         return stop == len(self._levels) and residue == tuple(range(self.degree))
 
     def elements(self) -> list[Permutation]:
-        """All elements, identity first, in a deterministic closure order."""
-        return self.enumeration.elems
+        """All elements, identity first, in element-id order, wrapped as
+        Permutations in a new list on each call."""
+        return list(map(Permutation._trusted, self.enumeration.elems))
 
     @cached_property
     def enumeration(self) -> Enumeration:
@@ -394,11 +394,9 @@ class PermGroup:
         return enum
 
     def is_cyclic(self) -> bool:
-        if self.order == 1:
-            return True
-        if not self.is_abelian():  # a cyclic group is abelian
-            return False
-        return any(p.order == self.order for p in self.elements())
+        """Trivial, or abelian (one element per class) with an element of its order."""
+        return self.order == 1 or (self.is_abelian() and any(
+            c.element_order == self.order for c in self.conjugacy_classes()))
 
     def is_abelian(self) -> bool:
         return all(a * b == b * a for a in self.generators for b in self.generators)
@@ -465,30 +463,28 @@ def class_labels(pairs: list[tuple[int, int]]) -> list[str]:
 
 
 def _conjugacy_classes(group: PermGroup) -> tuple[ConjClassTable, list[int]]:
-    elems = group.elements()
-    maps = group.enumeration.conjugation_maps
-    n = len(elems)
-    assigned = [False] * n
+    alg = group.enumeration
+    assigned = [False] * alg.n
     assigned[0] = True  # identity excluded
-    raw: list[tuple[Permutation, int, int, set[int]]] = []
-    for i in range(1, n):
+    raw: list[tuple[tuple[int, ...], int, int, set[int]]] = []
+    for i in range(1, alg.n):
         if assigned[i]:
             continue
         cls, frontier = {i}, (i,)
         while frontier:  # the conjugates of the elements met last, less those met before
-            frontier = set().union(*map(take(frontier), maps)) - cls
+            frontier = set().union(*map(take(frontier), alg.conjugation_maps)) - cls
             cls |= frontier
         for j in cls:
             assigned[j] = True
-        rep = elems[min(cls)]
-        raw.append((rep, len(cls), rep.order, cls))
-    raw.sort(key=lambda t: (-t[2], -t[1], t[0].images))
+        rep = alg.elems[min(cls)]
+        raw.append((rep, len(cls), _order(rep), cls))
+    raw.sort(key=lambda t: (-t[2], -t[1], t[0]))
     labels = class_labels([(order, size) for _, size, order, _ in raw])
     classes = tuple(
-        ConjClass(rep=rep, size=size, element_order=order, label=label)
+        ConjClass(rep=Permutation._trusted(rep), size=size, element_order=order, label=label)
         for (rep, size, order, _), label in zip(raw, labels)
     )
-    assignment = [-1] * n
+    assignment = [-1] * alg.n
     for pos, (_, _, _, cls) in enumerate(raw):
         for j in cls:
             assignment[j] = pos

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import re
-from functools import cached_property
 from operator import itemgetter
 
 from .errors import DegreeMismatch, ParseError
@@ -45,10 +44,31 @@ def _inverse(images: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
+def _cycles(images: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Nontrivial cycles of an image tuple, each from its smallest point, sorted."""
+    seen = [False] * len(images)
+    out = []
+    for start, x in enumerate(images):  # a cycle is met first at its smallest point
+        if seen[start] or x == start:
+            continue
+        cycle = [start]
+        while x != start:
+            cycle.append(x)
+            seen[x] = True
+            x = images[x]
+        out.append(tuple(cycle))
+    return out
+
+
+def _order(images: tuple[int, ...]) -> int:
+    """The order of the permutation with these images."""
+    return math.lcm(*map(len, _cycles(images)))  # lcm() of nothing is 1
+
+
 class Permutation:
     """An immutable permutation of {0, .., degree-1}, stored as an image tuple."""
 
-    __slots__ = ("images", "__dict__")
+    __slots__ = ("images",)
 
     def __init__(self, images):
         images = tuple(images)
@@ -107,24 +127,11 @@ class Permutation:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest point, sorted."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start] or self.images[start] == start:
-                continue
-            cycle = [start]
-            seen[start] = True
-            x = self.images[start]
-            while x != start:
-                cycle.append(x)
-                seen[x] = True
-                x = self.images[x]
-            out.append(tuple(cycle))
-        return out
+        return _cycles(self.images)
 
-    @cached_property
+    @property
     def order(self) -> int:
-        return math.lcm(*map(len, self.cycles()))  # lcm() of nothing is 1
+        return _order(self.images)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images

@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
 )
 from .groups import Enumeration, PermGroup, label_index, orbit
-from .perms import Permutation, format_cycles, parse_permutation, take
+from .perms import Permutation, _order, format_cycles, parse_permutation, take
 
 
 LATTICE_MAX_ORDER = 5000  # largest group whose subgroup lattice is walked
@@ -86,7 +86,8 @@ class Subgroup:
     def generators(self) -> tuple[Permutation, ...]:
         """A small deterministic generating set, built when first read."""
         alg = self.parent.enumeration
-        return take(alg.generating_ids(self.elements) or [0])(alg.elems)
+        return tuple(map(Permutation._trusted,
+                         take(alg.generating_ids(self.elements) or [0])(alg.elems)))
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, index={self.index})"
@@ -129,9 +130,9 @@ def _atoms(group: PermGroup, subject) -> tuple[list[tuple[frozenset[int], int]],
             p = prime_power(k)[0]
         except OutOfRange:
             continue
-        times_g = take(alg.elems[x].images)  # q -> g q = q g on image tuples
+        q = alg.elems[x]
+        times_g = take(q)  # q -> g q = q g on image tuples
         powers = [x]  # the ids of g, g^2, ..., g^k = 1
-        q = alg.elems[x].images
         for _ in range(k - 1):
             q = times_g(q)
             powers.append(alg.index[q])
@@ -461,7 +462,7 @@ def maximal_classes_computed(group: PermGroup,
     orbits = [orbit for orbit, maximal in _lattice_classes(current, lattice_max_order)
               if maximal]
     for quotient, cosets, supplements in reversed(levels):
-        preimage = [cosets[q.images[0]] for q in quotient.elements()]
+        preimage = [cosets[q[0]] for q in quotient.enumeration.elems]
         orbits = [[frozenset(chain.from_iterable(take(member)(preimage)))
                    for member in orbit] for orbit in orbits] + supplements
     return _package_max_classes(group, orbits, "computed")
@@ -539,7 +540,7 @@ def complements(low: Subgroup, high: Subgroup) -> list[frozenset[int]]:
     transversal = [coset[0] for coset in alg.cosets(sorted(low.elements),
                                                     alg.generating_ids(high.elements))]
     # t_i x_i lies in P_i, so its order divides |P_i|
-    choices = [[y for t in transversal if order % alg.elems[y := col[t]].order == 0]
+    choices = [[y for t in transversal if order % _order(alg.elems[y := col[t]]) == 0]
                for order, col in zip(orders, map(alg.column, xs))]
     factor = high.order // low.order
     budget = alg.n * factor  # each join stops above |G|/factor elements
@@ -641,9 +642,9 @@ def _verify_maximal(sub: Subgroup, gen_ids: list[int]) -> None:
         decided.update(orbit(c, lambda d: [coset_of[col[rep_ids[d]]] for col in hcols]))
         joined = alg.join(sub.elements, gen_ids + [r], bail_above=proper_cap)
         if joined is not None:
-            raise IngestInvalid(
-                f"not maximal: adjoining {format_cycles(alg.elems[r])} gives a "
-                f"proper subgroup of order {len(joined)}")
+            adjoined = format_cycles(Permutation._trusted(alg.elems[r]))
+            raise IngestInvalid(f"not maximal: adjoining {adjoined} gives a proper "
+                                f"subgroup of order {len(joined)}")
 
 
 def _parse_maximal_file(text: str, degree: int) -> list[tuple[int, int, list[Permutation]]]:

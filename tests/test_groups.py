@@ -35,6 +35,22 @@ def test_m11_chain_order_matches_full_enumeration():
     assert len(m11.elements()) == 7920
 
 
+@pytest.mark.parametrize("key", library.names())
+def test_elements_wrap_the_enumeration_tuples(key):
+    """The enumeration keeps each element as its image tuple, and
+    elements() wraps them in id order, the identity first, in a new list on
+    each call that equals the last."""
+    group = library.group(key)
+    elems = group.enumeration.elems
+    assert all(type(p) is tuple for p in elems)
+    listed = group.elements()
+    assert all(type(p) is Permutation for p in listed)
+    assert [p.images for p in listed] == elems
+    assert listed[0] == Permutation.identity(group.degree)
+    again = group.elements()
+    assert again == listed and again is not listed
+
+
 def test_enumeration_cap(monkeypatch):
     monkeypatch.setattr(groups, "ENUM_CAP", 100)
     with pytest.raises(CapExceeded):
@@ -98,7 +114,7 @@ def test_chain_membership_past_the_closure_cap(make):
     group = make()
     enum = group.enumeration
     assert group.order == enum.n
-    assert all(p in group for p in enum.elems)
+    assert all(p in group for p in group.elements())
     d = group.degree
     for a, b in combinations(range(d), 2):
         images = list(range(d))

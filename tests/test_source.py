@@ -175,6 +175,23 @@ def test_stabilizer_chain_works_on_image_tuples():
     assert found == []
 
 
+def test_enumeration_names_no_permutation():
+    """An enumeration holds its elements and generators as image tuples:
+    the Enumeration class names no ``Permutation`` and reads no method that
+    builds one, so an element costs one tuple and the callers that want
+    permutations wrap the few they need."""
+    path = Path(covnum.__file__).parent / "groups.py"
+    (enum,) = [node for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.ClassDef) and node.name == "Enumeration"]
+    found = []
+    for node in ast.walk(enum):
+        if isinstance(node, ast.Name) and node.id == "Permutation":
+            found.append(f"{node.lineno} Permutation")
+        if isinstance(node, ast.Attribute) and node.attr in ("_trusted", "identity", "inverse"):
+            found.append(f"{node.lineno} .{node.attr}")
+    assert found == []
+
+
 def test_ingested_lists_are_checked_in_subgroups():
     """One module decides what an ingested maximal list rests on:
     ``IngestInvalid`` is named only where it is defined, exported and

@@ -52,10 +52,10 @@ def reference_subgroups(group):
     bail-out, and each new join adds its whole conjugation orbit. A subgroup
     is the join of the prime-power cyclic subgroups inside it, one at a
     time, so some representative reaches each class."""
-    alg = group.enumeration
+    alg, elems = group.enumeration, group.elements()
     atoms = {}
     for x in range(1, alg.n):
-        k, p = alg.elems[x].order, 2
+        k, p = elems[x].order, 2
         while k % p:
             p += 1
         while k % p == 0:
@@ -512,12 +512,12 @@ def test_seeded_normalizer_is_the_unseeded_normalizer(monkeypatch, key):
 def reference_atoms(group, subject):
     """_atoms computed element by element: each element's order from
     Permutation.order, its powers by permutation products."""
-    alg = group.enumeration
+    alg, elems = group.enumeration, group.elements()
     seen, generates = {}, {}
     for x in subject:
         if x in generates:
             continue
-        g = alg.elems[x]
+        g = elems[x]
         k = g.order
         try:
             p = subgroups.prime_power(k)[0]
@@ -983,7 +983,7 @@ def test_kernel_equals_normal_core_for_maximals():
         group = library.group(key)
         alg = group.enumeration
         mult = _product_mult(group)
-        inv = [alg.index[p.inverse().images] for p in alg.elems]
+        inv = [alg.index[p.inverse().images] for p in group.elements()]
         for cls in maximal_classes_computed(group):
             image, kernel = coset_action(cls.rep)
             brute = {x for x in range(alg.n)
